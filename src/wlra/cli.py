@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import struct
 import sys
 import time
@@ -53,10 +54,14 @@ def write_instance(path, A: np.ndarray, W: np.ndarray, sidecar=None) -> None:
 def read_instance(path):
     """Read an instance file; returns (A, W, sidecar or None).
 
-    A clear W-present flag is read as an all-ones weight matrix.  Raises
-    ValueError on any structural corruption, OSError on I/O failure.
+    The file is read once into an uninitialised buffer; A, W and the
+    side-car are views into it, not copies.  A clear W-present flag is
+    read as an all-ones weight matrix.  Raises ValueError on any
+    structural corruption, OSError on I/O failure.
     """
-    buf = Path(path).read_bytes()
+    with open(path, "rb") as f:
+        buf = np.empty(os.fstat(f.fileno()).st_size, dtype=np.uint8)
+        buf = buf[:f.readinto(buf)]
     if len(buf) < _HEADER.size:
         raise ValueError("truncated instance file")
     magic, version, n, flags = _HEADER.unpack_from(buf, 0)
@@ -71,19 +76,16 @@ def read_instance(path):
     if len(buf) != expected:
         raise ValueError("payload length does not match header")
     off = _HEADER.size
-    A = np.array(np.frombuffer(buf, "<f8", n * n, off).reshape(n, n), dtype=np.float64)
+    A = np.frombuffer(buf, "<f8", n * n, off).reshape(n, n)
     off += 8 * n * n
     if flags & _FLAG_W_DENSE:
-        W = np.array(np.frombuffer(buf, "<f8", n * n, off).reshape(n, n), dtype=np.float64)
+        W = np.frombuffer(buf, "<f8", n * n, off).reshape(n, n)
         off += 8 * n * n
     else:
         W = np.ones((n, n))
     sidecar = None
     if flags & _FLAG_SIDECAR:
-        sidecar = []
-        for _ in range(4):
-            sidecar.append(np.array(np.frombuffer(buf, "<u4", n, off), dtype=np.int64))
-            off += 4 * n
+        sidecar = [np.frombuffer(buf, "<u4", n, off + 4 * n * i) for i in range(4)]
     return A, W, sidecar
 
 
@@ -114,6 +116,15 @@ def _report_csv_lines(report, n, r, p, k, eps):
             str(report.regressions_per_half_sweep[idx]),
             str(report.run_seed),
         ])
+
+
+def _build(A, W):
+    """The instance's structure, or None after reporting bad numeric input."""
+    try:
+        return build_instance(A, W)
+    except ValueError as e:  # non-finite entries
+        _err(f"invalid instance: {e}")
+        return None
 
 
 def _check_assumed(inst, args) -> bool:
@@ -169,7 +180,9 @@ def cmd_solve(args) -> int:
     except ValueError as e:
         _err(str(e))
         return 1
-    inst = build_instance(A, W)
+    inst = _build(A, W)
+    if inst is None:
+        return 2
     if not _check_assumed(inst, args):
         return 1
     fact, report = solve(inst, opts)
@@ -295,7 +308,9 @@ def cmd_verify(args) -> int:
     except (OSError, ValueError) as e:
         _err(str(e))
         return 2
-    inst = build_instance(A, W)
+    inst = _build(A, W)
+    if inst is None:
+        return 2
     if not _check_assumed(inst, args):
         return 1
     gamma = default_gamma(inst.n) if args.gamma is None else args.gamma

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pattern_index import (COLS, ROWS, CompressedInstance, StructuredInstance,
-                            _index_from_labels, build_instance)
+                            _index_from_labels, build_instance, detect_groups)
 from .sketch import GEN_STREAM, MASK64, keyed_generator
 
 WEIGHT_STYLES = ("block_random", "block_mask01", "attention_block")
@@ -65,14 +65,6 @@ def _sub_band_ids(n: int, r: int, p: int) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _rows_distinct(M: np.ndarray) -> bool:
-    canon = np.ascontiguousarray(M, dtype=np.float64) + 0.0
-    if canon.shape[1] == 0:
-        return canon.shape[0] <= 1
-    byte_rows = canon.view(np.dtype((np.void, canon.dtype.itemsize * canon.shape[1]))).ravel()
-    return np.unique(byte_rows).shape[0] == canon.shape[0]
-
-
 def _weight_grid(spec: GenSpec, seed: int) -> np.ndarray:
     r = spec.r
     if spec.weight_style == "attention_block":
@@ -96,14 +88,19 @@ def _target_grid(spec: GenSpec, seed: int):
     return grid, u_cells, v_cells
 
 
+def _all_distinct(M: np.ndarray) -> bool:
+    """True if no two rows and no two columns of M are equal."""
+    return all(detect_groups(M, axis).num_groups == M.shape[i]
+               for i, axis in enumerate((ROWS, COLS)))
+
+
 def _grids_valid(spec: GenSpec, gw: np.ndarray, ga: np.ndarray) -> bool:
-    if not (_rows_distinct(gw) and _rows_distinct(gw.T)):
+    if not _all_distinct(gw):
         return False
     if not (np.count_nonzero(gw, axis=1).all() and np.count_nonzero(gw, axis=0).all()):
         return False
     cell_w = np.repeat(np.repeat(gw, spec.p, axis=0), spec.p, axis=1)
-    masked = cell_w * ga
-    return _rows_distinct(masked) and _rows_distinct(masked.T)
+    return _all_distinct(cell_w * ga)
 
 
 def _accepted_grids(spec: GenSpec):

@@ -14,6 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .sketch import HASH_STREAM, keyed_generator
+
 ROWS = "rows"
 COLS = "cols"
 _AXES = (ROWS, COLS)
@@ -60,11 +62,8 @@ class PatternIndex:
             raise ValueError("empty group")
         if self.group_of.min(initial=0) < 0 or self.group_of.max(initial=-1) >= g:
             raise ValueError("group id out of range")
-        firsts = np.full(g, -1, dtype=np.int64)
-        for i, gid in enumerate(self.group_of):
-            if firsts[gid] < 0:
-                firsts[gid] = i
-        if np.any(firsts < 0):
+        ids, firsts = np.unique(self.group_of, return_index=True)
+        if ids.shape[0] != g:
             raise ValueError("group with no members")
         if not np.array_equal(firsts, self.representatives):
             raise ValueError("representatives are not the smallest members")
@@ -84,6 +83,11 @@ def _as_vectors(M: np.ndarray, axis: str) -> np.ndarray:
     if M.ndim != 2:
         raise ValueError("expected a 2-D matrix")
     return M if axis == ROWS else M.T
+
+
+def _check_finite(values: np.ndarray) -> None:
+    if not np.all(np.isfinite(values)):
+        raise ValueError("matrix contains non-finite entries")
 
 
 def _index_from_labels(labels: np.ndarray, axis: str) -> PatternIndex:
@@ -120,21 +124,15 @@ def detect_groups(M: np.ndarray, axis: str = ROWS, tolerance: float = 0.0) -> Pa
     PatternIndex with groups ordered by first appearance.
     """
     vecs = _as_vectors(M, axis)
-    if not np.all(np.isfinite(vecs)):
-        raise ValueError("matrix contains non-finite entries")
     if tolerance < 0:
         raise ValueError("tolerance must be nonnegative")
-    n, m = vecs.shape
+    n = vecs.shape[0]
     if n == 0:
         raise ValueError("cannot group an empty index set")
 
     if tolerance == 0.0:
-        if m == 0:
-            labels = np.zeros(n, dtype=np.int64)
-            return _index_from_labels(labels, axis)
-        canon = np.ascontiguousarray(vecs) + 0.0  # folds -0.0 into +0.0
-        byte_rows = canon.view(np.dtype((np.void, canon.dtype.itemsize * m))).ravel()
-        return _index_from_labels(_void_labels(byte_rows), axis)
+        return _index_from_labels(_equality_labels(vecs), axis)
+    _check_finite(vecs)
 
     group_of = np.empty(n, dtype=np.int64)
     reps: list[int] = []
@@ -156,13 +154,118 @@ def detect_groups(M: np.ndarray, axis: str = ROWS, tolerance: float = 0.0) -> Pa
                         representatives=representatives, sizes=sizes)
 
 
-def _void_labels(byte_rows: np.ndarray) -> np.ndarray:
-    _, first_idx, inverse = np.unique(byte_rows, return_index=True, return_inverse=True)
-    # unique() sorts lexicographically; relabel so labels follow first appearance
-    order = np.argsort(first_idx, kind="stable")
-    rank = np.empty(order.shape[0], dtype=np.int64)
-    rank[order] = np.arange(order.shape[0], dtype=np.int64)
-    return rank[inverse.ravel()]
+# Tolerance-0 grouping: hash every vector in one pass, check every vector
+# against the first vector with its hash, and sort exactly only the vectors
+# that stand for themselves (one per hash value, plus any that failed the
+# check).  The result is the exact equality partition whatever the hash
+# returns; the hash only decides how much work the exact sort gets.
+
+_BLOCK_BYTES = 1 << 18  # a quarter MiB of rows at a time stays in cache
+_MIX_SHIFT = np.uint64(29)
+
+
+def _equality_labels(vecs: np.ndarray) -> np.ndarray:
+    """Labels of the entry-wise equality classes of the rows of vecs.
+
+    Raises ValueError if vecs has a non-finite entry.
+    """
+    n = vecs.shape[0]
+    mat, across = _in_memory_order(vecs)
+    _, first, candidate = np.unique(_vector_hashes(mat, across),
+                                    return_index=True, return_inverse=True)
+    ref = first[candidate.ravel()]
+    if first.shape[0] < n:
+        mismatch = ~_matches_ref(mat, across, ref)
+        ref[mismatch] = np.flatnonzero(mismatch)
+    own = np.flatnonzero(ref == np.arange(n))
+    labels = np.empty(n, dtype=np.int64)
+    labels[own] = _sorted_labels(vecs, own)
+    return labels[ref]
+
+
+def _in_memory_order(vecs: np.ndarray) -> tuple[np.ndarray, bool]:
+    """A C-ordered matrix holding vecs, and whether the vectors are its columns."""
+    if vecs.flags.c_contiguous:
+        return vecs, False
+    if vecs.T.flags.c_contiguous:
+        return vecs.T, True
+    return np.ascontiguousarray(vecs), False
+
+
+def _blocks(mat: np.ndarray):
+    """(lo, hi) bounds of consecutive row blocks of about _BLOCK_BYTES each."""
+    rows = max(1, _BLOCK_BYTES // (mat.itemsize * max(1, mat.shape[1])))
+    for lo in range(0, mat.shape[0], rows):
+        yield lo, min(lo + rows, mat.shape[0])
+
+
+def _hash_key(length: int) -> np.ndarray:
+    # Odd keys, so a difference in any single entry always changes the hash.
+    return keyed_generator(0, HASH_STREAM).bit_generator.random_raw(length) | np.uint64(1)
+
+
+def _vector_hashes(mat: np.ndarray, across: bool) -> np.ndarray:
+    """Keyed hash sum_j mix(bits_j) * key_j mod 2^64 of each vector.
+
+    bits_j are the IEEE bits of entry j with -0.0 folded into +0.0.  Small
+    integers and 0/1 values have 52 trailing zero bits; the shift-xor mix
+    moves high bits down, so the products keep most of their 64 bits.
+    Integer sums wrap, so equal vectors hash equal in any summation order.
+    Raises ValueError on a non-finite entry, checked while the block is hot.
+    """
+    key = _hash_key(mat.shape[0] if across else mat.shape[1])
+    hashes = np.zeros(mat.shape[1] if across else mat.shape[0], dtype=np.uint64)
+    for lo, hi in _blocks(mat):
+        block = mat[lo:hi] + 0.0  # folds -0.0 into +0.0
+        _check_finite(block)
+        bits = block.view(np.uint64)
+        bits ^= bits >> _MIX_SHIFT
+        if across:
+            hashes += key[lo:hi] @ bits
+        else:
+            hashes[lo:hi] = bits @ key
+    return hashes
+
+
+def _matches_ref(mat: np.ndarray, across: bool, ref: np.ndarray) -> np.ndarray:
+    """True where vector i equals vector ref[i] entry-wise, read in memory order."""
+    if across:
+        ok = np.ones(mat.shape[1], dtype=bool)
+        for lo, hi in _blocks(mat):
+            block = mat[lo:hi]
+            ok &= (block == block.take(ref, axis=1)).all(axis=0)
+        return ok
+    ok = np.empty(mat.shape[0], dtype=bool)
+    for lo, hi in _blocks(mat):
+        ok[lo:hi] = (mat[lo:hi] == mat.take(ref[lo:hi], axis=0)).all(axis=1)
+    return ok
+
+
+def _sorted_labels(vecs: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Exact equality classes of the vectors vecs[idx], by byte-wise sorting.
+
+    Sorts (class so far, next coordinates) keys over a prefix of the
+    coordinates that doubles each round, and drops a vector once its class
+    is a singleton, so distinct vectors are usually told apart after a few
+    coordinates and no coordinate is read twice.
+    """
+    m = vecs.shape[1]
+    labels = np.zeros(idx.shape[0], dtype=np.int64)
+    active = np.arange(idx.shape[0])
+    next_label, lo, width = 1, 0, 1
+    while active.shape[0] > 1 and lo < m:
+        hi = min(m, lo + width)
+        keys = np.empty((active.shape[0], 1 + hi - lo), dtype=np.uint64)
+        keys[:, 0] = labels[active]
+        keys[:, 1:] = (vecs[idx[active], lo:hi] + 0.0).view(np.uint64)  # folds -0.0
+        byte_rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+        _, inverse, counts = np.unique(byte_rows, return_inverse=True, return_counts=True)
+        inverse = inverse.ravel()
+        labels[active] = next_label + inverse
+        next_label += counts.shape[0]
+        active = active[counts[inverse] > 1]
+        lo, width = hi, 2 * width
+    return labels
 
 
 def refine(outer: PatternIndex, inner_key: np.ndarray, tolerance: float = 0.0) -> PatternIndex:

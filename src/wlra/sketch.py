@@ -19,6 +19,7 @@ MASK64 = (1 << 64) - 1
 SKETCH_STREAM = 0x5E7C
 INIT_STREAM = 0x1217
 GEN_STREAM = 0x6E9A
+HASH_STREAM = 0x4A5B
 
 
 def keyed_generator(seed: int, stream: int) -> np.random.Generator:

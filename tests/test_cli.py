@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -58,8 +60,16 @@ def test_instance_file_round_trip(tmp_path):
     assert all(np.array_equal(a, b) for a, b in zip(side, sidecar))
 
 
+def test_read_returns_views_into_one_buffer(tmp_path):
+    inst = generate(GenSpec(n=8, r=2, p=2, k_true=1, seed=2))
+    path = tmp_path / "views.wlra"
+    write_instance(path, inst.A, inst.W, [inst.w_rows.group_of] * 4)
+    A, W, side = read_instance(path)
+    assert not (A.flags.owndata or W.flags.owndata or side[0].flags.owndata)
+    assert A.base is W.base is side[0].base
+
+
 def test_read_without_dense_weight_flag_gives_all_ones(tmp_path):
-    import struct
     n = 3
     A = np.arange(9, dtype=float).reshape(3, 3)
     payload = struct.pack("<4sHQH", b"WLRA", 1, n, 0) + A.astype("<f8").tobytes()
@@ -250,6 +260,65 @@ def test_bench_dense_baseline_slower(tmp_path, capsys):
     grouped = float(line.split("grouped_s=")[1].split()[0])
     dense = float(line.split("dense_s=")[1])
     assert grouped < dense
+
+
+# ---------------------------------------------------------------------------
+# bad input: exit code and a one-line message, never a traceback
+
+
+N_BAD = 8  # side of the instances below; the payload starts after a 16-byte header
+
+
+def _set_entry(matrix, i, j, value):
+    """Byte edit writing value at (i, j) of A (matrix 0) or W (matrix 1)."""
+    def edit(data):
+        off = 16 + 8 * (N_BAD * N_BAD * matrix + N_BAD * i + j)
+        data[off:off + 8] = struct.pack("<d", value)
+    return edit
+
+
+def _truncate(data):
+    del data[-4:]
+
+
+def _bad_magic(data):
+    data[:4] = b"NOPE"
+
+
+def _bad_version(data):
+    data[4:6] = struct.pack("<H", 2)
+
+
+def _unchanged(data):
+    pass
+
+
+# (name, edit of the instance file's bytes, extra flags, exit code)
+BAD_INPUTS = [
+    ("nan_in_a", _set_entry(0, 1, 2, np.nan), (), 2),
+    ("inf_in_w", _set_entry(1, 3, 0, np.inf), (), 2),
+    ("truncated_payload", _truncate, (), 2),
+    ("bad_magic", _bad_magic, (), 2),
+    ("bad_version", _bad_version, (), 2),
+    ("unknown_flag", _unchanged, ("--bogus",), 1),
+]
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("name, edit, extra, code", BAD_INPUTS,
+                         ids=[case[0] for case in BAD_INPUTS])
+def test_bad_input_exit_codes(tmp_path, capsys, command, name, edit, extra, code):
+    path = tmp_path / f"{name}.wlra"
+    rng = np.random.default_rng(4)
+    write_instance(path, rng.standard_normal((N_BAD, N_BAD)), np.ones((N_BAD, N_BAD)))
+    data = bytearray(path.read_bytes())
+    edit(data)
+    path.write_bytes(bytes(data))
+    capsys.readouterr()
+    assert run([command, "--in", path, "--k", 2, *extra]) == code
+    err = capsys.readouterr().err
+    if code == 2:  # one line, no traceback
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from wlra import (GenSpec, build_instance, compress_instance, detect_groups,
-                  generate, refine)
+                  generate, generate_attention_mask, refine)
+from wlra import pattern_index
 from wlra.pattern_index import PatternIndex
 
 from oracles import brute_force_groups
@@ -199,6 +200,20 @@ def test_build_instance_shape_errors():
         build_instance(np.ones((3, 3)), np.ones((2, 2)))
 
 
+@pytest.mark.parametrize("group_of, reps, sizes, message", [
+    ([0, 0], [0], [3], "group sizes do not sum to n"),
+    ([0, 0], [0, 1], [2, 0], "empty group"),
+    ([0, 2], [0, 1], [1, 1], "group id out of range"),
+    ([0, 0], [0, 1], [1, 1], "group with no members"),
+    ([1, 0], [0, 1], [1, 1], "representatives are not the smallest members"),
+])
+def test_validate_messages(group_of, reps, sizes, message):
+    idx = PatternIndex(axis="rows", group_of=np.array(group_of),
+                       representatives=np.array(reps), sizes=np.array(sizes))
+    with pytest.raises(ValueError, match=message):
+        idx.validate()
+
+
 def test_validate_catches_bad_representatives():
     idx = PatternIndex(axis="rows",
                        group_of=np.array([0, 0, 1]),
@@ -221,3 +236,106 @@ def test_transpose_involution_and_compress_parity():
     assert np.array_equal(comp.col_targets(), inst.col_targets())
     ct = comp.transposed()
     assert np.array_equal(ct.row_targets(), inst.transposed().row_targets())
+
+
+# ---------------------------------------------------------------------------
+# Tolerance-0 detection: hash, verify, exact sort
+
+
+def _duplicated(seed, n, m, values):
+    """n x m matrix whose rows and columns repeat a few base vectors, zeros signed at random."""
+    rng = np.random.default_rng(seed)
+    base = rng.choice(values, size=(4, 5))
+    M = base[rng.integers(0, 4, size=n)][:, rng.integers(0, 5, size=m)]
+    M[(M == 0) & (rng.random(M.shape) < 0.5)] = -0.0
+    return M
+
+
+def _layouts(M):
+    return [M, np.asfortranarray(M), np.repeat(M, 2, axis=1)[:, ::2]]
+
+
+def _assert_matches_oracle(M, axis):
+    idx = detect_groups(M, axis, 0.0)
+    want_groups, want_reps = brute_force_groups(M, axis, 0.0)
+    assert np.array_equal(idx.group_of, want_groups)
+    assert np.array_equal(idx.representatives, want_reps)
+    idx.validate()
+
+
+_FAKE_HASHES = {
+    "constant": lambda mat, across: np.zeros(mat.shape[1 if across else 0], dtype=np.uint64),
+    "per_index": lambda mat, across: np.arange(mat.shape[1 if across else 0], dtype=np.uint64),
+}
+
+
+@pytest.mark.parametrize("fake", sorted(_FAKE_HASHES))
+@pytest.mark.parametrize("seed", range(4))
+def test_exact_partition_whatever_the_hash(monkeypatch, fake, seed):
+    # constant: every vector collides; per_index: equal vectors never share a hash
+    monkeypatch.setattr(pattern_index, "_vector_hashes", _FAKE_HASHES[fake])
+    M = _duplicated(seed, 30, 25, [0.0, 1.0, 2.0, -3.0, 0.25])
+    for layout in _layouts(M):
+        for axis in ("rows", "cols"):
+            _assert_matches_oracle(layout, axis)
+
+
+@pytest.mark.parametrize("fake", sorted(_FAKE_HASHES))
+def test_exact_sort_keeps_apart_classes_split_early(monkeypatch, fake):
+    # Two repeated vectors that differ only in their first entry both reach
+    # the exact sort; its later rounds must not merge them again.
+    monkeypatch.setattr(pattern_index, "_vector_hashes", _FAKE_HASHES[fake])
+    M = np.array([[5.0, 1, 1, 1], [0, 1, 1, 1], [1, 1, 1, 1], [0, 1, 1, 1], [1, 1, 1, 1]])
+    for layout in _layouts(M):
+        _assert_matches_oracle(layout, "rows")
+        _assert_matches_oracle(layout.T, "cols")
+
+
+def test_zero_width_vectors_form_one_group():
+    for axis in ("rows", "cols"):
+        M = np.ones((5, 0)) if axis == "rows" else np.ones((0, 5))
+        idx = detect_groups(M, axis, 0.0)
+        assert idx.num_groups == 1 and list(idx.sizes) == [5]
+
+
+def test_layout_does_not_change_hashes():
+    M = _duplicated(3, 300, 200, [0.0, 1.0, -2.0])  # several blocks on each axis
+    for vecs in (M, M.T):
+        want = pattern_index._vector_hashes(*pattern_index._in_memory_order(np.ascontiguousarray(vecs)))
+        got = pattern_index._vector_hashes(*pattern_index._in_memory_order(np.asfortranarray(vecs)))
+        assert np.array_equal(got, want)
+
+
+def test_no_collision_fallback_on_binary_and_small_integer_data(monkeypatch):
+    # No vector may fail its check against the first vector with its hash,
+    # and only one vector per group may reach the exact sort.
+    checks, handed = [], []
+    match, sort = pattern_index._matches_ref, pattern_index._sorted_labels
+
+    def match_spy(mat, across, ref):
+        ok = match(mat, across, ref)
+        checks.append(bool(ok.all()))
+        return ok
+
+    def sort_spy(vecs, idx):
+        handed.append(idx.shape[0])
+        return sort(vecs, idx)
+
+    monkeypatch.setattr(pattern_index, "_matches_ref", match_spy)
+    monkeypatch.setattr(pattern_index, "_sorted_labels", sort_spy)
+    rng = np.random.default_rng(5)
+    base01 = rng.integers(0, 2, size=(24, 96)).astype(float)
+    matrices = [
+        base01[rng.integers(0, 24, size=300)],
+        rng.integers(0, 2, size=(200, 64)).astype(float),
+        rng.integers(-4, 5, size=(150, 120)).astype(float),
+        _duplicated(9, 256, 256, [0.0, 1.0, 2.0, -3.0, 7.0]),
+        generate_attention_mask(512, 32),
+    ]
+    for M in matrices:
+        for layout in (M, np.asfortranarray(M)):
+            for axis in ("rows", "cols"):
+                handed.clear()
+                idx = detect_groups(layout, axis, 0.0)
+                assert handed == [idx.num_groups]
+    assert checks and all(checks)

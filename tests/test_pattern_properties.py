@@ -1,0 +1,45 @@
+"""Property test: tolerance-0 detection equals the brute-force oracle."""
+
+import numpy as np
+import pytest
+
+from wlra import detect_groups
+
+from oracles import brute_force_groups
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+# +-0.0, 0/1 and small integers: the values whose IEEE bits share long runs
+# of trailing zeros, where a weak hash would collide.
+_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 3.0, -7.0])
+
+
+@st.composite
+def _structured(draw):
+    """A matrix built from a few base vectors, in C, Fortran or strided layout."""
+    n, m = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    k_rows, k_cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    base = np.array(draw(st.lists(st.lists(_VALUES, min_size=k_cols, max_size=k_cols),
+                                  min_size=k_rows, max_size=k_rows)))
+    rows = draw(st.lists(st.integers(0, k_rows - 1), min_size=n, max_size=n))
+    cols = draw(st.lists(st.integers(0, k_cols - 1), min_size=m, max_size=m))
+    M = base[rows][:, cols]
+    signs = np.array(draw(st.lists(st.booleans(), min_size=n * m, max_size=n * m)))
+    M[(M == 0) & signs.reshape(n, m)] = -0.0
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "F":
+        return np.asfortranarray(M)
+    if layout == "strided":
+        return np.repeat(M, 2, axis=0)[::2]
+    return np.ascontiguousarray(M)
+
+
+@hypothesis.settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@hypothesis.given(_structured())
+def test_detect_groups_equals_brute_force(M):
+    for axis in ("rows", "cols"):
+        idx = detect_groups(M, axis, 0.0)
+        want_groups, want_reps = brute_force_groups(M, axis, 0.0)
+        assert np.array_equal(idx.group_of, want_groups)
+        assert np.array_equal(idx.representatives, want_reps)
