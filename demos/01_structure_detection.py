@@ -33,5 +33,6 @@ inst = build_instance(target, mask)
 print(f"\nbuild_instance detects r={inst.r}, p={inst.p} "
       f"(weight groups {inst.w_rows.num_groups}, masked groups {inst.wa_rows.num_groups})")
 
-planted = generate(GenSpec(n=64, r=4, p=2, k_true=3, seed=7))
+planted = build_instance(*generate(GenSpec(n=64, r=4, p=2, k_true=3, seed=7)))
 print(f"planted (r=4, p=2) instance detected as r={planted.r}, p={planted.p}")
+print(f"weight grid {planted.weights.shape}, masked-target grid {planted.targets.shape}")

@@ -9,10 +9,12 @@ import time
 
 import numpy as np
 
-from wlra import GenSpec, GroupedFactor, WorkCounters, cost_dense, cost_grouped, generate
+from wlra import (GenSpec, GroupedFactor, WorkCounters, build_instance, cost_dense,
+                  cost_grouped, generate)
 
 n = 2048
-inst = generate(GenSpec(n=n, r=4, p=2, k_true=4, noise_sigma=0.2, seed=1))
+A, W = generate(GenSpec(n=n, r=4, p=2, k_true=4, noise_sigma=0.2, seed=1))
+inst = build_instance(A, W)
 rng = np.random.default_rng(2)
 k = 4
 grouped_u = GroupedFactor(index=inst.wa_rows,
@@ -25,7 +27,7 @@ fast = cost_grouped(inst, grouped_u, V, counters)
 fast_s = time.perf_counter() - tic
 
 tic = time.perf_counter()
-exact = cost_dense(inst.A, inst.W, grouped_u.expand(), V)
+exact = cost_dense(A, W, grouped_u.expand(), V)
 dense_s = time.perf_counter() - tic
 
 print(f"n = {n}, masked row groups = {inst.wa_rows.num_groups}")

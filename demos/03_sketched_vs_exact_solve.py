@@ -2,13 +2,13 @@
 
 Runs the alternating solver twice on one structured instance: once with
 exact per-group regressions, once with Gaussian sketches of dimension
-O(k/eps).  The sketched run trades a small cost inflation for designs of
-width t instead of n.
+O(k/eps) over the refined column groups.  The sketched run trades a small
+cost inflation for designs of width t instead of the column group count.
 """
 
-from wlra import GenSpec, SolveOptions, generate, sketch_dim, solve
+from wlra import GenSpec, SolveOptions, build_instance, generate, sketch_dim, solve
 
-inst = generate(GenSpec(n=512, r=4, p=2, k_true=6, noise_sigma=0.1, seed=3))
+inst = build_instance(*generate(GenSpec(n=512, r=4, p=2, k_true=6, noise_sigma=0.1, seed=3)))
 k, eps = 3, 0.25
 print(f"n = {inst.n}, r = {inst.r}, p = {inst.p}, k = {k}, eps = {eps}, "
       f"sketch dim t = {sketch_dim(k, eps)}")

@@ -30,6 +30,6 @@ print(f"lambda / upper             : {report.final_cost / upper:.3e}")
 print(f"theoretical lower bound    : 2^{lower_log2} "
       "(the exponent leaves float range at this r and k)")
 
-check = cost_dense(inst.A, inst.W, fact.U, fact.V)
+check = cost_dense(A, W, fact.U, fact.V)
 print(f"dense recheck of lambda    : {check:.6e}")
 print(f"factor shapes              : U {fact.U.shape}, V {fact.V.shape}")

@@ -1,9 +1,10 @@
-"""Near-linear sweep scaling, measured.
+"""Sweep time that does not grow with n, measured.
 
-Generates compressed instances (representative slabs only, no dense n x n
-payload) at doubling sizes and times full sweeps.  With (r, p, k, eps)
-fixed, the per-sweep time should grow about linearly in n; the log-log
-slope makes that concrete.  The CLI equivalent is:
+Generates instances straight from their planted grids (partitions and
+small grids only, no dense n x n payload) at doubling sizes and times full
+sweeps.  The solver runs on the group grid, so with (r, p, k, eps) fixed
+the per-sweep time stays flat in n; the log-log slope makes that concrete.
+The CLI equivalent is:
 
     wlra bench --sizes 4096 8192 16384 32768 65536 --r 4 --p 4 --k 3 \
         --eps 0.25 --sweeps 3 --trials 3 --out bench.csv
@@ -32,4 +33,4 @@ x = np.log2(sizes[1:])
 y = np.log2(medians[1:])
 slope = float(np.polyfit(x, y, 1)[0])
 print(f"\nlog-log slope (smallest size dropped): {slope:.3f}  "
-      f"(1.0 is linear, quadratic would be 2.0)")
+      f"(0 is flat, 1.0 would be linear in n)")

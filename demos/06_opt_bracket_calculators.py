@@ -8,10 +8,10 @@ certifying binary search over the bracket would need.
 
 import math
 
-from wlra import (BoundParams, GenSpec, generate, iteration_budget,
+from wlra import (BoundParams, GenSpec, build_instance, generate, iteration_budget,
                   lower_bound_log2, upper_bound)
 
-inst = generate(GenSpec(n=64, r=4, p=2, k_true=3, noise_sigma=0.2, seed=5))
+inst = build_instance(*generate(GenSpec(n=64, r=4, p=2, k_true=3, noise_sigma=0.2, seed=5)))
 print(f"upper bound ||W o A||_F^2 = {upper_bound(inst):.6e}")
 
 print("\nlower bound exponent and search budget as structure grows:")

@@ -2,7 +2,8 @@
 
 Minimizes || W o (U V^T - A) ||_F^2 by alternating sketched least squares
 that solves one regression per distinct pattern group instead of one per
-row, keeping each sweep's work proportional to n times the group count.
+row.  After group detection the problem lives on a small grid of groups,
+so a sweep's work depends on the group counts, not on n.
 """
 
 from .generator import (GenSpec, WEIGHT_STYLES, generate, generate_attention_mask,
@@ -12,24 +13,24 @@ from .grouped_als import (Factorization, SolveOptions, SolveReport, col_certific
                           update_rows)
 from .opt_bounds import (BoundParams, default_gamma, iteration_budget,
                          lower_bound_log2, upper_bound)
-from .pattern_index import (CompressedInstance, PatternIndex, StructuredInstance,
-                            build_instance, compress_instance, detect_groups, refine)
-from .sketch import (SketchMatrix, gaussian_sketch, identity_embedding,
-                     keyed_generator, keyed_normals, sketch_dim, sketched_design)
+from .pattern_index import (PatternIndex, StructuredInstance, build_instance,
+                            detect_groups, refine)
+from .sketch import (SketchMatrix, gaussian_sketch, keyed_generator, keyed_normals,
+                     sketch_dim, sketched_design)
 from .weighted_cost import (GroupedFactor, WorkCounters, compress_factor,
-                            cost_dense, cost_grouped, cost_grouped_cols, kahan_sum)
+                            cost_dense, cost_grouped, cost_grouped_cols)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundParams", "CompressedInstance", "Factorization", "GenSpec",
+    "BoundParams", "Factorization", "GenSpec",
     "GroupedFactor", "PatternIndex", "SketchMatrix", "SolveOptions",
     "SolveReport", "StructuredInstance", "WEIGHT_STYLES", "WorkCounters",
-    "build_instance", "col_certificates", "compress_factor", "compress_instance",
+    "build_instance", "col_certificates", "compress_factor",
     "cost_dense", "cost_grouped", "cost_grouped_cols", "default_gamma",
     "detect_groups", "gaussian_sketch", "generate", "generate_attention_mask",
-    "generate_compressed", "generate_with_factors", "identity_embedding",
-    "iteration_budget", "kahan_sum", "keyed_generator", "keyed_normals",
+    "generate_compressed", "generate_with_factors",
+    "iteration_budget", "keyed_generator", "keyed_normals",
     "lower_bound_log2", "min_norm_solve", "refine", "row_certificates",
     "sketch_dim", "sketched_design", "solve", "update_cols", "update_rows",
     "upper_bound",

@@ -13,16 +13,14 @@ import math
 import os
 import struct
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
 from .generator import GenSpec, WEIGHT_STYLES, generate, generate_compressed
-from .grouped_als import SolveOptions, _svd_apply, _svd_factor, solve, update_rows
+from .grouped_als import SolveOptions, solve
 from .opt_bounds import BoundParams, default_gamma, iteration_budget, lower_bound_log2, upper_bound
 from .pattern_index import build_instance
-from .sketch import INIT_STREAM, gaussian_sketch, keyed_normals, sketch_dim, sketched_design
 
 _MAGIC = b"WLRA"
 _VERSION = 1
@@ -150,12 +148,13 @@ def cmd_gen(args) -> int:
         _err(str(e))
         return 1
     try:
-        inst = generate(spec)
+        A, W = generate(spec)
+        inst = generate_compressed(spec)  # the partitions of (A, W), for the side-car
     except (RuntimeError, MemoryError) as e:
         _err(str(e) or "out of memory for a dense instance of this size")
         return 2
     try:
-        write_instance(args.out, inst.A, inst.W, _sidecar_of(inst))
+        write_instance(args.out, A, W, _sidecar_of(inst))
     except OSError as e:
         _err(str(e))
         return 2
@@ -218,26 +217,6 @@ def _fit_slope(sizes, medians):
     return float(np.polyfit(x, y, 1)[0])
 
 
-def _dense_baseline_seconds(inst, k: int, eps: float, seed: int) -> float:
-    """Time one per-row half-sweep with no row grouping (designs still shared)."""
-    n = inst.n
-    t = sketch_dim(k, eps)
-    S = gaussian_sketch(seed ^ 0xD5, t, n)
-    V = keyed_normals(seed, INIT_STREAM, n * k).reshape(n, k)
-    Z = V.T
-    wpat = inst.row_design_patterns()
-    targets = inst.row_targets()
-    w_group_of = inst.w_rows.group_of
-    wa_group_of = inst.wa_rows.group_of
-    St = S.values.T
-    tic = time.perf_counter()
-    factored = [_svd_factor(sketched_design(Z, wpat[i], S)) for i in range(wpat.shape[0])]
-    for i in range(n):
-        b = targets[wa_group_of[i]] @ St
-        _svd_apply(factored[w_group_of[i]], b, 1e-10)
-    return time.perf_counter() - tic
-
-
 def cmd_bench(args) -> int:
     sizes = args.sizes
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
@@ -273,20 +252,6 @@ def cmd_bench(args) -> int:
             sweep_times.extend(_full_sweep_times(report))
         medians.append(float(np.median(sweep_times)))
         print(f"size {n} median_sweep_s {medians[-1]:.6f}", file=sys.stderr)
-
-    if args.dense_baseline:
-        n = sizes[0]
-        spec = GenSpec(n=n, r=args.r, p=args.p, k_true=args.k,
-                       noise_sigma=0.0, weight_style="block_random", seed=args.seed)
-        inst = generate_compressed(spec)
-        opts = SolveOptions(k=args.k, eps=args.eps, max_sweeps=1, rel_tol=0.0,
-                            seed=args.seed)
-        tic = time.perf_counter()
-        s1 = gaussian_sketch(args.seed ^ 0x51, sketch_dim(args.k, args.eps), n)
-        update_rows(inst, keyed_normals(args.seed, INIT_STREAM, n * args.k).reshape(n, args.k), s1, opts)
-        grouped_s = time.perf_counter() - tic
-        dense_s = _dense_baseline_seconds(inst, args.k, args.eps, args.seed)
-        print(f"dense_baseline n={n} grouped_s={grouped_s:.6f} dense_s={dense_s:.6f}")
 
     try:
         Path(args.out).write_text("\n".join(rows) + "\n")
@@ -376,8 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--sketchless", action="store_true")
     s.add_argument("--assume-r", dest="assume_r", type=int, default=None)
     s.add_argument("--assume-p", dest="assume_p", type=int, default=None)
-    s.add_argument("--threads", type=int, default=1,
-                   help="reserved; execution is serial and deterministic")
     s.add_argument("--out-factors", dest="out_factors", default=None)
     s.add_argument("--out-report", dest="out_report", default=None)
     s.set_defaults(func=cmd_solve)
@@ -391,10 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--sweeps", type=int, default=3)
     b.add_argument("--trials", type=int, default=3)
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--threads", type=int, default=1,
-                   help="reserved; execution is serial and deterministic")
-    b.add_argument("--dense-baseline", dest="dense_baseline", action="store_true",
-                   help="also time an ungrouped per-row half-sweep at the smallest size")
     b.add_argument("--out", required=True)
     b.set_defaults(func=cmd_bench)
 
@@ -416,9 +375,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    if getattr(args, "threads", 1) < 1:
-        _err("threads must be positive")
-        return 1
     return args.func(args)
 
 

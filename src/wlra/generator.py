@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pattern_index import (COLS, ROWS, CompressedInstance, StructuredInstance,
-                            _index_from_labels, build_instance, detect_groups)
+from .pattern_index import (COLS, ROWS, StructuredInstance, _index_from_labels,
+                            detect_groups)
 from .sketch import GEN_STREAM, MASK64, keyed_generator
 
 WEIGHT_STYLES = ("block_random", "block_mask01", "attention_block")
@@ -114,7 +114,7 @@ def _accepted_grids(spec: GenSpec):
 
 
 def generate_with_factors(spec: GenSpec):
-    """Planted instance plus the (n, k_true) factor pair tiled from the cells.
+    """Dense planted instance and factors (A, W, U, V), U and V tiled from the cells.
 
     With zero noise the factors reproduce the target exactly, so the
     instance has a known zero-cost rank-k_true solution.
@@ -122,48 +122,33 @@ def generate_with_factors(spec: GenSpec):
     gw, ga, u_cells, v_cells = _accepted_grids(spec)
     wband = _band_ids(spec.n, spec.r)
     aband = _sub_band_ids(spec.n, spec.r, spec.p)
-    W = gw[wband][:, wband]
-    A = ga[aband][:, aband]
-    inst = build_instance(A, W, tolerance=0.0)
-    if inst.w_rows.num_groups != spec.r or inst.w_cols.num_groups != spec.r:
-        raise RuntimeError("detected weight groups disagree with the planted count")
-    rp = spec.r * spec.p
-    if inst.wa_rows.num_groups != rp or inst.wa_cols.num_groups != rp:
-        raise RuntimeError("detected masked groups disagree with the planted count")
-    return inst, u_cells[aband], v_cells[aband]
+    return ga[aband][:, aband], gw[wband][:, wband], u_cells[aband], v_cells[aband]
 
 
-def generate(spec: GenSpec) -> StructuredInstance:
-    """Dense planted instance whose detected (r, p) equal the request."""
-    inst, _, _ = generate_with_factors(spec)
-    return inst
+def generate(spec: GenSpec):
+    """Dense planted instance (A, W) whose detected (r, p) equal the request."""
+    A, W, _, _ = generate_with_factors(spec)
+    return A, W
 
 
-def generate_compressed(spec: GenSpec) -> CompressedInstance:
-    """The same planted instance in O(r*p*n) memory, for large benchmarks.
+def generate_compressed(spec: GenSpec) -> StructuredInstance:
+    """The same planted instance straight from its grids, in O(n) memory.
 
-    Identical seeds accept identical grids in both representations, so
-    compress_instance(generate(spec)) matches this output slab for slab.
+    The accepted grids have distinct rows and columns, so this equals
+    build_instance(*generate(spec)) bitwise: the same four partitions and
+    the same two grids.
     """
     gw, ga, _, _ = _accepted_grids(spec)
     n, r, p = spec.n, spec.r, spec.p
     wband = _band_ids(n, r)
     aband = _sub_band_ids(n, r, p)
     parent = np.arange(r * p, dtype=np.int64) // p
-
-    row_design = np.ascontiguousarray(gw[:, wband])
-    col_design = np.ascontiguousarray(gw.T[:, wband])
-    row_target = np.ascontiguousarray(gw[parent][:, wband] * ga[:, aband])
-    col_target = np.ascontiguousarray(gw.T[parent][:, wband] * ga.T[:, aband])
-
-    return CompressedInstance(
-        n_size=n, r=r, p=p,
+    return StructuredInstance(
         w_rows=_index_from_labels(wband, ROWS),
         w_cols=_index_from_labels(wband, COLS),
         wa_rows=_index_from_labels(aband, ROWS),
         wa_cols=_index_from_labels(aband, COLS),
-        row_design=row_design, row_target=row_target,
-        col_design=col_design, col_target=col_target)
+        weights=gw, targets=gw[np.ix_(parent, parent)] * ga, r=r, p=p)
 
 
 def generate_attention_mask(n: int, block: int) -> np.ndarray:

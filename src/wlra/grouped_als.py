@@ -2,9 +2,10 @@
 
 Each half-sweep fixes one factor and solves the weighted least-squares
 update for the other.  Rows sharing a weight pattern share one sketched
-design, and rows sharing a masked-target pattern share one regression, so
-a half-sweep solves at most r*p small systems regardless of n and
-broadcasts each solution across its group.
+design, and rows sharing a masked-target pattern share one regression.
+Both factors live on the refined groups and every step runs on the
+Gr x Gc group grid, so a half-sweep solves at most r*p small systems and
+never touches n; expand() broadcasts the factors only for the result.
 """
 
 from __future__ import annotations
@@ -133,41 +134,47 @@ def min_norm_solve(design: np.ndarray, target: np.ndarray,
     return _svd_apply(_svd_factor(design), target, rank_tolerance)
 
 
-def _assemble(inst, V: np.ndarray, S: SketchMatrix | None, sketchless: bool):
-    """Designs per weight group and targets per refined group, sketched or exact."""
-    Z = np.ascontiguousarray(V, dtype=np.float64).T  # k x n
-    wpat = inst.row_design_patterns()
-    targets = inst.row_targets()
-    if sketchless:
-        if S is not None:
-            raise ValueError("sketchless updates take no sketch")
-        designs = [Z * wpat[i] for i in range(wpat.shape[0])]
-        return designs, targets
-    if S is None:
-        raise ValueError("a sketch is required unless sketchless is set")
-    if S.n != inst.n:
-        raise ValueError("sketch width does not match the instance")
-    designs = [sketched_design(Z, wpat[i], S) for i in range(wpat.shape[0])]
-    sk_targets = targets @ S.values.T
-    return designs, sk_targets
+def _grid_system(inst, gv: GroupedFactor):
+    """Exact grid designs per weight-row group and targets per refined row group.
+
+    Row g's regression over the n columns has size_h identical equations
+    per refined column group h; scaling column h by sqrt(size_h) gives
+    the same normal equations, so the grid system has the same solutions
+    and the same singular values.
+    """
+    gv.check_groups(inst.wa_cols, "column")
+    root = np.sqrt(inst.wa_cols.sizes)
+    Z = np.ascontiguousarray(gv.rows.T)  # k x Gc
+    weights = inst.weights[:, inst.col_parents()] * root
+    return Z, weights, inst.targets * root
 
 
-def update_rows(inst, V: np.ndarray, S1: SketchMatrix | None, opts: SolveOptions,
+def update_rows(inst, gv: GroupedFactor, S1: SketchMatrix | None, opts: SolveOptions,
                 counters: WorkCounters | None = None) -> GroupedFactor:
     """One row half-sweep: the optimal grouped row factor for fixed V.
 
-    Solves one (sketched) weighted regression per refined row group using
-    the design shared by its weight group, and stores the k-vector once
-    per group.
+    gv is V as a GroupedFactor on inst.wa_cols.  Solves one (sketched)
+    weighted regression per refined row group using the design shared by
+    its weight group, all on the group grid.  S1, if given, is a t x Gc
+    sketch: a standard Gaussian sketch times diag(sqrt(size_h)) has the law
+    of an n-wide sketch summed over each column group.
     """
-    V = np.ascontiguousarray(V, dtype=np.float64)
-    if V.ndim != 2 or V.shape[0] != inst.n:
-        raise ValueError("V must be n x k for this instance")
-    designs, targets = _assemble(inst, V, S1, opts.sketchless)
+    Z, weights, targets = _grid_system(inst, gv)
+    if opts.sketchless:
+        if S1 is not None:
+            raise ValueError("sketchless updates take no sketch")
+        designs = [Z * w for w in weights]
+    else:
+        if S1 is None:
+            raise ValueError("a sketch is required unless sketchless is set")
+        if S1.n != inst.wa_cols.num_groups:
+            raise ValueError("sketch width does not match the column group count")
+        designs = [sketched_design(Z, w, S1) for w in weights]
+        targets = targets @ S1.values.T
     parents = inst.row_parents()
     num_groups = inst.wa_rows.num_groups
     factored = [_svd_factor(d) for d in designs]
-    rows = np.empty((num_groups, V.shape[1]))
+    rows = np.empty((num_groups, Z.shape[0]))
     for g in range(num_groups):
         rows[g] = _svd_apply(factored[parents[g]], targets[g], opts.rank_tolerance)
     if counters is not None:
@@ -176,22 +183,24 @@ def update_rows(inst, V: np.ndarray, S1: SketchMatrix | None, opts: SolveOptions
     return GroupedFactor(index=inst.wa_rows, rows=rows)
 
 
-def update_cols(inst, U: np.ndarray, S2: SketchMatrix | None, opts: SolveOptions,
+def update_cols(inst, gu: GroupedFactor, S2: SketchMatrix | None, opts: SolveOptions,
                 counters: WorkCounters | None = None) -> GroupedFactor:
     """One column half-sweep; the row update applied to the transposed instance."""
-    return update_rows(inst.transposed(), U, S2, opts, counters)
+    rows = update_rows(inst.transposed(), gu, S2, opts, counters).rows
+    return GroupedFactor(index=inst.wa_cols, rows=rows)
 
 
-def _certificates(inst, grouped: GroupedFactor, other: np.ndarray) -> np.ndarray:
+def _certificates(inst, grouped: GroupedFactor, other: GroupedFactor) -> np.ndarray:
     """Normal-equations residuals || D (D^T x - b) ||_inf, normalized by
-    design scale (Frobenius) times target scale (2-norm), one per group."""
-    Z = np.ascontiguousarray(other, dtype=np.float64).T
-    wpat = inst.row_design_patterns()
-    targets = inst.row_targets()
+    design scale (Frobenius) times target scale (2-norm), one per group.
+
+    Computed on the exact grid system, whose D D^T, D b and norms equal
+    those of the n-wide regression."""
+    Z, weights, targets = _grid_system(inst, other)
     parents = inst.row_parents()
     out = np.empty(grouped.rows.shape[0])
     for g in range(out.shape[0]):
-        D = Z * wpat[parents[g]]
+        D = Z * weights[parents[g]]
         b = targets[g]
         x = grouped.rows[g]
         resid = np.abs(D @ (D.T @ x - b)).max(initial=0.0)
@@ -203,20 +212,21 @@ def _certificates(inst, grouped: GroupedFactor, other: np.ndarray) -> np.ndarray
     return out
 
 
-def row_certificates(inst, grouped_u: GroupedFactor, V: np.ndarray) -> np.ndarray:
+def row_certificates(inst, grouped_u: GroupedFactor, gv: GroupedFactor) -> np.ndarray:
     """Per-group optimality certificates for a sketchless row half-sweep."""
-    return _certificates(inst, grouped_u, V)
+    return _certificates(inst, grouped_u, gv)
 
 
-def col_certificates(inst, grouped_v: GroupedFactor, U: np.ndarray) -> np.ndarray:
-    return _certificates(inst.transposed(), grouped_v, U)
+def col_certificates(inst, grouped_v: GroupedFactor, gu: GroupedFactor) -> np.ndarray:
+    return _certificates(inst.transposed(), grouped_v, gu)
 
 
-def _init_factor(run_seed: int, n: int, k: int) -> np.ndarray:
-    V = keyed_normals(run_seed, INIT_STREAM, n * k).reshape(n, k)
-    norms = np.linalg.norm(V, axis=0)
+def _init_factor(inst, run_seed: int, k: int) -> GroupedFactor:
+    """Random start on the column groups; its expansion has unit-norm columns."""
+    rows = keyed_normals(run_seed, INIT_STREAM, inst.wa_cols.num_groups * k).reshape(-1, k)
+    norms = np.sqrt(inst.wa_cols.sizes @ (rows * rows))
     norms[norms == 0.0] = 1.0
-    return V / norms
+    return GroupedFactor(index=inst.wa_cols, rows=rows / norms)
 
 
 def solve(inst, opts: SolveOptions):
@@ -226,7 +236,9 @@ def solve(inst, opts: SolveOptions):
     half-sweeps with fresh sketches per sweep (or exact regressions in
     sketchless mode), evaluates the exact grouped cost after every
     half-sweep, and stops when the relative per-sweep improvement drops
-    below rel_tol or after max_sweeps.  With restarts > 1 the whole
+    below rel_tol or after max_sweeps.  Sketched sweeps are not monotone,
+    so the run returns the best factor pair it reached and final_cost is
+    the least cost in cost_per_sweep.  With restarts > 1 the whole
     procedure reruns from derived seeds and the best final cost wins.
     The achieved cost is always an upper bound on the optimum; the report
     also carries the theoretical bracket.
@@ -251,12 +263,10 @@ def solve(inst, opts: SolveOptions):
 
 
 def _solve_single(inst, opts: SolveOptions, run_seed: int, t: int | None):
-    n = inst.n
     counters = WorkCounters()
     report = SolveReport(run_seed=run_seed)
-    V = _init_factor(run_seed, n, opts.k)
-    U = None
-    gu = gv = None
+    gv = _init_factor(inst, run_seed, opts.k)
+    best = None
     s1 = s2 = None
     prev = None
     for sweep in range(opts.max_sweeps):
@@ -266,25 +276,27 @@ def _solve_single(inst, opts: SolveOptions, run_seed: int, t: int | None):
         if draw:
             seed1 = run_seed ^ (2 * sweep)
             report.sketch_seeds.append(seed1)
-            s1 = gaussian_sketch(seed1, t, n)
-        gu = update_rows(inst, V, s1, opts, counters)
-        U = gu.expand()
-        cost = cost_grouped(inst, gu, V, counters)
+            s1 = gaussian_sketch(seed1, t, inst.wa_cols.num_groups)
+        gu = update_rows(inst, gv, s1, opts, counters)
+        cost = cost_grouped(inst, gu, gv, counters)
         report.sweep_wall_times.append(time.perf_counter() - tic)
         report.cost_per_sweep.append(cost)
         report.regressions_per_half_sweep.append(inst.wa_rows.num_groups)
+        if best is None or cost < best[0]:
+            best = (cost, gu, gv)
 
         tic = time.perf_counter()
         if draw:
             seed2 = run_seed ^ (2 * sweep + 1)
             report.sketch_seeds.append(seed2)
-            s2 = gaussian_sketch(seed2, t, n)
-        gv = update_cols(inst, U, s2, opts, counters)
-        V = gv.expand()
-        cost = cost_grouped_cols(inst, gv, U, counters)
+            s2 = gaussian_sketch(seed2, t, inst.wa_rows.num_groups)
+        gv = update_cols(inst, gu, s2, opts, counters)
+        cost = cost_grouped_cols(inst, gv, gu, counters)
         report.sweep_wall_times.append(time.perf_counter() - tic)
         report.cost_per_sweep.append(cost)
         report.regressions_per_half_sweep.append(inst.wa_cols.num_groups)
+        if cost < best[0]:
+            best = (cost, gu, gv)
 
         if cost == 0.0:
             break
@@ -292,7 +304,7 @@ def _solve_single(inst, opts: SolveOptions, run_seed: int, t: int | None):
             break
         prev = cost
 
-    report.final_cost = report.cost_per_sweep[-1]
+    report.final_cost, gu, gv = best
     report.regressions_solved = counters.regressions_solved
-    fact = Factorization(U=U, V=V, grouped_u=gu, grouped_v=gv)
+    fact = Factorization(U=gu.expand(), V=gv.expand(), grouped_u=gu, grouped_v=gv)
     return fact, report

@@ -57,10 +57,9 @@ def default_gamma(n: int) -> float:
 
 def upper_bound(inst) -> float:
     """Cost of the zero factorization, a valid upper bound for every instance."""
-    zero_rows = np.zeros((inst.wa_rows.num_groups, 1))
-    zero_v = np.zeros((inst.n, 1))
-    gf = GroupedFactor(index=inst.wa_rows, rows=zero_rows)
-    return cost_grouped(inst, gf, zero_v)
+    zero_u = GroupedFactor(index=inst.wa_rows, rows=np.zeros((inst.wa_rows.num_groups, 1)))
+    zero_v = GroupedFactor(index=inst.wa_cols, rows=np.zeros((inst.wa_cols.num_groups, 1)))
+    return cost_grouped(inst, zero_u, zero_v)
 
 
 def lower_bound_log2(params: BoundParams) -> float:

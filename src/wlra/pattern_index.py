@@ -3,8 +3,8 @@
 A weight matrix whose rows (or columns) take only a handful of distinct
 values can be summarized by a partition of the index set into groups of
 entry-wise identical vectors.  Everything downstream (grouped cost
-evaluation, per-group regressions) works off these partitions plus one
-representative vector per group.
+evaluation, per-group regressions) works off these partitions plus the
+small grids of W and W*A values over the groups.
 """
 
 from __future__ import annotations
@@ -104,57 +104,27 @@ def _index_from_labels(labels: np.ndarray, axis: str) -> PatternIndex:
                         representatives=representatives, sizes=sizes)
 
 
-def detect_groups(M: np.ndarray, axis: str = ROWS, tolerance: float = 0.0) -> PatternIndex:
-    """Group the rows (or columns) of M into classes of identical vectors.
+def detect_groups(M: np.ndarray, axis: str = ROWS) -> PatternIndex:
+    """Group the rows (or columns) of M into classes of entry-wise equal vectors.
 
-    With tolerance 0 two vectors belong to the same group iff they are
-    entry-wise equal.  With a positive tolerance each vector joins the
-    first existing group whose representative it matches entry-wise to
-    within the tolerance (a canonical-representative scan, not a
-    transitive closure), so grouping stays deterministic.
+    -0.0 and +0.0 count as equal.  Raises ValueError on a non-finite entry.
 
     Parameters
     ----------
     M : (n, m) array
     axis : "rows" or "cols"
-    tolerance : float >= 0
 
     Returns
     -------
     PatternIndex with groups ordered by first appearance.
     """
     vecs = _as_vectors(M, axis)
-    if tolerance < 0:
-        raise ValueError("tolerance must be nonnegative")
-    n = vecs.shape[0]
-    if n == 0:
+    if vecs.shape[0] == 0:
         raise ValueError("cannot group an empty index set")
-
-    if tolerance == 0.0:
-        return _index_from_labels(_equality_labels(vecs), axis)
-    _check_finite(vecs)
-
-    group_of = np.empty(n, dtype=np.int64)
-    reps: list[int] = []
-    for i in range(n):
-        assigned = -1
-        if reps:
-            rep_block = vecs[reps]
-            match = np.abs(rep_block - vecs[i]).max(axis=1) <= tolerance
-            hits = np.nonzero(match)[0]
-            if hits.size:
-                assigned = int(hits[0])
-        if assigned < 0:
-            assigned = len(reps)
-            reps.append(i)
-        group_of[i] = assigned
-    representatives = np.asarray(reps, dtype=np.int64)
-    sizes = np.bincount(group_of, minlength=len(reps)).astype(np.int64)
-    return PatternIndex(axis=axis, group_of=group_of,
-                        representatives=representatives, sizes=sizes)
+    return _index_from_labels(_equality_labels(vecs), axis)
 
 
-# Tolerance-0 grouping: hash every vector in one pass, check every vector
+# Grouping: hash every vector in one pass, check every vector
 # against the first vector with its hash, and sort exactly only the vectors
 # that stand for themselves (one per hash value, plus any that failed the
 # check).  The result is the exact equality partition whatever the hash
@@ -268,14 +238,14 @@ def _sorted_labels(vecs: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return labels
 
 
-def refine(outer: PatternIndex, inner_key: np.ndarray, tolerance: float = 0.0) -> PatternIndex:
+def refine(outer: PatternIndex, inner_key: np.ndarray) -> PatternIndex:
     """Intersect an existing partition with the equality classes of a key matrix.
 
     The result always refines `outer`: two indices share a group iff they
-    shared one in `outer` and their key vectors match.  Used to split the
-    weight-pattern groups by the masked-target pattern.
+    shared one in `outer` and their key vectors are equal.  Used to split
+    the weight-pattern groups by the masked-target pattern.
     """
-    inner = detect_groups(inner_key, outer.axis, tolerance)
+    inner = detect_groups(inner_key, outer.axis)
     if inner.n != outer.n:
         raise ValueError(f"partition length {outer.n} does not match key length {inner.n}")
     combo = outer.group_of * np.int64(inner.num_groups) + inner.group_of
@@ -288,68 +258,59 @@ def _flip(idx: PatternIndex) -> PatternIndex:
 
 @dataclass(eq=False)
 class StructuredInstance:
-    """A weighted approximation problem (A, W) with its detected structure.
+    """A weighted approximation problem (A, W) reduced to its group grid.
 
-    Holds dense n x n matrices plus four partitions: weight-row and
-    weight-column groups, and their refinements by the masked target
-    W*A.  r is the weight-pattern count, p the per-group multiplier
-    (masked-target groups per weight group, rounded up).
+    W is constant on every (weight-row group, weight-column group) block
+    and W*A on every (refined row group, refined column group) block, so
+    four partitions and two small grids determine the problem exactly:
+    `weights` holds one W value per weight block and `targets` one W*A
+    value per refined block.  Nothing is n x n or n wide except the
+    partitions.  r is the weight-pattern count, p the per-group multiplier
+    (refined groups per weight group, rounded up).
     """
 
-    A: np.ndarray
-    W: np.ndarray
     w_rows: PatternIndex
     w_cols: PatternIndex
     wa_rows: PatternIndex
     wa_cols: PatternIndex
+    weights: np.ndarray  # (w_rows.num_groups, w_cols.num_groups)
+    targets: np.ndarray  # (wa_rows.num_groups, wa_cols.num_groups)
     r: int
     p: int
 
     @property
     def n(self) -> int:
-        return int(self.A.shape[0])
-
-    # Representative-slab accessors shared with CompressedInstance.  The
-    # solver only ever touches these, never full matrices.
-    def row_design_patterns(self) -> np.ndarray:
-        """Weight row per weight-row group, shape (w_rows.num_groups, n)."""
-        return self.W[self.w_rows.representatives]
-
-    def row_targets(self) -> np.ndarray:
-        """Masked target row (W*A) per refined row group, shape (G, n)."""
-        reps = self.wa_rows.representatives
-        return self.W[reps] * self.A[reps]
+        return self.w_rows.n
 
     def row_parents(self) -> np.ndarray:
         """Weight-row group id of each refined row group."""
         return self.w_rows.group_of[self.wa_rows.representatives]
 
-    def col_design_patterns(self) -> np.ndarray:
-        return self.W[:, self.w_cols.representatives].T
-
-    def col_targets(self) -> np.ndarray:
-        reps = self.wa_cols.representatives
-        return (self.W[:, reps] * self.A[:, reps]).T
-
     def col_parents(self) -> np.ndarray:
+        """Weight-column group id of each refined column group."""
         return self.w_cols.group_of[self.wa_cols.representatives]
+
+    def refined_weights(self) -> np.ndarray:
+        """W on the refined grid, shape (wa_rows.num_groups, wa_cols.num_groups)."""
+        return self.weights[np.ix_(self.row_parents(), self.col_parents())]
 
     def transposed(self) -> "StructuredInstance":
         """The same problem with rows and columns exchanged (views, no copies)."""
         return StructuredInstance(
-            A=self.A.T, W=self.W.T,
             w_rows=_flip(self.w_cols), w_cols=_flip(self.w_rows),
             wa_rows=_flip(self.wa_cols), wa_cols=_flip(self.wa_rows),
-            r=self.r, p=self.p)
+            weights=self.weights.T, targets=self.targets.T, r=self.r, p=self.p)
 
     def validate(self) -> None:
         n = self.n
-        if self.A.shape != (n, n) or self.W.shape != (n, n):
-            raise ValueError("A and W must be square matrices of the same size")
         for idx in (self.w_rows, self.w_cols, self.wa_rows, self.wa_cols):
             if idx.n != n:
                 raise ValueError("pattern index length does not match n")
             idx.validate()
+        if self.weights.shape != (self.w_rows.num_groups, self.w_cols.num_groups):
+            raise ValueError("weight grid shape does not match the weight groups")
+        if self.targets.shape != (self.wa_rows.num_groups, self.wa_cols.num_groups):
+            raise ValueError("target grid shape does not match the refined groups")
         if not self.wa_rows.refines(self.w_rows):
             raise ValueError("masked row groups do not refine weight row groups")
         if not self.wa_cols.refines(self.w_cols):
@@ -359,11 +320,12 @@ class StructuredInstance:
             raise ValueError("refined group count exceeds r*p")
 
 
-def build_instance(A: np.ndarray, W: np.ndarray, tolerance: float = 0.0) -> StructuredInstance:
-    """Detect the full group structure of a weighted instance.
+def build_instance(A: np.ndarray, W: np.ndarray) -> StructuredInstance:
+    """Detect the full group structure of a weighted instance and take its grids.
 
     Runs row and column grouping on W, refines each by the masked target
-    W*A, and records r = max of the weight group counts and
+    W*A, reads one W value per weight block and one W*A value per refined
+    block, and records r = max of the weight group counts and
     p = ceil(max refined count / r).
     """
     A = np.asarray(A, dtype=np.float64)
@@ -373,96 +335,16 @@ def build_instance(A: np.ndarray, W: np.ndarray, tolerance: float = 0.0) -> Stru
     if W.shape != A.shape:
         raise ValueError("W must match the shape of A")
     WA = W * A
-    w_rows = detect_groups(W, ROWS, tolerance)
-    w_cols = detect_groups(W, COLS, tolerance)
-    wa_rows = refine(w_rows, WA, tolerance)
-    wa_cols = refine(w_cols, WA, tolerance)
+    w_rows = detect_groups(W, ROWS)
+    w_cols = detect_groups(W, COLS)
+    wa_rows = refine(w_rows, WA)
+    wa_cols = refine(w_cols, WA)
     r = max(w_rows.num_groups, w_cols.num_groups)
     p = max(1, math.ceil(max(wa_rows.num_groups, wa_cols.num_groups) / r))
-    inst = StructuredInstance(A=A, W=W, w_rows=w_rows, w_cols=w_cols,
-                              wa_rows=wa_rows, wa_cols=wa_cols, r=r, p=p)
+    inst = StructuredInstance(
+        w_rows=w_rows, w_cols=w_cols, wa_rows=wa_rows, wa_cols=wa_cols,
+        weights=W[np.ix_(w_rows.representatives, w_cols.representatives)],
+        targets=WA[np.ix_(wa_rows.representatives, wa_cols.representatives)],
+        r=r, p=p)
     inst.validate()
     return inst
-
-
-@dataclass(eq=False)
-class CompressedInstance:
-    """Structure-only instance: pattern indices plus representative slabs.
-
-    Stores O((r + rp) * n) floats instead of two dense n x n matrices, so
-    large benchmark instances fit in memory.  Exposes the same accessor
-    surface the solver uses on StructuredInstance.
-    """
-
-    n_size: int
-    r: int
-    p: int
-    w_rows: PatternIndex
-    w_cols: PatternIndex
-    wa_rows: PatternIndex
-    wa_cols: PatternIndex
-    row_design: np.ndarray  # (w_rows.num_groups, n)
-    row_target: np.ndarray  # (wa_rows.num_groups, n)
-    col_design: np.ndarray
-    col_target: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.n_size
-
-    def row_design_patterns(self) -> np.ndarray:
-        return self.row_design
-
-    def row_targets(self) -> np.ndarray:
-        return self.row_target
-
-    def row_parents(self) -> np.ndarray:
-        return self.w_rows.group_of[self.wa_rows.representatives]
-
-    def col_design_patterns(self) -> np.ndarray:
-        return self.col_design
-
-    def col_targets(self) -> np.ndarray:
-        return self.col_target
-
-    def col_parents(self) -> np.ndarray:
-        return self.w_cols.group_of[self.wa_cols.representatives]
-
-    def transposed(self) -> "CompressedInstance":
-        return CompressedInstance(
-            n_size=self.n_size, r=self.r, p=self.p,
-            w_rows=_flip(self.w_cols), w_cols=_flip(self.w_rows),
-            wa_rows=_flip(self.wa_cols), wa_cols=_flip(self.wa_rows),
-            row_design=self.col_design, row_target=self.col_target,
-            col_design=self.row_design, col_target=self.row_target)
-
-    def validate(self) -> None:
-        n = self.n_size
-        for idx in (self.w_rows, self.w_cols, self.wa_rows, self.wa_cols):
-            if idx.n != n:
-                raise ValueError("pattern index length does not match n")
-            idx.validate()
-        if self.row_design.shape != (self.w_rows.num_groups, n):
-            raise ValueError("row design slab has wrong shape")
-        if self.row_target.shape != (self.wa_rows.num_groups, n):
-            raise ValueError("row target slab has wrong shape")
-        if self.col_design.shape != (self.w_cols.num_groups, n):
-            raise ValueError("column design slab has wrong shape")
-        if self.col_target.shape != (self.wa_cols.num_groups, n):
-            raise ValueError("column target slab has wrong shape")
-        if not self.wa_rows.refines(self.w_rows):
-            raise ValueError("masked row groups do not refine weight row groups")
-        if not self.wa_cols.refines(self.w_cols):
-            raise ValueError("masked column groups do not refine weight column groups")
-
-
-def compress_instance(inst: StructuredInstance) -> CompressedInstance:
-    """Drop the dense payload of an instance, keeping indices and slabs."""
-    return CompressedInstance(
-        n_size=inst.n, r=inst.r, p=inst.p,
-        w_rows=inst.w_rows, w_cols=inst.w_cols,
-        wa_rows=inst.wa_rows, wa_cols=inst.wa_cols,
-        row_design=np.ascontiguousarray(inst.row_design_patterns()),
-        row_target=np.ascontiguousarray(inst.row_targets()),
-        col_design=np.ascontiguousarray(inst.col_design_patterns()),
-        col_target=np.ascontiguousarray(inst.col_targets()))

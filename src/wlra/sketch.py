@@ -79,13 +79,6 @@ def gaussian_sketch(seed: int, t: int, n: int) -> SketchMatrix:
     return SketchMatrix(t=t, n=n, seed=seed, values=values)
 
 
-def identity_embedding(n: int) -> SketchMatrix:
-    """Test-only sketchless limit: t = n and S is the identity."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return SketchMatrix(t=n, n=n, seed=0, values=np.eye(n))
-
-
 def sketched_design(Z: np.ndarray, w_row: np.ndarray, S: SketchMatrix) -> np.ndarray:
     """Assemble the k x t sketched design Z diag(w) S^T.
 

@@ -1,14 +1,16 @@
 """Weighted Frobenius objective: dense oracle and grouped fast path.
 
 The objective is sum_ij W_ij^2 (U V^T - A)_ij^2.  The grouped evaluator
-computes one residual per distinct masked-target row and scales it by the
-group size, so its work is proportional to the group count, never to n.
-Both paths share one audited row kernel and accumulate with compensated
-summation so they agree to tight tolerance.
+works on the group grid of a StructuredInstance: with both factors
+constant on the refined groups, each (row group, column group) block of
+the residual is one number counted size_g * size_h times, so the work
+does not grow with n.  Every evaluator adds its per-row or per-group terms
+with math.fsum, which rounds the sum exactly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +45,14 @@ class GroupedFactor:
     def expand(self) -> np.ndarray:
         return self.rows[self.index.group_of]
 
+    def check_groups(self, index: PatternIndex, side: str) -> None:
+        """Raise ValueError unless this factor lives on the groups of index."""
+        # Identity first: the solver's factors share the instance's label
+        # arrays, so the sweep loop never compares n-wide labels.
+        if self.index.group_of is not index.group_of and not np.array_equal(
+                self.index.group_of, index.group_of):
+            raise ValueError(f"grouped factor does not match the instance {side} groups")
+
     def validate(self) -> None:
         if self.rows.ndim != 2 or self.rows.shape[0] != self.index.num_groups:
             raise ValueError("rows must have one entry per group")
@@ -50,39 +60,25 @@ class GroupedFactor:
             raise ValueError("factor contains non-finite entries")
 
 
-def compress_factor(X: np.ndarray, index: PatternIndex, check: bool = True) -> GroupedFactor:
+def compress_factor(X: np.ndarray, index: PatternIndex) -> GroupedFactor:
     """Compress an (n, k) factor that is constant on the index groups."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != index.n:
         raise ValueError("factor shape does not match the partition")
     rows = np.ascontiguousarray(X[index.representatives])
     gf = GroupedFactor(index=index, rows=rows)
-    if check and not np.array_equal(gf.expand(), X):
+    if not np.array_equal(gf.expand(), X):
         raise ValueError("factor is not constant on the groups")
     return gf
 
 
-def kahan_sum(values) -> float:
-    """Compensated summation (Kahan-Babuska/Neumaier) in the given order."""
-    total = 0.0
-    comp = 0.0
-    for v in values:
-        v = float(v)
-        t = total + v
-        if abs(total) >= abs(v):
-            comp += (total - t) + v
-        else:
-            comp += (v - t) + total
-        total = t
-    return total + comp
-
-
-def _row_residual_sq(V: np.ndarray, u_row: np.ndarray,
-                     w_row: np.ndarray, wa_row: np.ndarray) -> float:
-    # Single audited kernel: || w * (V @ u) - (w * a) ||_2^2 for one row.
+def _row_residual_sq(V: np.ndarray, u_row: np.ndarray, w_row: np.ndarray,
+                     wa_row: np.ndarray, counts=1.0) -> float:
+    # Single audited kernel: sum_j counts_j (w * (V @ u) - (w * a))_j^2 for
+    # one row.  counts are the column-group sizes on the grid, 1 on n columns.
     pred = V @ u_row
     d = w_row * pred - wa_row
-    return float(np.dot(d, d))
+    return float(np.dot(d * counts, d))
 
 
 def cost_dense(A: np.ndarray, W: np.ndarray, U: np.ndarray, V: np.ndarray) -> float:
@@ -102,44 +98,38 @@ def cost_dense(A: np.ndarray, W: np.ndarray, U: np.ndarray, V: np.ndarray) -> fl
     if U.shape[0] != A.shape[0] or V.shape[0] != A.shape[1]:
         raise ValueError("factor heights must match A")
 
-    def row_terms():
-        for i in range(A.shape[0]):
-            w = W[i]
-            yield _row_residual_sq(V, U[i], w, w * A[i])
-
-    return kahan_sum(row_terms())
+    return math.fsum(_row_residual_sq(V, U[i], W[i], W[i] * A[i]) for i in range(A.shape[0]))
 
 
-def cost_grouped(inst, grouped_u: GroupedFactor, V: np.ndarray,
+def cost_grouped(inst, grouped_u: GroupedFactor, V,
                  counters: WorkCounters | None = None) -> float:
-    """Weighted squared error evaluated only at group representatives.
+    """Weighted squared error of U = grouped_u.expand() against V.
 
-    Requires the row factor to be constant on the refined row groups of
-    the instance (grouped_u.index must match inst.wa_rows).  Each group
-    contributes size * residual of its representative row, so the work is
-    O(G * n * k) with G the refined group count.
+    grouped_u must be constant on the refined row groups (its index must
+    match inst.wa_rows).  A GroupedFactor V on inst.wa_cols is evaluated
+    on the group grid: one residual row per refined row group over the Gc
+    column groups, weighted by the column group sizes, in O(Gr * Gc * k).
+    An (n, k) array V is evaluated exactly over all n columns, in
+    O(Gr * n * k).  Each row term is multiplied by its row group size.
     """
-    if not np.array_equal(grouped_u.index.group_of, inst.wa_rows.group_of):
-        raise ValueError("grouped factor does not match the instance row groups")
-    V = np.ascontiguousarray(V, dtype=np.float64)
-    if V.ndim != 2 or V.shape[0] != inst.n or V.shape[1] != grouped_u.k:
-        raise ValueError("V shape does not conform to the instance and factor")
-    wpat = inst.row_design_patterns()
-    targets = inst.row_targets()
-    parents = inst.row_parents()
-    sizes = inst.wa_rows.sizes
-    rows = grouped_u.rows
+    grouped_u.check_groups(inst.wa_rows, "row")
     if counters is not None:
         counters.rep_cost_evals += inst.wa_rows.num_groups
+    if isinstance(V, GroupedFactor):
+        V.check_groups(inst.wa_cols, "column")
+        V, cols, counts = V.rows, slice(None), inst.wa_cols.sizes
+    else:
+        V = np.ascontiguousarray(V, dtype=np.float64)
+        if V.ndim != 2 or V.shape[0] != inst.n or V.shape[1] != grouped_u.k:
+            raise ValueError("V shape does not conform to the instance and factor")
+        cols, counts = inst.wa_cols.group_of, 1.0
+    return math.fsum(
+        float(size) * _row_residual_sq(V, u, w[cols], t[cols], counts)
+        for size, u, w, t in zip(inst.wa_rows.sizes, grouped_u.rows,
+                                 inst.refined_weights(), inst.targets))
 
-    def group_terms():
-        for g in range(rows.shape[0]):
-            yield float(sizes[g]) * _row_residual_sq(V, rows[g], wpat[parents[g]], targets[g])
 
-    return kahan_sum(group_terms())
-
-
-def cost_grouped_cols(inst, grouped_v: GroupedFactor, U: np.ndarray,
+def cost_grouped_cols(inst, grouped_v: GroupedFactor, U,
                       counters: WorkCounters | None = None) -> float:
     """Column-side grouped evaluation, via the transposed instance."""
     return cost_grouped(inst.transposed(), grouped_v, U, counters)

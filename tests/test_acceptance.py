@@ -31,13 +31,14 @@ def test_criterion_1_grouped_dense_equivalence():
     worst = 0.0
     for i in range(100):
         n, r, p = combos[i % len(combos)]
-        inst = generate(GenSpec(n=n, r=r, p=p, k_true=3, noise_sigma=0.2, seed=i))
+        A, W = generate(GenSpec(n=n, r=r, p=p, k_true=3, noise_sigma=0.2, seed=i))
+        inst = build_instance(A, W)
         rng = np.random.default_rng(1000 + i)
         gu = GroupedFactor(index=inst.wa_rows,
                            rows=rng.standard_normal((inst.wa_rows.num_groups, 3)))
         V = rng.standard_normal((n, 3))
         cg = cost_grouped(inst, gu, V)
-        cd = cost_dense(inst.A, inst.W, gu.expand(), V)
+        cd = cost_dense(A, W, gu.expand(), V)
         worst = max(worst, abs(cg - cd) / (1.0 + cd))
     elapsed = time.perf_counter() - tic
     ok = worst <= 1e-9 and elapsed < 30.0
@@ -72,8 +73,8 @@ def test_criterion_3_sketchless_monotone_descent():
     worst_rise = 0.0
     for i in range(50):
         n, r, p, style = combos[i % len(combos)]
-        inst = generate(GenSpec(n=n, r=r, p=p, k_true=6, noise_sigma=0.3,
-                                weight_style=style, seed=i))
+        inst = build_instance(*generate(GenSpec(n=n, r=r, p=p, k_true=6, noise_sigma=0.3,
+                                                weight_style=style, seed=i)))
         _, rep = solve(inst, SolveOptions(k=3, sketchless=True, max_sweeps=6,
                                           rel_tol=0.0, seed=i))
         costs = rep.cost_per_sweep
@@ -88,17 +89,17 @@ def test_criterion_3_sketchless_monotone_descent():
 def test_criterion_4_per_row_optimality_certificates():
     worst = 0.0
     for seed in range(6):
-        inst = generate(GenSpec(n=48, r=3, p=2, k_true=5, noise_sigma=0.3, seed=seed))
+        inst = build_instance(*generate(GenSpec(n=48, r=3, p=2, k_true=5, noise_sigma=0.3,
+                                                seed=seed)))
         opts = SolveOptions(k=3, sketchless=True, seed=seed)
         rng = np.random.default_rng(seed)
-        V = rng.standard_normal((48, 3))
+        gv = GroupedFactor(index=inst.wa_cols,
+                           rows=rng.standard_normal((inst.wa_cols.num_groups, 3)))
         for _ in range(3):
-            gu = update_rows(inst, V, None, opts)
-            U = gu.expand()
-            worst = max(worst, float(row_certificates(inst, gu, V).max()))
-            gv = update_cols(inst, U, None, opts)
-            V = gv.expand()
-            worst = max(worst, float(col_certificates(inst, gv, U).max()))
+            gu = update_rows(inst, gv, None, opts)
+            worst = max(worst, float(row_certificates(inst, gu, gv).max()))
+            gv = update_cols(inst, gu, None, opts)
+            worst = max(worst, float(col_certificates(inst, gv, gu).max()))
     ok = worst <= 1e-8
     _gate(4, ok, f"worst normal-equations residual / (design x target scale) "
                  f"= {worst:.3e} (tol 1e-8)")
@@ -126,7 +127,8 @@ def test_criterion_6_planted_recovery():
     worst_ratio = 0.0
     worst_sweeps = 0
     for seed in range(10):
-        inst = generate(GenSpec(n=96, r=3, p=2, k_true=3, noise_sigma=0.0, seed=seed))
+        inst = build_instance(*generate(GenSpec(n=96, r=3, p=2, k_true=3, noise_sigma=0.0,
+                                                seed=seed)))
         upper = upper_bound(inst)
         _, rep = solve(inst, SolveOptions(k=3, eps=0.25, max_sweeps=50,
                                           rel_tol=0.0, seed=seed))
@@ -160,7 +162,8 @@ def test_criterion_7_subquadratic_scaling(tmp_path, capsys):
 def test_criterion_8_bracket_sanity():
     lam_ok = True
     for seed in range(8):
-        inst = generate(GenSpec(n=48, r=2, p=2, k_true=4, noise_sigma=0.3, seed=seed))
+        inst = build_instance(*generate(GenSpec(n=48, r=2, p=2, k_true=4, noise_sigma=0.3,
+                                                seed=seed)))
         sketchless = seed % 2 == 0
         _, rep = solve(inst, SolveOptions(k=3, sketchless=sketchless,
                                           max_sweeps=12, seed=seed))
@@ -195,7 +198,7 @@ def test_criterion_9_pattern_round_trip():
              for style in ("block_random", "block_mask01", "attention_block")
              for seed in (0, 1)]
     for spec in specs:
-        inst = generate(spec)
+        inst = build_instance(*generate(spec))
         planted_ok &= (inst.w_rows.num_groups == spec.r
                        and inst.w_cols.num_groups == spec.r
                        and inst.wa_rows.num_groups == spec.r * spec.p
@@ -208,8 +211,8 @@ def test_criterion_9_pattern_round_trip():
         n = int(rng.integers(2, 24))
         outer_key = rng.integers(0, 4, size=(n, 2)).astype(float)
         inner_key = rng.integers(0, 3, size=(n, 2)).astype(float)
-        outer = detect_groups(outer_key, "rows", 0.0)
-        refined = refine(outer, inner_key, 0.0)
+        outer = detect_groups(outer_key, "rows")
+        refined = refine(outer, inner_key)
         refine_ok &= refined.refines(outer)
         if not refine_ok:
             break

@@ -1,30 +1,30 @@
 import numpy as np
 import pytest
 
-from wlra import (GenSpec, build_instance, compress_instance, cost_dense,
-                  detect_groups, generate, generate_attention_mask,
-                  generate_compressed, generate_with_factors)
+from wlra import (GenSpec, build_instance, cost_dense, detect_groups, generate,
+                  generate_attention_mask, generate_compressed, generate_with_factors)
 
 
 def test_trivial_spec_single_pattern():
-    inst = generate(GenSpec(n=8, r=1, p=1, k_true=1, seed=0))
-    assert detect_groups(inst.W, "rows").num_groups == 1
-    assert detect_groups(inst.W * inst.A, "rows").num_groups == 1
+    A, W = generate(GenSpec(n=8, r=1, p=1, k_true=1, seed=0))
+    assert detect_groups(W, "rows").num_groups == 1
+    assert detect_groups(W * A, "rows").num_groups == 1
 
 
 def test_planted_counts_detected():
-    inst = generate(GenSpec(n=64, r=4, p=2, k_true=3, seed=1))
-    assert detect_groups(inst.W, "rows").num_groups == 4
-    assert detect_groups(inst.W * inst.A, "rows").num_groups == 8
+    A, W = generate(GenSpec(n=64, r=4, p=2, k_true=3, seed=1))
+    assert detect_groups(W, "rows").num_groups == 4
+    assert detect_groups(W * A, "rows").num_groups == 8
+    inst = build_instance(A, W)
     assert inst.r == 4 and inst.p == 2
 
 
 def test_determinism():
     a = generate(GenSpec(n=32, r=2, p=2, k_true=2, noise_sigma=0.1, seed=9))
     b = generate(GenSpec(n=32, r=2, p=2, k_true=2, noise_sigma=0.1, seed=9))
-    assert np.array_equal(a.A, b.A) and np.array_equal(a.W, b.W)
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
     c = generate(GenSpec(n=32, r=2, p=2, k_true=2, noise_sigma=0.1, seed=10))
-    assert not np.array_equal(a.A, c.A)
+    assert not np.array_equal(a[0], c[0])
 
 
 def test_invalid_specs():
@@ -41,26 +41,29 @@ def test_invalid_specs():
 @pytest.mark.parametrize("style", ["block_random", "block_mask01", "attention_block"])
 def test_styles_round_trip(style):
     spec = GenSpec(n=48, r=3, p=2, k_true=2, weight_style=style, seed=4)
-    inst = generate(spec)
+    A, W = generate(spec)
+    inst = build_instance(A, W)
     assert inst.r == 3 and inst.p == 2
     if style != "block_random":
-        vals = np.unique(inst.W)
+        vals = np.unique(W)
         assert set(vals).issubset({0.0, 1.0})
     # no all-zero weight rows or columns
-    assert np.count_nonzero(inst.W, axis=1).min() > 0
-    assert np.count_nonzero(inst.W, axis=0).min() > 0
+    assert np.count_nonzero(W, axis=1).min() > 0
+    assert np.count_nonzero(W, axis=0).min() > 0
 
 
 def test_noise_preserves_structure():
-    inst = generate(GenSpec(n=40, r=2, p=2, k_true=3, noise_sigma=0.7, seed=5))
+    inst = build_instance(*generate(GenSpec(n=40, r=2, p=2, k_true=3, noise_sigma=0.7, seed=5)))
     assert inst.wa_rows.num_groups == 4
     assert inst.wa_cols.num_groups == 4
 
 
 def test_planted_factors_zero_noise_realizability():
-    inst, U_pl, V_pl = generate_with_factors(GenSpec(n=36, r=3, p=2, k_true=4, seed=6))
-    scale = float(np.sum((inst.W * inst.A) ** 2))
-    assert cost_dense(inst.A, inst.W, U_pl, V_pl) <= 1e-16 * scale
+    spec = GenSpec(n=36, r=3, p=2, k_true=4, seed=6)
+    A, W, U_pl, V_pl = generate_with_factors(spec)
+    assert all(np.array_equal(x, y) for x, y in zip(generate(spec), (A, W)))
+    scale = float(np.sum((W * A) ** 2))
+    assert cost_dense(A, W, U_pl, V_pl) <= 1e-16 * scale
 
 
 def test_compressed_matches_dense_path():
@@ -68,11 +71,9 @@ def test_compressed_matches_dense_path():
                    weight_style="attention_block", seed=7)
     comp = generate_compressed(spec)
     comp.validate()
-    ref = compress_instance(generate(spec))
-    assert np.array_equal(comp.row_design, ref.row_design)
-    assert np.array_equal(comp.row_target, ref.row_target)
-    assert np.array_equal(comp.col_design, ref.col_design)
-    assert np.array_equal(comp.col_target, ref.col_target)
+    ref = build_instance(*generate(spec))
+    assert np.array_equal(comp.weights, ref.weights)
+    assert np.array_equal(comp.targets, ref.targets)
     for f in ("w_rows", "w_cols", "wa_rows", "wa_cols"):
         assert np.array_equal(getattr(comp, f).group_of, getattr(ref, f).group_of)
 

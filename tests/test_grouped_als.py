@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from wlra import (GenSpec, SolveOptions, build_instance, col_certificates,
-                  compress_instance, cost_dense, gaussian_sketch, generate,
-                  generate_with_factors, min_norm_solve, row_certificates,
-                  identity_embedding, solve, update_cols, update_rows)
+from wlra import (GenSpec, GroupedFactor, SketchMatrix, SolveOptions, build_instance,
+                  col_certificates, compress_factor, cost_dense, cost_grouped,
+                  gaussian_sketch, generate, generate_compressed, generate_with_factors,
+                  min_norm_solve, row_certificates, solve, update_cols, update_rows)
+from wlra.grouped_als import _init_factor
 
 from oracles import cramer_inverse_3x3, power_iteration_rank_k_residual, rowwise_weighted_lstsq
 
@@ -13,6 +14,17 @@ def _opts(**kw):
     base = dict(k=3, eps=0.25, max_sweeps=30, rel_tol=1e-9, seed=0)
     base.update(kw)
     return SolveOptions(**base)
+
+
+def _planted(**kw):
+    """A generated instance with its dense matrices: (inst, A, W)."""
+    A, W = generate(GenSpec(**kw))
+    return build_instance(A, W), A, W
+
+
+def _random_factor(index, k, rng):
+    """A factor drawn per group of index."""
+    return GroupedFactor(index=index, rows=rng.standard_normal((index.num_groups, k)))
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +82,7 @@ def test_update_rows_unweighted_projection():
     A = rng.standard_normal((n, n))
     inst = build_instance(A, np.ones((n, n)))
     V = np.linalg.qr(rng.standard_normal((n, k)))[0]
-    gu = update_rows(inst, V, None, _opts(sketchless=True))
+    gu = update_rows(inst, compress_factor(V, inst.wa_cols), None, _opts(sketchless=True))
     reps = inst.wa_rows.representatives
     assert gu.rows == pytest.approx(A[reps] @ V, rel=1e-10, abs=1e-12)
 
@@ -81,62 +93,68 @@ def test_update_rows_zero_weight_group():
     W = np.vstack([np.ones((3, n)), np.zeros((3, n))])
     A = rng.standard_normal((n, n))
     inst = build_instance(A, W)
-    V = rng.standard_normal((n, 2))
-    gu = update_rows(inst, V, None, _opts(k=2, sketchless=True))
+    gv = _random_factor(inst.wa_cols, 2, rng)
+    gu = update_rows(inst, gv, None, _opts(k=2, sketchless=True))
     U = gu.expand()
     assert np.all(U[3:] == 0.0)
 
 
 def test_update_rows_matches_rowwise_oracle():
-    inst = generate(GenSpec(n=32, r=2, p=2, k_true=4, noise_sigma=0.3, seed=7))
+    inst, A, W = _planted(n=32, r=2, p=2, k_true=4, noise_sigma=0.3, seed=7)
     rng = np.random.default_rng(8)
-    V = rng.standard_normal((32, 3))
-    gu = update_rows(inst, V, None, _opts(sketchless=True))
-    want = rowwise_weighted_lstsq(inst.A, inst.W, V)
+    gv = _random_factor(inst.wa_cols, 3, rng)
+    gu = update_rows(inst, gv, None, _opts(sketchless=True))
+    want = rowwise_weighted_lstsq(A, W, gv.expand())
     got = gu.expand()
     scale = np.abs(want).max()
     assert np.abs(got - want).max() <= 1e-9 * scale
 
 
 def test_update_rows_identity_embedding_equals_sketchless():
-    inst = generate(GenSpec(n=20, r=2, p=2, k_true=2, noise_sigma=0.1, seed=3))
+    inst, _, _ = _planted(n=20, r=2, p=2, k_true=2, noise_sigma=0.1, seed=3)
     rng = np.random.default_rng(4)
-    V = rng.standard_normal((20, 3))
-    exact = update_rows(inst, V, None, _opts(sketchless=True))
-    via_identity = update_rows(inst, V, identity_embedding(20), _opts())
+    gv = _random_factor(inst.wa_cols, 3, rng)
+    width = inst.wa_cols.num_groups
+    identity = SketchMatrix(t=width, n=width, seed=0, values=np.eye(width))
+    exact = update_rows(inst, gv, None, _opts(sketchless=True))
+    via_identity = update_rows(inst, gv, identity, _opts())
     assert np.array_equal(exact.rows, via_identity.rows)
 
 
 def test_update_rows_requires_sketch_when_not_sketchless():
-    inst = generate(GenSpec(n=12, r=2, p=2, k_true=2, seed=5))
-    V = np.ones((12, 2))
+    inst, _, _ = _planted(n=12, r=2, p=2, k_true=2, seed=5)
+    gv = GroupedFactor(index=inst.wa_cols, rows=np.ones((inst.wa_cols.num_groups, 2)))
+    width = inst.wa_cols.num_groups
     with pytest.raises(ValueError):
-        update_rows(inst, V, None, _opts(k=2))
+        update_rows(inst, gv, None, _opts(k=2))
     with pytest.raises(ValueError):
-        update_rows(inst, V, gaussian_sketch(0, 9, 11), _opts(k=2))
+        update_rows(inst, gv, gaussian_sketch(0, 9, width - 1), _opts(k=2))
     with pytest.raises(ValueError):
-        update_rows(inst, V, gaussian_sketch(0, 9, 12), _opts(k=2, sketchless=True))
+        update_rows(inst, gv, gaussian_sketch(0, 9, width), _opts(k=2, sketchless=True))
+    with pytest.raises(ValueError):  # V on the weight groups, not the refined ones
+        update_rows(inst, GroupedFactor(index=inst.w_cols, rows=np.ones((2, 2))), None,
+                    _opts(k=2, sketchless=True))
 
 
 def test_update_rows_assembles_one_design_per_weight_pattern():
     from wlra import WorkCounters
-    inst = generate(GenSpec(n=40, r=4, p=2, k_true=2, noise_sigma=0.1, seed=6))
+    inst, _, _ = _planted(n=40, r=4, p=2, k_true=2, noise_sigma=0.1, seed=6)
     rng = np.random.default_rng(7)
-    V = rng.standard_normal((40, 3))
-    S = gaussian_sketch(5, 48, 40)
+    gv = _random_factor(inst.wa_cols, 3, rng)
+    S = gaussian_sketch(5, 48, inst.wa_cols.num_groups)
     counters = WorkCounters()
-    update_rows(inst, V, S, _opts(), counters)
+    update_rows(inst, gv, S, _opts(), counters)
     assert counters.designs_assembled == inst.w_rows.num_groups == 4
     assert counters.regressions_solved == inst.wa_rows.num_groups == 8
 
 
 def test_update_cols_transpose_consistency():
-    inst = generate(GenSpec(n=24, r=2, p=2, k_true=2, noise_sigma=0.1, seed=9))
+    inst, _, _ = _planted(n=24, r=2, p=2, k_true=2, noise_sigma=0.1, seed=9)
     rng = np.random.default_rng(10)
-    U = rng.standard_normal((24, 3))
-    S = gaussian_sketch(21, 48, 24)
-    a = update_cols(inst, U, S, _opts())
-    b = update_rows(inst.transposed(), U, S, _opts())
+    gu = _random_factor(inst.wa_rows, 3, rng)
+    S = gaussian_sketch(21, 48, inst.wa_rows.num_groups)
+    a = update_cols(inst, gu, S, _opts())
+    b = update_rows(inst.transposed(), gu, S, _opts())
     assert np.array_equal(a.rows, b.rows)
 
 
@@ -146,19 +164,19 @@ def test_update_cols_unweighted_projection():
     A = rng.standard_normal((n, n))
     inst = build_instance(A, np.ones((n, n)))
     U = np.linalg.qr(rng.standard_normal((n, 3)))[0]
-    gv = update_cols(inst, U, None, _opts(sketchless=True))
+    gv = update_cols(inst, compress_factor(U, inst.wa_rows), None, _opts(sketchless=True))
     reps = inst.wa_cols.representatives
     assert gv.rows == pytest.approx(A[:, reps].T @ U, rel=1e-10, abs=1e-12)
 
 
 def test_certificates_small_after_sketchless_half_sweeps():
-    inst = generate(GenSpec(n=48, r=3, p=2, k_true=4, noise_sigma=0.2, seed=12))
+    inst, _, _ = _planted(n=48, r=3, p=2, k_true=4, noise_sigma=0.2, seed=12)
     rng = np.random.default_rng(13)
-    V = rng.standard_normal((48, 3))
-    gu = update_rows(inst, V, None, _opts(sketchless=True))
-    assert row_certificates(inst, gu, V).max() <= 1e-8
-    gv = update_cols(inst, gu.expand(), None, _opts(sketchless=True))
-    assert col_certificates(inst, gv, gu.expand()).max() <= 1e-8
+    gv = _random_factor(inst.wa_cols, 3, rng)
+    gu = update_rows(inst, gv, None, _opts(sketchless=True))
+    assert row_certificates(inst, gu, gv).max() <= 1e-8
+    gv = update_cols(inst, gu, None, _opts(sketchless=True))
+    assert col_certificates(inst, gv, gu).max() <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +184,10 @@ def test_certificates_small_after_sketchless_half_sweeps():
 
 
 def test_solve_planted_rank_k_reaches_zero():
-    inst, U_pl, V_pl = generate_with_factors(GenSpec(n=48, r=2, p=2, k_true=3, seed=14))
-    scale = float(np.sum((inst.W * inst.A) ** 2))
-    assert cost_dense(inst.A, inst.W, U_pl, V_pl) <= 1e-16 * scale
+    A, W, U_pl, V_pl = generate_with_factors(GenSpec(n=48, r=2, p=2, k_true=3, seed=14))
+    inst = build_instance(A, W)
+    scale = float(np.sum((W * A) ** 2))
+    assert cost_dense(A, W, U_pl, V_pl) <= 1e-16 * scale
     fact, rep = solve(inst, _opts(max_sweeps=50, rel_tol=0.0))
     assert rep.final_cost <= 1e-8 * scale
 
@@ -198,7 +217,7 @@ def test_solve_unweighted_matches_truncated_svd_residual():
 
 
 def test_solve_sketchless_monotone_descent():
-    inst = generate(GenSpec(n=40, r=2, p=2, k_true=5, noise_sigma=0.3, seed=16))
+    inst, _, _ = _planted(n=40, r=2, p=2, k_true=5, noise_sigma=0.3, seed=16)
     _, rep = solve(inst, _opts(sketchless=True, max_sweeps=8, rel_tol=0.0))
     costs = rep.cost_per_sweep
     for a, b in zip(costs, costs[1:]):
@@ -206,7 +225,7 @@ def test_solve_sketchless_monotone_descent():
 
 
 def test_solve_broadcast_consistency_and_counts():
-    inst = generate(GenSpec(n=36, r=3, p=2, k_true=3, noise_sigma=0.1, seed=17))
+    inst, _, _ = _planted(n=36, r=3, p=2, k_true=3, noise_sigma=0.1, seed=17)
     fact, rep = solve(inst, _opts(max_sweeps=5, rel_tol=0.0))
     for g in range(inst.wa_rows.num_groups):
         members = np.nonzero(inst.wa_rows.group_of == g)[0]
@@ -218,9 +237,9 @@ def test_solve_broadcast_consistency_and_counts():
 
 
 def test_solve_final_cost_is_exact_and_bracketed():
-    inst = generate(GenSpec(n=32, r=2, p=2, k_true=4, noise_sigma=0.4, seed=18))
+    inst, A, W = _planted(n=32, r=2, p=2, k_true=4, noise_sigma=0.4, seed=18)
     fact, rep = solve(inst, _opts(max_sweeps=15))
-    dense = cost_dense(inst.A, inst.W, fact.U, fact.V)
+    dense = cost_dense(A, W, fact.U, fact.V)
     assert abs(rep.final_cost - dense) <= 1e-9 * (1.0 + dense)
     lower_log2, upper = rep.bracket
     assert 0.0 <= rep.final_cost <= upper * (1.0 + 1e-9)
@@ -228,7 +247,7 @@ def test_solve_final_cost_is_exact_and_bracketed():
 
 
 def test_solve_sketched_close_to_sketchless_median():
-    inst = generate(GenSpec(n=128, r=4, p=2, k_true=6, noise_sigma=0.1, seed=19))
+    inst, _, _ = _planted(n=128, r=4, p=2, k_true=6, noise_sigma=0.1, seed=19)
     _, exact = solve(inst, _opts(sketchless=True, max_sweeps=30))
     ratios = []
     for seed in range(20):
@@ -239,7 +258,7 @@ def test_solve_sketched_close_to_sketchless_median():
 
 
 def test_solve_deterministic_and_seed_sensitive():
-    inst = generate(GenSpec(n=32, r=2, p=2, k_true=3, noise_sigma=0.2, seed=20))
+    inst, _, _ = _planted(n=32, r=2, p=2, k_true=3, noise_sigma=0.2, seed=20)
     f1, r1 = solve(inst, _opts(max_sweeps=6, seed=5))
     f2, r2 = solve(inst, _opts(max_sweeps=6, seed=5))
     assert np.array_equal(f1.U, f2.U) and np.array_equal(f1.V, f2.V)
@@ -250,14 +269,14 @@ def test_solve_deterministic_and_seed_sensitive():
 
 
 def test_solve_restarts_never_hurt():
-    inst = generate(GenSpec(n=32, r=2, p=2, k_true=5, noise_sigma=0.3, seed=21))
+    inst, _, _ = _planted(n=32, r=2, p=2, k_true=5, noise_sigma=0.3, seed=21)
     _, single = solve(inst, _opts(max_sweeps=10, seed=3))
     _, multi = solve(inst, _opts(max_sweeps=10, seed=3, restarts=3))
     assert multi.final_cost <= single.final_cost * (1.0 + 1e-12)
 
 
 def test_solve_fixed_sketch_draws_once():
-    inst = generate(GenSpec(n=32, r=2, p=2, k_true=3, noise_sigma=0.1, seed=22))
+    inst, _, _ = _planted(n=32, r=2, p=2, k_true=3, noise_sigma=0.1, seed=22)
     _, rep = solve(inst, _opts(max_sweeps=6, fixed_sketch=True, rel_tol=0.0))
     assert len(rep.sketch_seeds) == 2
     _, rep2 = solve(inst, _opts(max_sweeps=6, rel_tol=0.0))
@@ -265,8 +284,9 @@ def test_solve_fixed_sketch_draws_once():
 
 
 def test_solve_compressed_matches_dense_instance():
-    dense = generate(GenSpec(n=64, r=4, p=2, k_true=3, noise_sigma=0.1, seed=23))
-    comp = compress_instance(dense)
+    spec = GenSpec(n=64, r=4, p=2, k_true=3, noise_sigma=0.1, seed=23)
+    dense = build_instance(*generate(spec))
+    comp = generate_compressed(spec)
     f1, r1 = solve(dense, _opts(max_sweeps=8))
     f2, r2 = solve(comp, _opts(max_sweeps=8))
     assert np.array_equal(f1.U, f2.U)
@@ -274,7 +294,7 @@ def test_solve_compressed_matches_dense_instance():
 
 
 def test_solve_rejects_k_larger_than_n():
-    inst = generate(GenSpec(n=8, r=2, p=2, k_true=2, seed=24))
+    inst, _, _ = _planted(n=8, r=2, p=2, k_true=2, seed=24)
     with pytest.raises(ValueError):
         solve(inst, _opts(k=9))
 
@@ -288,3 +308,35 @@ def test_solve_options_validation():
         SolveOptions(k=2, rel_tol=-1.0)
     with pytest.raises(ValueError):
         SolveOptions(k=2, restarts=0)
+
+
+def test_solve_exact_sweeps_match_n_wide_alternation():
+    # The grid solve against per-row normal equations over all n rows and
+    # columns, started from the same expanded factor.
+    inst, A, W = _planted(n=40, r=2, p=3, k_true=5, noise_sigma=0.3, seed=26)
+    opts = _opts(sketchless=True, max_sweeps=3, rel_tol=0.0, seed=4)
+    _, rep = solve(inst, opts)
+    V = _init_factor(inst, rep.run_seed, opts.k).expand()
+    want = []
+    for _ in range(3):
+        U = rowwise_weighted_lstsq(A, W, V)
+        want.append(cost_dense(A, W, U, V))
+        V = rowwise_weighted_lstsq(A.T, W.T, U)
+        want.append(cost_dense(A, W, U, V))
+    gap = np.abs(np.array(rep.cost_per_sweep) - want).max()
+    assert len(rep.cost_per_sweep) == 6 and gap <= 1e-9 * rep.bracket[1]
+
+
+def test_solve_returns_best_iterate():
+    # Sketched sweeps are not monotone; on random 0/1 weights the last
+    # iterate is usually not the best one reached.
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((64, 64))
+        W = rng.integers(0, 2, size=(64, 64)).astype(float)
+        inst = build_instance(A, W)
+        fact, rep = solve(inst, _opts(k=4, eps=0.4, max_sweeps=20, rel_tol=0.0, seed=seed))
+        assert rep.final_cost == min(rep.cost_per_sweep)
+        grid = cost_grouped(inst, fact.grouped_u, fact.grouped_v)
+        assert grid == pytest.approx(rep.final_cost, rel=1e-12)
+        assert cost_dense(A, W, fact.U, fact.V) == pytest.approx(rep.final_cost, rel=1e-9)

@@ -19,8 +19,9 @@ def test_upper_bound_unit_entries():
 
 
 def test_upper_bound_matches_zero_factor_cost():
-    inst = generate(GenSpec(n=24, r=2, p=2, k_true=3, noise_sigma=0.2, seed=1))
-    want = cost_dense(inst.A, inst.W, np.zeros((24, 2)), np.zeros((24, 2)))
+    A, W = generate(GenSpec(n=24, r=2, p=2, k_true=3, noise_sigma=0.2, seed=1))
+    inst = build_instance(A, W)
+    want = cost_dense(A, W, np.zeros((24, 2)), np.zeros((24, 2)))
     assert upper_bound(inst) == pytest.approx(want, rel=1e-12)
 
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from wlra import (GenSpec, build_instance, compress_instance, detect_groups,
-                  generate, generate_attention_mask, refine)
+from wlra import (GenSpec, build_instance, detect_groups, generate,
+                  generate_attention_mask, generate_compressed, refine)
 from wlra import pattern_index
 from wlra.pattern_index import PatternIndex
 
@@ -10,14 +10,14 @@ from oracles import brute_force_groups
 
 
 def test_identity_rows_all_distinct():
-    idx = detect_groups(np.eye(3), "rows", 0.0)
+    idx = detect_groups(np.eye(3), "rows")
     assert idx.num_groups == 3
     assert list(idx.sizes) == [1, 1, 1]
     assert list(idx.group_of) == [0, 1, 2]
 
 
 def test_all_ones_single_group():
-    idx = detect_groups(np.ones((4, 4)), "rows", 0.0)
+    idx = detect_groups(np.ones((4, 4)), "rows")
     assert idx.num_groups == 1
     assert list(idx.sizes) == [4]
 
@@ -26,7 +26,7 @@ def test_abab_pattern():
     a = np.array([1.0, 2.0, 3.0])
     b = np.array([4.0, 5.0, 6.0])
     M = np.vstack([a, b, a, b, a])
-    idx = detect_groups(M, "rows", 0.0)
+    idx = detect_groups(M, "rows")
     assert idx.num_groups == 2
     assert list(idx.representatives) == [0, 1]
     assert list(idx.sizes) == [3, 2]
@@ -38,7 +38,7 @@ def test_abab_pattern():
 def test_cols_axis():
     M = np.array([[1.0, 2.0, 1.0],
                   [3.0, 4.0, 3.0]])
-    idx = detect_groups(M, "cols", 0.0)
+    idx = detect_groups(M, "cols")
     assert idx.axis == "cols"
     assert idx.num_groups == 2
     assert list(idx.group_of) == [0, 1, 0]
@@ -48,37 +48,21 @@ def test_non_finite_rejected():
     M = np.ones((2, 2))
     M[0, 1] = np.nan
     with pytest.raises(ValueError):
-        detect_groups(M, "rows", 0.0)
+        detect_groups(M, "rows")
     M[0, 1] = np.inf
     with pytest.raises(ValueError):
-        detect_groups(M, "rows", 0.0)
-
-
-def test_negative_tolerance_rejected():
-    with pytest.raises(ValueError):
-        detect_groups(np.ones((2, 2)), "rows", -1.0)
+        detect_groups(M, "rows")
 
 
 def test_bad_axis_rejected():
     with pytest.raises(ValueError):
-        detect_groups(np.ones((2, 2)), "diag", 0.0)
+        detect_groups(np.ones((2, 2)), "diag")
 
 
 def test_negative_zero_equals_positive_zero():
     M = np.array([[0.0, 1.0], [-0.0, 1.0]])
-    idx = detect_groups(M, "rows", 0.0)
+    idx = detect_groups(M, "rows")
     assert idx.num_groups == 1
-
-
-def test_tolerance_uses_representative_scan_not_closure():
-    # 0.4 matches the representative 0.0; 0.8 does not, even though it is
-    # within tolerance of 0.4.
-    M = np.array([[0.0], [0.4], [0.8]])
-    idx = detect_groups(M, "rows", 0.5)
-    assert idx.num_groups == 2
-    assert list(idx.group_of) == [0, 0, 1]
-    oracle_groups, _ = brute_force_groups(M, "rows", 0.5)
-    assert np.array_equal(idx.group_of, oracle_groups)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -86,7 +70,7 @@ def test_soundness_at_tol_zero_brute_force(seed):
     rng = np.random.default_rng(seed)
     base = rng.standard_normal((5, 6))
     M = base[rng.integers(0, 5, size=64)]
-    idx = detect_groups(M, "rows", 0.0)
+    idx = detect_groups(M, "rows")
     for i in range(M.shape[0]):
         for j in range(M.shape[0]):
             same = idx.group_of[i] == idx.group_of[j]
@@ -96,7 +80,7 @@ def test_soundness_at_tol_zero_brute_force(seed):
 def test_partition_property_random():
     rng = np.random.default_rng(7)
     M = rng.integers(0, 3, size=(50, 4)).astype(float)
-    idx = detect_groups(M, "rows", 0.0)
+    idx = detect_groups(M, "rows")
     idx.validate()
     assert int(idx.sizes.sum()) == 50
 
@@ -105,9 +89,9 @@ def test_permutation_equivariance():
     rng = np.random.default_rng(3)
     base = rng.standard_normal((4, 5))
     M = base[rng.integers(0, 4, size=32)]
-    idx = detect_groups(M, "rows", 0.0)
+    idx = detect_groups(M, "rows")
     perm = rng.permutation(32)
-    idx_p = detect_groups(M[perm], "rows", 0.0)
+    idx_p = detect_groups(M[perm], "rows")
     # permuting rows permutes group_of consistently up to relabeling
     assert sorted(idx.sizes) == sorted(idx_p.sizes)
     for i in range(32):
@@ -118,17 +102,17 @@ def test_permutation_equivariance():
 
 def test_refine_trivial_outer():
     key = np.array([[1.0], [2.0], [3.0]])
-    outer = detect_groups(np.ones((3, 2)), "rows", 0.0)
+    outer = detect_groups(np.ones((3, 2)), "rows")
     assert outer.num_groups == 1
-    out = refine(outer, key, 0.0)
+    out = refine(outer, key)
     assert out.num_groups == 3
 
 
 def test_refine_singleton_outer_unchanged():
     M = np.arange(12, dtype=float).reshape(4, 3)
-    outer = detect_groups(M, "rows", 0.0)
+    outer = detect_groups(M, "rows")
     assert outer.num_groups == 4
-    out = refine(outer, np.ones((4, 2)), 0.0)
+    out = refine(outer, np.ones((4, 2)))
     assert np.array_equal(out.group_of, outer.group_of)
 
 
@@ -136,8 +120,8 @@ def test_refine_planted_blocks():
     n = 16
     outer_key = np.repeat(np.array([[1.0, 0.0], [0.0, 1.0]]), n // 2, axis=0)
     inner_key = np.tile(np.repeat(np.array([[2.0], [3.0]]), n // 4, axis=0), (2, 1))
-    outer = detect_groups(outer_key, "rows", 0.0)
-    out = refine(outer, inner_key, 0.0)
+    outer = detect_groups(outer_key, "rows")
+    out = refine(outer, inner_key)
     assert out.num_groups == 4
     assert list(out.sizes) == [n // 4] * 4
     assert out.refines(outer)
@@ -152,9 +136,9 @@ def test_refine_planted_blocks():
 
 
 def test_refine_length_mismatch():
-    outer = detect_groups(np.ones((3, 2)), "rows", 0.0)
+    outer = detect_groups(np.ones((3, 2)), "rows")
     with pytest.raises(ValueError):
-        refine(outer, np.ones((4, 2)), 0.0)
+        refine(outer, np.ones((4, 2)))
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -163,8 +147,8 @@ def test_refinement_property_random(seed):
     n = int(rng.integers(2, 40))
     outer_key = rng.integers(0, 4, size=(n, 3)).astype(float)
     inner_key = rng.integers(0, 3, size=(n, 2)).astype(float)
-    outer = detect_groups(outer_key, "rows", 0.0)
-    out = refine(outer, inner_key, 0.0)
+    outer = detect_groups(outer_key, "rows")
+    out = refine(outer, inner_key)
     out.validate()
     assert out.refines(outer)
 
@@ -185,7 +169,7 @@ def test_build_instance_ones_weight_distinct_target():
 
 
 def test_build_instance_generator_round_trip():
-    inst = generate(GenSpec(n=30, r=3, p=2, k_true=2, seed=5))
+    inst = build_instance(*generate(GenSpec(n=30, r=3, p=2, k_true=2, seed=5)))
     assert inst.r == 3 and inst.p == 2
     assert inst.wa_rows.num_groups == 6
     assert inst.wa_cols.num_groups == 6
@@ -224,18 +208,23 @@ def test_validate_catches_bad_representatives():
 
 
 def test_transpose_involution_and_compress_parity():
-    inst = generate(GenSpec(n=24, r=2, p=2, k_true=2, seed=9))
+    spec = GenSpec(n=24, r=3, p=2, k_true=2, noise_sigma=0.1, seed=9)
+    A, W = generate(spec)
+    inst = build_instance(A, W)
     back = inst.transposed().transposed()
-    assert np.array_equal(back.A, inst.A)
+    assert np.array_equal(back.targets, inst.targets)
+    assert np.array_equal(back.weights, inst.weights)
     assert np.array_equal(back.wa_rows.group_of, inst.wa_rows.group_of)
+    assert back.wa_rows.axis == "rows" and back.wa_cols.axis == "cols"
 
-    comp = compress_instance(inst)
-    comp.validate()
-    assert np.array_equal(comp.row_design_patterns(), inst.row_design_patterns())
-    assert np.array_equal(comp.row_targets(), inst.row_targets())
-    assert np.array_equal(comp.col_targets(), inst.col_targets())
-    ct = comp.transposed()
-    assert np.array_equal(ct.row_targets(), inst.transposed().row_targets())
+    flipped = build_instance(A.T, W.T)
+    for got, want in ((inst.transposed(), flipped), (generate_compressed(spec), inst)):
+        got.validate()
+        assert np.array_equal(got.weights, want.weights)
+        assert np.array_equal(got.targets, want.targets)
+        for f in ("w_rows", "w_cols", "wa_rows", "wa_cols"):
+            assert np.array_equal(getattr(got, f).group_of, getattr(want, f).group_of)
+            assert getattr(got, f).axis == getattr(want, f).axis
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +245,7 @@ def _layouts(M):
 
 
 def _assert_matches_oracle(M, axis):
-    idx = detect_groups(M, axis, 0.0)
+    idx = detect_groups(M, axis)
     want_groups, want_reps = brute_force_groups(M, axis, 0.0)
     assert np.array_equal(idx.group_of, want_groups)
     assert np.array_equal(idx.representatives, want_reps)
@@ -294,7 +283,7 @@ def test_exact_sort_keeps_apart_classes_split_early(monkeypatch, fake):
 def test_zero_width_vectors_form_one_group():
     for axis in ("rows", "cols"):
         M = np.ones((5, 0)) if axis == "rows" else np.ones((0, 5))
-        idx = detect_groups(M, axis, 0.0)
+        idx = detect_groups(M, axis)
         assert idx.num_groups == 1 and list(idx.sizes) == [5]
 
 
@@ -336,6 +325,6 @@ def test_no_collision_fallback_on_binary_and_small_integer_data(monkeypatch):
         for layout in (M, np.asfortranarray(M)):
             for axis in ("rows", "cols"):
                 handed.clear()
-                idx = detect_groups(layout, axis, 0.0)
+                idx = detect_groups(layout, axis)
                 assert handed == [idx.num_groups]
     assert checks and all(checks)

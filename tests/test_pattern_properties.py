@@ -1,4 +1,4 @@
-"""Property test: tolerance-0 detection equals the brute-force oracle."""
+"""Property test: group detection equals the brute-force oracle."""
 
 import numpy as np
 import pytest
@@ -39,7 +39,7 @@ def _structured(draw):
 @hypothesis.given(_structured())
 def test_detect_groups_equals_brute_force(M):
     for axis in ("rows", "cols"):
-        idx = detect_groups(M, axis, 0.0)
+        idx = detect_groups(M, axis)
         want_groups, want_reps = brute_force_groups(M, axis, 0.0)
         assert np.array_equal(idx.group_of, want_groups)
         assert np.array_equal(idx.representatives, want_reps)

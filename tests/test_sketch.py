@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from wlra import (gaussian_sketch, identity_embedding, min_norm_solve,
-                  sketch_dim, sketched_design)
+from wlra import (SketchMatrix, gaussian_sketch, min_norm_solve, sketch_dim,
+                  sketched_design)
 
 from oracles import triple_loop_matmul
 
@@ -56,7 +56,7 @@ def test_identity_embedding_is_sketchless_limit():
     rng = np.random.default_rng(0)
     Z = rng.standard_normal((3, 7))
     w = rng.standard_normal(7)
-    S = identity_embedding(7)
+    S = SketchMatrix(t=7, n=7, seed=0, values=np.eye(7))
     got = sketched_design(Z, w, S)
     assert np.array_equal(got, Z * w)
 

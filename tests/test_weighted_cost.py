@@ -3,9 +3,15 @@ import pytest
 
 from wlra import (GenSpec, GroupedFactor, WorkCounters, build_instance,
                   compress_factor, cost_dense, cost_grouped, cost_grouped_cols,
-                  generate, kahan_sum)
+                  generate)
 
 from oracles import naive_weighted_cost
+
+
+def _planted(**kw):
+    """A generated instance with its dense matrices: (inst, A, W)."""
+    A, W = generate(GenSpec(**kw))
+    return build_instance(A, W), A, W
 
 
 def test_zero_factors_give_masked_norm():
@@ -85,40 +91,40 @@ def test_grouped_multiplicity_n():
 
 @pytest.mark.parametrize("n,r,p,seed", [(64, 4, 2, 0), (256, 4, 2, 1), (96, 2, 4, 2)])
 def test_grouped_dense_equivalence(n, r, p, seed):
-    inst = generate(GenSpec(n=n, r=r, p=p, k_true=3, noise_sigma=0.2, seed=seed))
+    inst, A, W = _planted(n=n, r=r, p=p, k_true=3, noise_sigma=0.2, seed=seed)
     rng = np.random.default_rng(seed + 100)
     k = 3
     gu = GroupedFactor(index=inst.wa_rows,
                        rows=rng.standard_normal((inst.wa_rows.num_groups, k)))
     V = rng.standard_normal((n, k))
     cg = cost_grouped(inst, gu, V)
-    cd = cost_dense(inst.A, inst.W, gu.expand(), V)
+    cd = cost_dense(A, W, gu.expand(), V)
     assert abs(cg - cd) <= 1e-9 * (1.0 + cd)
 
 
 def test_grouped_dense_equivalence_naive_oracle():
-    inst = generate(GenSpec(n=24, r=2, p=2, k_true=2, noise_sigma=0.1, seed=11))
+    inst, A, W = _planted(n=24, r=2, p=2, k_true=2, noise_sigma=0.1, seed=11)
     rng = np.random.default_rng(42)
     gu = GroupedFactor(index=inst.wa_rows,
                        rows=rng.standard_normal((inst.wa_rows.num_groups, 2)))
     V = rng.standard_normal((24, 2))
-    want = naive_weighted_cost(inst.A, inst.W, gu.expand(), V)
+    want = naive_weighted_cost(A, W, gu.expand(), V)
     assert cost_grouped(inst, gu, V) == pytest.approx(want, rel=1e-11)
 
 
 def test_grouped_cols_matches_transposed_dense():
-    inst = generate(GenSpec(n=32, r=2, p=2, k_true=2, noise_sigma=0.1, seed=13))
+    inst, A, W = _planted(n=32, r=2, p=2, k_true=2, noise_sigma=0.1, seed=13)
     rng = np.random.default_rng(14)
     gv = GroupedFactor(index=inst.wa_cols,
                        rows=rng.standard_normal((inst.wa_cols.num_groups, 2)))
     U = rng.standard_normal((32, 2))
     got = cost_grouped_cols(inst, gv, U)
-    want = cost_dense(inst.A, inst.W, U, gv.expand())
+    want = cost_dense(A, W, U, gv.expand())
     assert got == pytest.approx(want, rel=1e-11)
 
 
 def test_grouped_work_counter_is_group_count_not_n():
-    inst = generate(GenSpec(n=256, r=4, p=2, k_true=2, seed=8))
+    inst, _, _ = _planted(n=256, r=4, p=2, k_true=2, seed=8)
     rng = np.random.default_rng(9)
     gu = GroupedFactor(index=inst.wa_rows,
                        rows=rng.standard_normal((inst.wa_rows.num_groups, 2)))
@@ -138,15 +144,18 @@ def test_monotone_in_weight_magnitude():
 
 
 def test_grouped_index_mismatch_rejected():
-    inst = generate(GenSpec(n=16, r=2, p=2, k_true=2, seed=1))
+    inst, _, _ = _planted(n=16, r=2, p=2, k_true=2, seed=1)
     wrong = GroupedFactor(index=inst.wa_cols if inst.wa_cols.num_groups != inst.wa_rows.num_groups else inst.w_rows,
                           rows=np.zeros((inst.w_rows.num_groups, 2)))
     with pytest.raises(ValueError):
         cost_grouped(inst, wrong, np.zeros((16, 2)))
+    right = GroupedFactor(index=inst.wa_rows, rows=np.zeros((inst.wa_rows.num_groups, 2)))
+    with pytest.raises(ValueError):  # V on the weight groups, not the refined ones
+        cost_grouped(inst, right, GroupedFactor(index=inst.w_cols, rows=np.zeros((2, 2))))
 
 
 def test_compress_expand_identity():
-    inst = generate(GenSpec(n=20, r=2, p=2, k_true=2, seed=3))
+    inst, _, _ = _planted(n=20, r=2, p=2, k_true=2, seed=3)
     rng = np.random.default_rng(6)
     rows = rng.standard_normal((inst.wa_rows.num_groups, 3))
     gf = GroupedFactor(index=inst.wa_rows, rows=rows)
@@ -155,13 +164,15 @@ def test_compress_expand_identity():
 
 
 def test_compress_rejects_non_constant_factor():
-    inst = generate(GenSpec(n=20, r=2, p=2, k_true=2, seed=3))
+    inst, _, _ = _planted(n=20, r=2, p=2, k_true=2, seed=3)
     rng = np.random.default_rng(7)
     X = rng.standard_normal((20, 2))  # generic, not group-constant
     with pytest.raises(ValueError):
         compress_factor(X, inst.wa_rows)
 
 
-def test_kahan_sum_beats_naive_on_adversarial_order():
-    values = [1e16, 1.0, -1e16, 1.0]
-    assert kahan_sum(values) == 2.0
+def test_cost_dense_sums_rows_exactly_rounded():
+    # row terms 1e16, 1 and 1: a naive running sum rounds each 1 away
+    A = np.array([[1e8], [1.0], [1.0]])
+    zeros = np.zeros((3, 1))
+    assert cost_dense(A, np.ones((3, 1)), zeros, np.zeros((1, 1))) == 1e16 + 2.0
