@@ -15,17 +15,17 @@ from .opt_bounds import (BoundParams, default_gamma, iteration_budget,
                          lower_bound_log2, upper_bound)
 from .pattern_index import (PatternIndex, StructuredInstance, build_instance,
                             detect_groups, refine)
-from .sketch import (SketchMatrix, gaussian_sketch, keyed_generator, keyed_normals,
-                     sketch_dim, sketched_design)
-from .weighted_cost import (GroupedFactor, WorkCounters, compress_factor,
-                            cost_dense, cost_grouped, cost_grouped_cols)
+from .sketch import (gaussian_sketch, keyed_generator, keyed_normals, sketch_dim,
+                     sketched_design)
+from .weighted_cost import (GroupedFactor, compress_factor, cost_dense, cost_grouped,
+                            cost_grouped_cols)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BoundParams", "Factorization", "GenSpec",
-    "GroupedFactor", "PatternIndex", "SketchMatrix", "SolveOptions",
-    "SolveReport", "StructuredInstance", "WEIGHT_STYLES", "WorkCounters",
+    "GroupedFactor", "PatternIndex", "SolveOptions",
+    "SolveReport", "StructuredInstance", "WEIGHT_STYLES",
     "build_instance", "col_certificates", "compress_factor",
     "cost_dense", "cost_grouped", "cost_grouped_cols", "default_gamma",
     "detect_groups", "gaussian_sketch", "generate", "generate_attention_mask",

@@ -13,6 +13,7 @@ import math
 import os
 import struct
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -227,22 +228,21 @@ def cmd_bench(args) -> int:
         return 1
     try:
         _ = SolveOptions(k=args.k, eps=args.eps, max_sweeps=args.sweeps)
+        specs = [GenSpec(n=n, r=args.r, p=args.p, k_true=args.k, noise_sigma=0.0,
+                         weight_style="block_random", seed=args.seed) for n in sizes]
     except ValueError as e:
         _err(str(e))
         return 1
 
     rows = [CSV_HEADER]
     medians = []
-    for size_index, n in enumerate(sizes):
+    for size_index, (n, spec) in enumerate(zip(sizes, specs)):
         sweep_times = []
         for trial in range(args.trials):
             run_seed = args.seed + 1000003 * size_index + trial
-            spec = GenSpec(n=n, r=args.r, p=args.p, k_true=args.k,
-                           noise_sigma=0.0, weight_style="block_random",
-                           seed=run_seed)
             try:
-                inst = generate_compressed(spec)
-            except (ValueError, RuntimeError) as e:
+                inst = generate_compressed(replace(spec, seed=run_seed))
+            except RuntimeError as e:
                 _err(str(e))
                 return 1
             opts = SolveOptions(k=args.k, eps=args.eps, max_sweeps=args.sweeps,
@@ -279,7 +279,11 @@ def cmd_verify(args) -> int:
     if not _check_assumed(inst, args):
         return 1
     gamma = default_gamma(inst.n) if args.gamma is None else args.gamma
-    params = BoundParams(n=inst.n, gamma=gamma, k=args.k, r=inst.r, eps=args.eps)
+    try:
+        params = BoundParams(n=inst.n, gamma=gamma, k=args.k, r=inst.r, eps=args.eps)
+    except ValueError as e:
+        _err(str(e))
+        return 1
     lower = lower_bound_log2(params)
     print(f"n {inst.n}")
     print(f"r {inst.r}")

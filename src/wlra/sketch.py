@@ -9,7 +9,6 @@ raw counter stream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,16 +44,6 @@ def keyed_normals(seed: int, stream: int, count: int) -> np.ndarray:
     return z[:count]
 
 
-@dataclass(frozen=True, eq=False)
-class SketchMatrix:
-    """A t x n Gaussian sketch with entry standard deviation 1/sqrt(t)."""
-
-    t: int
-    n: int
-    seed: int
-    values: np.ndarray
-
-
 def sketch_dim(k: int, eps: float, sketch_constant: float = 4.0) -> int:
     """Sketch dimension t = ceil(c * k / eps), clamped to at least k + 1.
 
@@ -70,25 +59,25 @@ def sketch_dim(k: int, eps: float, sketch_constant: float = 4.0) -> int:
     return max(k + 1, math.ceil(sketch_constant * k / eps))
 
 
-def gaussian_sketch(seed: int, t: int, n: int) -> SketchMatrix:
+def gaussian_sketch(seed: int, t: int, n: int) -> np.ndarray:
     """Reproducible t x n sketch with i.i.d. N(0, 1/t) entries."""
     if t < 1 or n < 1:
         raise ValueError("t and n must be positive")
     values = keyed_normals(seed, SKETCH_STREAM, t * n).reshape(t, n)
     values *= 1.0 / math.sqrt(t)
-    return SketchMatrix(t=t, n=n, seed=seed, values=values)
+    return values
 
 
-def sketched_design(Z: np.ndarray, w_row: np.ndarray, S: SketchMatrix) -> np.ndarray:
-    """Assemble the k x t sketched design Z diag(w) S^T.
+def sketched_design(Z: np.ndarray, w_row: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Assemble the k x t sketched design Z diag(w) S^T for a t x n sketch S.
 
-    Computed as (Z with scaled columns) @ S.values.T in O(n k t).  One
-    call per distinct weight pattern serves every row in its group.
+    Computed as (Z with scaled columns) @ S.T in O(n k t).  One call per
+    distinct weight pattern serves every row in its group.
     """
     Z = np.asarray(Z, dtype=np.float64)
     w_row = np.asarray(w_row, dtype=np.float64)
     if Z.ndim != 2 or w_row.ndim != 1 or Z.shape[1] != w_row.shape[0]:
         raise ValueError("Z must be k x n and w_row of length n")
-    if S.n != w_row.shape[0]:
+    if S.shape[1] != w_row.shape[0]:
         raise ValueError("sketch width does not match n")
-    return (Z * w_row) @ S.values.T
+    return (Z * w_row) @ S.T

@@ -18,15 +18,6 @@ import numpy as np
 from .pattern_index import PatternIndex
 
 
-@dataclass
-class WorkCounters:
-    """Instrumentation for the subquadratic work claims."""
-
-    regressions_solved: int = 0
-    designs_assembled: int = 0
-    rep_cost_evals: int = 0
-
-
 @dataclass(eq=False)
 class GroupedFactor:
     """A factor that is constant on the groups of a PatternIndex.
@@ -52,12 +43,6 @@ class GroupedFactor:
         if self.index.group_of is not index.group_of and not np.array_equal(
                 self.index.group_of, index.group_of):
             raise ValueError(f"grouped factor does not match the instance {side} groups")
-
-    def validate(self) -> None:
-        if self.rows.ndim != 2 or self.rows.shape[0] != self.index.num_groups:
-            raise ValueError("rows must have one entry per group")
-        if not np.all(np.isfinite(self.rows)):
-            raise ValueError("factor contains non-finite entries")
 
 
 def compress_factor(X: np.ndarray, index: PatternIndex) -> GroupedFactor:
@@ -101,8 +86,7 @@ def cost_dense(A: np.ndarray, W: np.ndarray, U: np.ndarray, V: np.ndarray) -> fl
     return math.fsum(_row_residual_sq(V, U[i], W[i], W[i] * A[i]) for i in range(A.shape[0]))
 
 
-def cost_grouped(inst, grouped_u: GroupedFactor, V,
-                 counters: WorkCounters | None = None) -> float:
+def cost_grouped(inst, grouped_u: GroupedFactor, V) -> float:
     """Weighted squared error of U = grouped_u.expand() against V.
 
     grouped_u must be constant on the refined row groups (its index must
@@ -113,8 +97,6 @@ def cost_grouped(inst, grouped_u: GroupedFactor, V,
     O(Gr * n * k).  Each row term is multiplied by its row group size.
     """
     grouped_u.check_groups(inst.wa_rows, "row")
-    if counters is not None:
-        counters.rep_cost_evals += inst.wa_rows.num_groups
     if isinstance(V, GroupedFactor):
         V.check_groups(inst.wa_cols, "column")
         V, cols, counts = V.rows, slice(None), inst.wa_cols.sizes
@@ -129,7 +111,6 @@ def cost_grouped(inst, grouped_u: GroupedFactor, V,
                                  inst.refined_weights(), inst.targets))
 
 
-def cost_grouped_cols(inst, grouped_v: GroupedFactor, U,
-                      counters: WorkCounters | None = None) -> float:
+def cost_grouped_cols(inst, grouped_v: GroupedFactor, U) -> float:
     """Column-side grouped evaluation, via the transposed instance."""
-    return cost_grouped(inst.transposed(), grouped_v, U, counters)
+    return cost_grouped(inst.transposed(), grouped_v, U)

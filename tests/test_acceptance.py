@@ -113,8 +113,8 @@ def test_criterion_5_sketch_quality():
                                            noise_sigma=0.1, seed=seed))
         _, exact = solve(inst, SolveOptions(k=3, sketchless=True, max_sweeps=40,
                                             rel_tol=1e-7, seed=seed))
-        _, sketched = solve(inst, SolveOptions(k=3, eps=0.25, sketch_constant=4.0,
-                                               max_sweeps=40, rel_tol=1e-7, seed=seed))
+        _, sketched = solve(inst, SolveOptions(k=3, eps=0.25, max_sweeps=40,
+                                               rel_tol=1e-7, seed=seed))
         ratios.append(sketched.final_cost / exact.final_cost)
     median = float(np.median(ratios))
     elapsed = time.perf_counter() - tic

@@ -282,32 +282,46 @@ def _unchanged(data):
     pass
 
 
-# (name, edit of the instance file's bytes, extra flags, exit code)
+FILE_COMMANDS = ("solve", "verify")
+
+# (name, edit of the instance file's bytes, extra flags, exit code, commands)
 BAD_INPUTS = [
-    ("nan_in_a", _set_entry(0, 1, 2, np.nan), (), 2),
-    ("inf_in_w", _set_entry(1, 3, 0, np.inf), (), 2),
-    ("truncated_payload", _truncate, (), 2),
-    ("bad_magic", _bad_magic, (), 2),
-    ("bad_version", _bad_version, (), 2),
-    ("unknown_flag", _unchanged, ("--bogus",), 1),
-    ("threads_flag", _unchanged, ("--threads", 2), 1),
+    ("nan_in_a", _set_entry(0, 1, 2, np.nan), (), 2, FILE_COMMANDS),
+    ("inf_in_w", _set_entry(1, 3, 0, np.inf), (), 2, FILE_COMMANDS),
+    ("truncated_payload", _truncate, (), 2, FILE_COMMANDS),
+    ("bad_magic", _bad_magic, (), 2, FILE_COMMANDS),
+    ("bad_version", _bad_version, (), 2, FILE_COMMANDS),
+    ("unknown_flag", _unchanged, ("--bogus",), 1, FILE_COMMANDS),
+    ("threads_flag", _unchanged, ("--threads", 2), 1, FILE_COMMANDS),
+    ("k_zero", _unchanged, ("--k", 0), 1, FILE_COMMANDS),
+    ("eps_zero", _unchanged, ("--eps", 0), 1, FILE_COMMANDS),
+    ("gamma_negative", _unchanged, ("--gamma", -1), 1, ("verify",)),
+    ("rp_over_n", None, ("--sizes", 8, 16, "--r", 4, "--p", 4), 1, ("bench",)),
+    ("size_zero", None, ("--sizes", 0), 1, ("bench",)),
+    ("r_zero", None, ("--sizes", 8, "--r", 0), 1, ("bench",)),
 ]
+PARSER_ERRORS = ("unknown_flag", "threads_flag")  # argparse prints its usage line first
+BAD_CASES = [(name, edit, extra, code, command)
+             for name, edit, extra, code, commands in BAD_INPUTS for command in commands]
 
 
-@pytest.mark.parametrize("command", ["solve", "verify"])
-@pytest.mark.parametrize("name, edit, extra, code", BAD_INPUTS,
-                         ids=[case[0] for case in BAD_INPUTS])
-def test_bad_input_exit_codes(tmp_path, capsys, command, name, edit, extra, code):
-    path = tmp_path / f"{name}.wlra"
-    rng = np.random.default_rng(4)
-    write_instance(path, rng.standard_normal((N_BAD, N_BAD)), np.ones((N_BAD, N_BAD)))
-    data = bytearray(path.read_bytes())
-    edit(data)
-    path.write_bytes(bytes(data))
+@pytest.mark.parametrize("name, edit, extra, code, command", BAD_CASES,
+                         ids=[f"{case[0]}-{case[4]}" for case in BAD_CASES])
+def test_bad_input_exit_codes(tmp_path, capsys, name, edit, extra, code, command):
+    if command == "bench":
+        args = ["bench", "--out", tmp_path / "bench.csv"]
+    else:
+        path = tmp_path / f"{name}.wlra"
+        rng = np.random.default_rng(4)
+        write_instance(path, rng.standard_normal((N_BAD, N_BAD)), np.ones((N_BAD, N_BAD)))
+        data = bytearray(path.read_bytes())
+        edit(data)
+        path.write_bytes(bytes(data))
+        args = [command, "--in", path, "--k", 2]
     capsys.readouterr()
-    assert run([command, "--in", path, "--k", 2, *extra]) == code
+    assert run([*args, *extra]) == code
     err = capsys.readouterr().err
-    if code == 2:  # one line, no traceback
+    if name not in PARSER_ERRORS:  # one line, no traceback
         assert err.startswith("error: ") and err.count("\n") == 1
 
 

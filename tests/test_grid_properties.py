@@ -1,16 +1,17 @@
 """Property tests of the group-grid design: the grid is the dense problem.
 
 The grid cost equals the dense cost, the grid updates commute with row and
-column permutations of (A, W), and a planted instance built from its grids
-equals the one detected from its dense matrices.
+column permutations of (A, W), transposing the instance swaps the roles of
+U and V, and a planted instance built from its grids equals the one
+detected from its dense matrices.
 """
 
 import numpy as np
 import pytest
 
 from wlra import (WEIGHT_STYLES, GenSpec, GroupedFactor, SolveOptions, build_instance,
-                  compress_factor, cost_dense, cost_grouped, generate, generate_compressed,
-                  update_cols, update_rows)
+                  compress_factor, cost_dense, cost_grouped, cost_grouped_cols,
+                  gaussian_sketch, generate, generate_compressed, update_cols, update_rows)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -47,6 +48,20 @@ def _factor(index, k, rng):
 def _close(got, want):
     scale = max(1.0, float(np.abs(want).max(initial=0.0)))
     return np.allclose(got, want, rtol=1e-9, atol=1e-9 * scale)
+
+
+def _assert_same_instance(got, want):
+    """Bitwise equal partitions, grids, r and p."""
+    for name in ("w_rows", "w_cols", "wa_rows", "wa_cols"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.axis == b.axis
+        for field in ("group_of", "representatives", "sizes"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+    for grid in ("weights", "targets"):
+        a, b = getattr(got, grid), getattr(want, grid)
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    assert (got.r, got.p) == (want.r, want.p)
 
 
 @SETTINGS
@@ -92,15 +107,25 @@ def test_updates_and_cost_equivariant_under_permutations(problem, data):
 def test_planted_grids_equal_detected_grids(r, p, extra, k_true, noise, style, seed):
     spec = GenSpec(n=r * p + extra + 2, r=r, p=p, k_true=k_true, noise_sigma=noise,
                    weight_style=style, seed=seed)
-    detected = build_instance(*generate(spec))
-    planted = generate_compressed(spec)
-    for name in ("w_rows", "w_cols", "wa_rows", "wa_cols"):
-        got, want = getattr(planted, name), getattr(detected, name)
-        assert got.axis == want.axis
-        for field in ("group_of", "representatives", "sizes"):
-            assert np.array_equal(getattr(got, field), getattr(want, field))
-    for grid in ("weights", "targets"):
-        got, want = getattr(planted, grid), getattr(detected, grid)
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-    assert (planted.r, planted.p) == (detected.r, detected.p)
+    _assert_same_instance(generate_compressed(spec), build_instance(*generate(spec)))
+
+
+@SETTINGS
+@hypothesis.given(_problem(), st.integers(1, 8), st.integers(0, 2 ** 64 - 1))
+def test_transposing_swaps_u_and_v(problem, t, seed):
+    A, W, k, rng = problem
+    inst = build_instance(A, W)
+    flipped = inst.transposed()
+    _assert_same_instance(flipped, build_instance(A.T, W.T))
+
+    gu, gv = _factor(inst.wa_rows, k, rng), _factor(inst.wa_cols, k, rng)
+    for S in (None, gaussian_sketch(seed, t, inst.wa_rows.num_groups)):
+        opts = SolveOptions(k=k, sketchless=S is None)
+        got = update_cols(inst, gu, S, opts)
+        want = update_rows(flipped, gu, S, opts)
+        assert got.index is inst.wa_cols
+        assert got.rows.tobytes() == want.rows.tobytes()
+
+    swapped = cost_grouped_cols(inst, gv, gu)
+    assert swapped == cost_grouped(flipped, gv, gu)
+    assert swapped == pytest.approx(cost_grouped(inst, gu, gv), rel=1e-12, abs=1e-12)

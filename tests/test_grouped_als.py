@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from wlra import (GenSpec, GroupedFactor, SketchMatrix, SolveOptions, build_instance,
-                  col_certificates, compress_factor, cost_dense, cost_grouped,
-                  gaussian_sketch, generate, generate_compressed, generate_with_factors,
-                  min_norm_solve, row_certificates, solve, update_cols, update_rows)
+from wlra import (GenSpec, GroupedFactor, SolveOptions, build_instance, col_certificates,
+                  compress_factor, cost_dense, cost_grouped, gaussian_sketch, generate,
+                  generate_compressed, generate_with_factors, grouped_als, min_norm_solve,
+                  row_certificates, sketch_dim, solve, update_cols, update_rows)
 from wlra.grouped_als import _init_factor
 
 from oracles import cramer_inverse_3x3, power_iteration_rank_k_residual, rowwise_weighted_lstsq
@@ -25,6 +25,19 @@ def _planted(**kw):
 def _random_factor(index, k, rng):
     """A factor drawn per group of index."""
     return GroupedFactor(index=index, rows=rng.standard_normal((index.num_groups, k)))
+
+
+def _count_calls(monkeypatch, name):
+    """Record the arguments of every call to grouped_als.<name>."""
+    calls = []
+    fn = getattr(grouped_als, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(grouped_als, name, counted)
+    return calls
 
 
 # ---------------------------------------------------------------------------
@@ -115,9 +128,8 @@ def test_update_rows_identity_embedding_equals_sketchless():
     rng = np.random.default_rng(4)
     gv = _random_factor(inst.wa_cols, 3, rng)
     width = inst.wa_cols.num_groups
-    identity = SketchMatrix(t=width, n=width, seed=0, values=np.eye(width))
     exact = update_rows(inst, gv, None, _opts(sketchless=True))
-    via_identity = update_rows(inst, gv, identity, _opts())
+    via_identity = update_rows(inst, gv, np.eye(width), _opts())
     assert np.array_equal(exact.rows, via_identity.rows)
 
 
@@ -136,16 +148,16 @@ def test_update_rows_requires_sketch_when_not_sketchless():
                     _opts(k=2, sketchless=True))
 
 
-def test_update_rows_assembles_one_design_per_weight_pattern():
-    from wlra import WorkCounters
+def test_update_rows_assembles_one_design_per_weight_pattern(monkeypatch):
     inst, _, _ = _planted(n=40, r=4, p=2, k_true=2, noise_sigma=0.1, seed=6)
     rng = np.random.default_rng(7)
     gv = _random_factor(inst.wa_cols, 3, rng)
     S = gaussian_sketch(5, 48, inst.wa_cols.num_groups)
-    counters = WorkCounters()
-    update_rows(inst, gv, S, _opts(), counters)
-    assert counters.designs_assembled == inst.w_rows.num_groups == 4
-    assert counters.regressions_solved == inst.wa_rows.num_groups == 8
+    designs = _count_calls(monkeypatch, "sketched_design")
+    regressions = _count_calls(monkeypatch, "_svd_apply")
+    update_rows(inst, gv, S, _opts())
+    assert len(designs) == inst.w_rows.num_groups == 4
+    assert len(regressions) == inst.wa_rows.num_groups == 8
 
 
 def test_update_cols_transpose_consistency():
@@ -275,12 +287,34 @@ def test_solve_restarts_never_hurt():
     assert multi.final_cost <= single.final_cost * (1.0 + 1e-12)
 
 
-def test_solve_fixed_sketch_draws_once():
-    inst, _, _ = _planted(n=32, r=2, p=2, k_true=3, noise_sigma=0.1, seed=22)
-    _, rep = solve(inst, _opts(max_sweeps=6, fixed_sketch=True, rel_tol=0.0))
-    assert len(rep.sketch_seeds) == 2
-    _, rep2 = solve(inst, _opts(max_sweeps=6, rel_tol=0.0))
-    assert len(rep2.sketch_seeds) == 2 * (len(rep2.cost_per_sweep) // 2)
+def test_solve_half_sweep_schedule(monkeypatch):
+    # Row and column half-sweeps alternate; half-sweep i draws its t x width
+    # sketch from run_seed ^ i, width being the other side's group count.
+    rng = np.random.default_rng(22)
+    cells = rng.standard_normal((4, 6))
+    A = cells[np.arange(24) % 4][:, np.arange(24) % 6]
+    inst = build_instance(A, np.ones((24, 24)))
+    gr, gc = inst.wa_rows.num_groups, inst.wa_cols.num_groups
+    assert (gr, gc) == (4, 6)
+    draws = _count_calls(monkeypatch, "gaussian_sketch")
+    for sketchless in (False, True):
+        draws.clear()
+        fact, rep = solve(inst, _opts(max_sweeps=4, rel_tol=0.0, seed=9, restarts=2,
+                                      sketchless=sketchless))
+        halves = len(rep.cost_per_sweep)
+        assert halves == 8
+        assert rep.regressions_per_half_sweep == [gr, gc] * 4
+        assert rep.regressions_solved == 4 * (gr + gc)
+        assert fact.grouped_u.index is inst.wa_rows
+        assert fact.grouped_v.index is inst.wa_cols
+        if sketchless:
+            assert rep.sketch_seeds == [] and draws == []
+        else:
+            assert rep.sketch_seeds == [rep.run_seed ^ i for i in range(halves)]
+            t = sketch_dim(3, 0.25)
+            assert len(draws) == 2 * halves  # one draw per half-sweep of each restart
+            mine = [d for d in draws if d[0] in rep.sketch_seeds]  # not the other restart's
+            assert mine == [(seed, t, (gc, gr)[i % 2]) for i, seed in enumerate(rep.sketch_seeds)]
 
 
 def test_solve_compressed_matches_dense_instance():

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from wlra import (SketchMatrix, gaussian_sketch, min_norm_solve, sketch_dim,
-                  sketched_design)
+from wlra import gaussian_sketch, min_norm_solve, sketch_dim, sketched_design
 
 from oracles import triple_loop_matmul
 
@@ -27,22 +26,22 @@ def test_sketch_dim_eps_range():
 def test_gaussian_sketch_deterministic():
     a = gaussian_sketch(7, 4, 4)
     b = gaussian_sketch(7, 4, 4)
-    assert np.array_equal(a.values, b.values)
-    assert a.t == 4 and a.n == 4 and a.seed == 7
+    assert np.array_equal(a, b)
+    assert a.shape == (4, 4)
 
 
 def test_gaussian_sketch_seed_sensitivity():
     a = gaussian_sketch(1, 6, 5)
     b = gaussian_sketch(2, 6, 5)
-    assert np.any(a.values != b.values)
+    assert np.any(a != b)
 
 
 def test_gaussian_sketch_moments():
     t = n = 1000
     S = gaussian_sketch(123, t, n)
-    var = S.values.var()
+    var = S.var()
     assert abs(var - 1.0 / t) <= 0.05 / t
-    assert abs(S.values.mean()) <= 3.0 / t  # mean of t*n samples of sd 1/sqrt(t)
+    assert abs(S.mean()) <= 3.0 / t  # mean of t*n samples of sd 1/sqrt(t)
 
 
 def test_gaussian_sketch_bad_shape():
@@ -56,8 +55,7 @@ def test_identity_embedding_is_sketchless_limit():
     rng = np.random.default_rng(0)
     Z = rng.standard_normal((3, 7))
     w = rng.standard_normal(7)
-    S = SketchMatrix(t=7, n=7, seed=0, values=np.eye(7))
-    got = sketched_design(Z, w, S)
+    got = sketched_design(Z, w, np.eye(7))
     assert np.array_equal(got, Z * w)
 
 
@@ -74,7 +72,7 @@ def test_sketched_design_matches_triple_loop():
     w = rng.standard_normal(6)
     S = gaussian_sketch(9, 3, 6)
     got = sketched_design(Z, w, S)
-    want = triple_loop_matmul(Z * w, S.values.T)
+    want = triple_loop_matmul(Z * w, S.T)
     assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
 
 
@@ -100,7 +98,7 @@ def test_sketched_least_squares_fidelity():
         x_opt = np.linalg.lstsq(D, b, rcond=None)[0]
         opt = np.linalg.norm(D @ x_opt - b)
         S = gaussian_sketch(trial, t, n)
-        y = min_norm_solve((S.values @ D).T, S.values @ b)
+        y = min_norm_solve((S @ D).T, S @ b)
         if np.linalg.norm(D @ y - b) <= 1.5 * opt:
             hits += 1
     assert hits >= 0.95 * trials
