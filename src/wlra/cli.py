@@ -28,6 +28,7 @@ _VERSION = 1
 _FLAG_W_DENSE = 1
 _FLAG_SIDECAR = 2
 _HEADER = struct.Struct("<4sHQH")
+_WRITE_BLOCK_BYTES = 1 << 18  # a quarter MiB of rows per write
 
 CSV_HEADER = "n,r,p,k,eps,sweep,wall_s,cost,regressions,seed"
 
@@ -37,17 +38,23 @@ CSV_HEADER = "n,r,p,k,eps,sweep,wall_s,cost,regressions,seed"
 
 
 def write_instance(path, A: np.ndarray, W: np.ndarray, sidecar=None) -> None:
-    """Write the binary instance file: header, A, W, optional group side-car."""
-    A = np.ascontiguousarray(A, dtype=np.float64)
-    W = np.ascontiguousarray(W, dtype=np.float64)
+    """Write the binary instance file: header, A, W, optional group side-car.
+
+    Each matrix goes to the file in C order a block of rows at a time, so
+    no whole-matrix copy is made whatever the layout of A and W.
+    """
+    A = np.asarray(A, dtype="<f8")
+    W = np.asarray(W, dtype="<f8")
     n = A.shape[0]
     flags = _FLAG_W_DENSE | (_FLAG_SIDECAR if sidecar is not None else 0)
-    parts = [_HEADER.pack(_MAGIC, _VERSION, n, flags),
-             A.astype("<f8").tobytes(), W.astype("<f8").tobytes()]
-    if sidecar is not None:
-        for arr in sidecar:
-            parts.append(np.ascontiguousarray(arr).astype("<u4").tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    with open(path, "wb") as f:
+        f.write(_HEADER.pack(_MAGIC, _VERSION, n, flags))
+        for M in (A, W):
+            step = max(1, _WRITE_BLOCK_BYTES // (M.itemsize * max(1, M.shape[1])))
+            for lo in range(0, M.shape[0], step):
+                f.write(np.ascontiguousarray(M[lo:lo + step]))
+        for arr in sidecar if sidecar is not None else ():
+            f.write(np.ascontiguousarray(arr, dtype="<u4"))
 
 
 def read_instance(path):
@@ -165,6 +172,13 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     try:
+        opts = SolveOptions(k=args.k, eps=args.eps, max_sweeps=args.sweeps,
+                            rel_tol=args.rel_tol, seed=args.seed,
+                            restarts=args.restarts, sketchless=args.sketchless)
+    except ValueError as e:
+        _err(str(e))
+        return 1
+    try:
         A, W, _ = read_instance(args.infile)
     except (OSError, ValueError) as e:
         _err(str(e))
@@ -172,13 +186,6 @@ def cmd_solve(args) -> int:
     n = A.shape[0]
     if args.k > n:
         _err(f"k={args.k} exceeds n={n}")
-        return 1
-    try:
-        opts = SolveOptions(k=args.k, eps=args.eps, max_sweeps=args.sweeps,
-                            rel_tol=args.rel_tol, seed=args.seed,
-                            restarts=args.restarts, sketchless=args.sketchless)
-    except ValueError as e:
-        _err(str(e))
         return 1
     inst = _build(A, W)
     if inst is None:
@@ -268,6 +275,11 @@ def cmd_bench(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    try:  # the bound flags alone, before the file is read; n and r come from it
+        BoundParams(n=1, gamma=args.gamma or 0.0, k=args.k, r=1, eps=args.eps)
+    except ValueError as e:
+        _err(str(e))
+        return 1
     try:
         A, W, sidecar = read_instance(args.infile)
     except (OSError, ValueError) as e:
@@ -279,11 +291,7 @@ def cmd_verify(args) -> int:
     if not _check_assumed(inst, args):
         return 1
     gamma = default_gamma(inst.n) if args.gamma is None else args.gamma
-    try:
-        params = BoundParams(n=inst.n, gamma=gamma, k=args.k, r=inst.r, eps=args.eps)
-    except ValueError as e:
-        _err(str(e))
-        return 1
+    params = BoundParams(n=inst.n, gamma=gamma, k=args.k, r=inst.r, eps=args.eps)
     lower = lower_bound_log2(params)
     print(f"n {inst.n}")
     print(f"r {inst.r}")

@@ -40,8 +40,10 @@ class BoundParams:
             raise ValueError("n must be positive")
         if self.gamma < 0:
             raise ValueError("gamma must be nonnegative")
-        if self.k < 1 or self.r < 1:
-            raise ValueError("k and r must be positive")
+        if self.k < 1:
+            raise ValueError("k must be positive")
+        if self.r < 1:
+            raise ValueError("r must be positive")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
         if self.c_exp <= 0 or self.c_poly <= 0:

@@ -9,6 +9,7 @@ small grids of W and W*A values over the groups.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -76,15 +77,6 @@ class PatternIndex:
         return bool(np.array_equal(expected, outer.group_of))
 
 
-def _as_vectors(M: np.ndarray, axis: str) -> np.ndarray:
-    if axis not in _AXES:
-        raise ValueError(f"axis must be one of {_AXES}, got {axis!r}")
-    M = np.asarray(M, dtype=np.float64)
-    if M.ndim != 2:
-        raise ValueError("expected a 2-D matrix")
-    return M if axis == ROWS else M.T
-
-
 def _check_finite(values: np.ndarray) -> None:
     if not np.all(np.isfinite(values)):
         raise ValueError("matrix contains non-finite entries")
@@ -118,108 +110,194 @@ def detect_groups(M: np.ndarray, axis: str = ROWS) -> PatternIndex:
     -------
     PatternIndex with groups ordered by first appearance.
     """
-    vecs = _as_vectors(M, axis)
-    if vecs.shape[0] == 0:
-        raise ValueError("cannot group an empty index set")
-    return _index_from_labels(_equality_labels(vecs), axis)
+    if axis not in _AXES:
+        raise ValueError(f"axis must be one of {_AXES}, got {axis!r}")
+    M = np.asarray(M, dtype=np.float64)
+    if M.ndim != 2:
+        raise ValueError("expected a 2-D matrix")
+    (labels,) = _equality_labels(M, None, (axis,))
+    return _index_from_labels(labels, axis)
 
 
-# Grouping: hash every vector in one pass, check every vector
-# against the first vector with its hash, and sort exactly only the vectors
-# that stand for themselves (one per hash value, plus any that failed the
-# check).  The result is the exact equality partition whatever the hash
-# returns; the hash only decides how much work the exact sort gets.
+# Grouping: one blocked pass over the rows of W (and, for build_instance,
+# of A, forming W*A a block at a time) hashes every row and column of each
+# matrix; a second pass checks every vector against the first vector with
+# its hash; then only the vectors that stand for themselves (one per hash
+# value, plus any that failed the check) are sorted exactly.  The result is
+# the exact equality partition whatever the hash returns; the hash only
+# decides how much work the exact sort gets.  A matrix is a tuple of
+# factors, (W,) or (W, A), whose entry-wise product it is.
 
 _BLOCK_BYTES = 1 << 18  # a quarter MiB of rows at a time stays in cache
 _MIX_SHIFT = np.uint64(29)
 
 
-def _equality_labels(vecs: np.ndarray) -> np.ndarray:
-    """Labels of the entry-wise equality classes of the rows of vecs.
+def _equality_labels(W: np.ndarray, A: np.ndarray | None, axes) -> list[np.ndarray]:
+    """Labels of the entry-wise equality classes of the vectors of W and W*A.
 
-    Raises ValueError if vecs has a non-finite entry.
+    W*A is grouped only if A is given.  Returns one label array per
+    (matrix, axis) pair: W along each of axes, then W*A along each.
+    Raises ValueError on an empty index set or a non-finite entry of W or
+    W*A.
     """
-    n = vecs.shape[0]
-    mat, across = _in_memory_order(vecs)
-    _, first, candidate = np.unique(_vector_hashes(mat, across),
-                                    return_index=True, return_inverse=True)
-    ref = first[candidate.ravel()]
-    if first.shape[0] < n:
-        mismatch = ~_matches_ref(mat, across, ref)
-        ref[mismatch] = np.flatnonzero(mismatch)
-    own = np.flatnonzero(ref == np.arange(n))
-    labels = np.empty(n, dtype=np.int64)
-    labels[own] = _sorted_labels(vecs, own)
-    return labels[ref]
+    mats, flipped = _in_memory_order(W, A)
+    across = [(axis == COLS) != flipped for axis in axes]
+    if any(mats[0][0].shape[1 if a else 0] == 0 for a in across):
+        raise ValueError("cannot group an empty index set")
+    refs = [[_first_with_hash(h) for h in per_mat] for per_mat in _hash_pass(mats, across)]
+    labels = []
+    for factors, per_ref, per_ok in zip(mats, refs, _check_pass(mats, across, refs)):
+        for a, ref, ok in zip(across, per_ref, per_ok):
+            if ok is not None:
+                ref[~ok] = np.flatnonzero(~ok)
+            own = np.flatnonzero(ref == np.arange(ref.shape[0]))
+            vec_labels = np.empty(ref.shape[0], dtype=np.int64)
+            vec_labels[own] = _sorted_labels(tuple(f.T for f in factors) if a else factors, own)
+            labels.append(vec_labels[ref])
+    return labels
 
 
-def _in_memory_order(vecs: np.ndarray) -> tuple[np.ndarray, bool]:
-    """A C-ordered matrix holding vecs, and whether the vectors are its columns."""
-    if vecs.flags.c_contiguous:
-        return vecs, False
-    if vecs.T.flags.c_contiguous:
-        return vecs.T, True
-    return np.ascontiguousarray(vecs), False
+def _in_memory_order(W: np.ndarray, A: np.ndarray | None):
+    """The matrices [(W,)] or [(W,), (W, A)] in C order, and whether they are transposed.
+
+    Fortran-ordered inputs (what generate() returns) are read as their
+    C-ordered transposes, so their vectors swap axes; any other layout is
+    copied once into C order.
+    """
+    given = (W,) if A is None else (W, A)
+    flipped = False
+    if not all(m.flags.c_contiguous for m in given):
+        flipped = all(m.T.flags.c_contiguous for m in given)
+        given = tuple(m.T if flipped else np.ascontiguousarray(m) for m in given)
+    return ([given] if A is None else [given[:1], given]), flipped
 
 
-def _blocks(mat: np.ndarray):
-    """(lo, hi) bounds of consecutive row blocks of about _BLOCK_BYTES each."""
-    rows = max(1, _BLOCK_BYTES // (mat.itemsize * max(1, mat.shape[1])))
-    for lo in range(0, mat.shape[0], rows):
-        yield lo, min(lo + rows, mat.shape[0])
+def _block_rows(mat: np.ndarray) -> int:
+    """Rows per block, so a block of mat takes at most about _BLOCK_BYTES."""
+    return max(1, min(mat.shape[0], _BLOCK_BYTES // (mat.itemsize * max(1, mat.shape[1]))))
 
 
+def _buffer(mat: np.ndarray, dtype=np.float64) -> np.ndarray:
+    # A block-sized array that every block reuses: a fresh array per block
+    # costs page faults that take longer than the arithmetic on it.
+    return np.empty((_block_rows(mat), mat.shape[1]), dtype=dtype)
+
+
+def _product(factors: tuple, index, out: np.ndarray | None = None) -> np.ndarray:
+    """The entries at index of the entry-wise product of factors.
+
+    Formed in out if given; a single factor's entries are returned as they
+    are (a view for a slice index).
+    """
+    block = factors[0][index]
+    for f in factors[1:]:
+        block = np.multiply(block, f[index], out=out)
+    return block
+
+
+def _gathered_rows(factors: tuple, rows: np.ndarray, out: np.ndarray,
+                   spare: np.ndarray) -> np.ndarray:
+    """Rows `rows` of the entry-wise product of factors, formed in out."""
+    # mode="clip" lets take write straight into out (the indices are valid)
+    np.take(factors[0], rows, axis=0, out=out, mode="clip")
+    for f in factors[1:]:
+        out *= np.take(f, rows, axis=0, out=spare, mode="clip")
+    return out
+
+
+def _row_blocks(mats: list):
+    """(lo, hi, blocks): rows lo:hi of each matrix, products formed per block."""
+    n_rows, step = mats[0][0].shape[0], _block_rows(mats[0][0])
+    bufs = [_buffer(factors[0]) if len(factors) > 1 else None for factors in mats]
+    for lo in range(0, n_rows, step):
+        hi = min(lo + step, n_rows)
+        yield lo, hi, [_product(factors, slice(lo, hi), None if buf is None else buf[:hi - lo])
+                       for factors, buf in zip(mats, bufs)]
+
+
+@functools.lru_cache(maxsize=8)
 def _hash_key(length: int) -> np.ndarray:
     # Odd keys, so a difference in any single entry always changes the hash.
-    return keyed_generator(0, HASH_STREAM).bit_generator.random_raw(length) | np.uint64(1)
+    # The stream is sequential: a shorter key is a prefix of a longer one.
+    # Cached (drawing it costs more than hashing a small grid), so read-only.
+    key = keyed_generator(0, HASH_STREAM).bit_generator.random_raw(length) | np.uint64(1)
+    key.flags.writeable = False
+    return key
 
 
-def _vector_hashes(mat: np.ndarray, across: bool) -> np.ndarray:
-    """Keyed hash sum_j mix(bits_j) * key_j mod 2^64 of each vector.
+def _hash_pass(mats: list, across: list) -> list[list[np.ndarray]]:
+    """Pass 1: keyed hash sum_j mix(bits_j) * key_j mod 2^64 of every vector.
 
-    bits_j are the IEEE bits of entry j with -0.0 folded into +0.0.  Small
-    integers and 0/1 values have 52 trailing zero bits; the shift-xor mix
-    moves high bits down, so the products keep most of their 64 bits.
-    Integer sums wrap, so equal vectors hash equal in any summation order.
+    Returns, per matrix, one hash array per axis: the C-ordered rows
+    (bits @ key) or, where across, the columns (key[lo:hi] @ bits summed
+    over row blocks).  bits_j are the IEEE bits of entry j with -0.0
+    folded into +0.0, mixed once per block for both axes.  Small integers
+    and 0/1 values have 52 trailing zero bits; the shift-xor mix moves
+    high bits down, so the products keep most of their 64 bits.  Integer
+    sums wrap, so equal vectors hash equal in any summation order.
     Raises ValueError on a non-finite entry, checked while the block is hot.
     """
-    key = _hash_key(mat.shape[0] if across else mat.shape[1])
-    hashes = np.zeros(mat.shape[1] if across else mat.shape[0], dtype=np.uint64)
-    for lo, hi in _blocks(mat):
-        block = mat[lo:hi] + 0.0  # folds -0.0 into +0.0
-        _check_finite(block)
-        bits = block.view(np.uint64)
-        bits ^= bits >> _MIX_SHIFT
-        if across:
-            hashes += key[lo:hi] @ bits
-        else:
-            hashes[lo:hi] = bits @ key
+    n_rows, n_cols = mats[0][0].shape
+    key = _hash_key(max(n_rows, n_cols))
+    hashes = [[np.zeros(n_cols if a else n_rows, dtype=np.uint64) for a in across]
+              for _ in mats]
+    folded, shifted = _buffer(mats[0][0]), _buffer(mats[0][0], np.uint64)
+    for lo, hi, blocks in _row_blocks(mats):
+        _check_finite(blocks[-1])  # W*A is non-finite wherever W is
+        for block, per_mat in zip(blocks, hashes):
+            bits = np.add(block, 0.0, out=folded[:hi - lo]).view(np.uint64)  # folds -0.0
+            bits ^= np.right_shift(bits, _MIX_SHIFT, out=shifted[:hi - lo])
+            for a, out in zip(across, per_mat):
+                if a:
+                    out += key[lo:hi] @ bits
+                else:
+                    out[lo:hi] = bits @ key[:n_cols]
     return hashes
 
 
-def _matches_ref(mat: np.ndarray, across: bool, ref: np.ndarray) -> np.ndarray:
-    """True where vector i equals vector ref[i] entry-wise, read in memory order."""
-    if across:
-        ok = np.ones(mat.shape[1], dtype=bool)
-        for lo, hi in _blocks(mat):
-            block = mat[lo:hi]
-            ok &= (block == block.take(ref, axis=1)).all(axis=0)
+def _first_with_hash(hashes: np.ndarray) -> np.ndarray:
+    """Index of the first vector with each vector's hash."""
+    _, first, candidate = np.unique(hashes, return_index=True, return_inverse=True)
+    return first[candidate.ravel()]
+
+
+def _check_pass(mats: list, across: list, refs: list) -> list[list]:
+    """Pass 2: True where vector i equals vector ref[i] entry-wise.
+
+    Per matrix, one result per axis; None where every vector is its own
+    reference, and no pass at all if that holds everywhere.  Products are
+    formed again block by block; a row is compared with the product row of
+    its reference, a column with its reference in the same block.
+    """
+    ok = [[np.ones(ref.shape[0], dtype=bool) if np.any(ref != np.arange(ref.shape[0])) else None
+           for ref in per_ref] for per_ref in refs]
+    if all(good is None for per_ok in ok for good in per_ok):
         return ok
-    ok = np.empty(mat.shape[0], dtype=bool)
-    for lo, hi in _blocks(mat):
-        ok[lo:hi] = (mat[lo:hi] == mat.take(ref[lo:hi], axis=0)).all(axis=1)
+    gathered, spare = _buffer(mats[0][0]), _buffer(mats[0][0])
+    for lo, hi, blocks in _row_blocks(mats):
+        for factors, block, per_ref, per_ok in zip(mats, blocks, refs, ok):
+            for a, ref, good in zip(across, per_ref, per_ok):
+                if good is None:
+                    continue
+                if a:
+                    other = np.take(block, ref, axis=1, out=gathered[:hi - lo], mode="clip")
+                    good &= (block == other).all(axis=0)
+                else:
+                    other = _gathered_rows(factors, ref[lo:hi], gathered[:hi - lo], spare[:hi - lo])
+                    good[lo:hi] = (block == other).all(axis=1)
     return ok
 
 
-def _sorted_labels(vecs: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Exact equality classes of the vectors vecs[idx], by byte-wise sorting.
+def _sorted_labels(vecs: tuple, idx: np.ndarray) -> np.ndarray:
+    """Exact equality classes of the vectors idx of the product of vecs, by sorting.
 
-    Sorts (class so far, next coordinates) keys over a prefix of the
-    coordinates that doubles each round, and drops a vector once its class
-    is a singleton, so distinct vectors are usually told apart after a few
-    coordinates and no coordinate is read twice.
+    vecs are factors whose rows are the vectors.  Sorts (class so far,
+    next coordinates) keys over a prefix of the coordinates that doubles
+    each round, and drops a vector once its class is a singleton, so
+    distinct vectors are usually told apart after a few coordinates and no
+    coordinate is read twice.
     """
-    m = vecs.shape[1]
+    m = vecs[0].shape[1]
     labels = np.zeros(idx.shape[0], dtype=np.int64)
     active = np.arange(idx.shape[0])
     next_label, lo, width = 1, 0, 1
@@ -227,7 +305,8 @@ def _sorted_labels(vecs: np.ndarray, idx: np.ndarray) -> np.ndarray:
         hi = min(m, lo + width)
         keys = np.empty((active.shape[0], 1 + hi - lo), dtype=np.uint64)
         keys[:, 0] = labels[active]
-        keys[:, 1:] = (vecs[idx[active], lo:hi] + 0.0).view(np.uint64)  # folds -0.0
+        coords = _product(vecs, (idx[active], slice(lo, hi))) + 0.0  # folds -0.0
+        keys[:, 1:] = coords.view(np.uint64)
         byte_rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
         _, inverse, counts = np.unique(byte_rows, return_inverse=True, return_counts=True)
         inverse = inverse.ravel()
@@ -236,6 +315,12 @@ def _sorted_labels(vecs: np.ndarray, idx: np.ndarray) -> np.ndarray:
         active = active[counts[inverse] > 1]
         lo, width = hi, 2 * width
     return labels
+
+
+def _refined(outer: PatternIndex, inner: PatternIndex) -> PatternIndex:
+    """The intersection of two partitions of the same index set."""
+    combo = outer.group_of * np.int64(inner.num_groups) + inner.group_of
+    return _index_from_labels(combo, outer.axis)
 
 
 def refine(outer: PatternIndex, inner_key: np.ndarray) -> PatternIndex:
@@ -248,8 +333,7 @@ def refine(outer: PatternIndex, inner_key: np.ndarray) -> PatternIndex:
     inner = detect_groups(inner_key, outer.axis)
     if inner.n != outer.n:
         raise ValueError(f"partition length {outer.n} does not match key length {inner.n}")
-    combo = outer.group_of * np.int64(inner.num_groups) + inner.group_of
-    return _index_from_labels(combo, outer.axis)
+    return _refined(outer, inner)
 
 
 def _flip(idx: PatternIndex) -> PatternIndex:
@@ -323,10 +407,11 @@ class StructuredInstance:
 def build_instance(A: np.ndarray, W: np.ndarray) -> StructuredInstance:
     """Detect the full group structure of a weighted instance and take its grids.
 
-    Runs row and column grouping on W, refines each by the masked target
-    W*A, reads one W value per weight block and one W*A value per refined
-    block, and records r = max of the weight group counts and
-    p = ceil(max refined count / r).
+    Groups the rows and columns of W and of the masked target W*A in one
+    pass over (A, W), forming W*A a row block at a time, refines each W
+    partition by the W*A one, reads one W value per weight block and one
+    W*A value per refined block, and records r = max of the weight group
+    counts and p = ceil(max refined count / r).
     """
     A = np.asarray(A, dtype=np.float64)
     W = np.asarray(W, dtype=np.float64)
@@ -334,17 +419,18 @@ def build_instance(A: np.ndarray, W: np.ndarray) -> StructuredInstance:
         raise ValueError("A must be square")
     if W.shape != A.shape:
         raise ValueError("W must match the shape of A")
-    WA = W * A
-    w_rows = detect_groups(W, ROWS)
-    w_cols = detect_groups(W, COLS)
-    wa_rows = refine(w_rows, WA)
-    wa_cols = refine(w_cols, WA)
+    labels = _equality_labels(W, A, (ROWS, COLS))  # W rows, W cols, W*A rows, W*A cols
+    w_rows, w_cols = _index_from_labels(labels[0], ROWS), _index_from_labels(labels[1], COLS)
+    wa_rows = _refined(w_rows, _index_from_labels(labels[2], ROWS))
+    wa_cols = _refined(w_cols, _index_from_labels(labels[3], COLS))
     r = max(w_rows.num_groups, w_cols.num_groups)
     p = max(1, math.ceil(max(wa_rows.num_groups, wa_cols.num_groups) / r))
+    cells = np.ix_(wa_rows.representatives, wa_cols.representatives)
+    targets = W[cells]
+    targets *= A[cells]
     inst = StructuredInstance(
         w_rows=w_rows, w_cols=w_cols, wa_rows=wa_rows, wa_cols=wa_cols,
         weights=W[np.ix_(w_rows.representatives, w_cols.representatives)],
-        targets=WA[np.ix_(wa_rows.representatives, wa_cols.representatives)],
-        r=r, p=p)
+        targets=targets, r=r, p=p)
     inst.validate()
     return inst

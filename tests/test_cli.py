@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -282,6 +283,9 @@ def _unchanged(data):
     pass
 
 
+MISSING = object()  # in place of an edit: no instance file at the --in path
+
+
 FILE_COMMANDS = ("solve", "verify")
 
 # (name, edit of the instance file's bytes, extra flags, exit code, commands)
@@ -296,11 +300,15 @@ BAD_INPUTS = [
     ("k_zero", _unchanged, ("--k", 0), 1, FILE_COMMANDS),
     ("eps_zero", _unchanged, ("--eps", 0), 1, FILE_COMMANDS),
     ("gamma_negative", _unchanged, ("--gamma", -1), 1, ("verify",)),
+    ("k_zero_missing_file", MISSING, ("--k", 0), 1, FILE_COMMANDS),
+    ("eps_zero_missing_file", MISSING, ("--eps", 0), 1, FILE_COMMANDS),
+    ("gamma_negative_missing_file", MISSING, ("--gamma", -1), 1, ("verify",)),
     ("rp_over_n", None, ("--sizes", 8, 16, "--r", 4, "--p", 4), 1, ("bench",)),
     ("size_zero", None, ("--sizes", 0), 1, ("bench",)),
     ("r_zero", None, ("--sizes", 8, "--r", 0), 1, ("bench",)),
 ]
 PARSER_ERRORS = ("unknown_flag", "threads_flag")  # argparse prints its usage line first
+FLAG_ERRORS = ("k_zero", "eps_zero", "gamma_negative")  # checked before the file is read
 BAD_CASES = [(name, edit, extra, code, command)
              for name, edit, extra, code, commands in BAD_INPUTS for command in commands]
 
@@ -312,17 +320,20 @@ def test_bad_input_exit_codes(tmp_path, capsys, name, edit, extra, code, command
         args = ["bench", "--out", tmp_path / "bench.csv"]
     else:
         path = tmp_path / f"{name}.wlra"
-        rng = np.random.default_rng(4)
-        write_instance(path, rng.standard_normal((N_BAD, N_BAD)), np.ones((N_BAD, N_BAD)))
-        data = bytearray(path.read_bytes())
-        edit(data)
-        path.write_bytes(bytes(data))
+        if edit is not MISSING:
+            rng = np.random.default_rng(4)
+            write_instance(path, rng.standard_normal((N_BAD, N_BAD)), np.ones((N_BAD, N_BAD)))
+            data = bytearray(path.read_bytes())
+            edit(data)
+            path.write_bytes(bytes(data))
         args = [command, "--in", path, "--k", 2]
     capsys.readouterr()
     assert run([*args, *extra]) == code
     err = capsys.readouterr().err
     if name not in PARSER_ERRORS:  # one line, no traceback
         assert err.startswith("error: ") and err.count("\n") == 1
+    if name.startswith(FLAG_ERRORS):  # names the bad flag and nothing else
+        assert extra[0].lstrip("-") in err and re.search(r"\br\b", err) is None
 
 
 # ---------------------------------------------------------------------------

@@ -2,16 +2,18 @@
 
 The grid cost equals the dense cost, the grid updates commute with row and
 column permutations of (A, W), transposing the instance swaps the roles of
-U and V, and a planted instance built from its grids equals the one
-detected from its dense matrices.
+U and V, a planted instance built from its grids equals the one detected
+from its dense matrices, and build_instance's one pass over (A, W) finds
+what detecting W's groups and refining them by W*A finds.
 """
 
 import numpy as np
 import pytest
 
 from wlra import (WEIGHT_STYLES, GenSpec, GroupedFactor, SolveOptions, build_instance,
-                  compress_factor, cost_dense, cost_grouped, cost_grouped_cols,
-                  gaussian_sketch, generate, generate_compressed, update_cols, update_rows)
+                  compress_factor, cost_dense, cost_grouped, cost_grouped_cols, detect_groups,
+                  gaussian_sketch, generate, generate_compressed, refine, update_cols,
+                  update_rows)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -50,13 +52,16 @@ def _close(got, want):
     return np.allclose(got, want, rtol=1e-9, atol=1e-9 * scale)
 
 
+def _assert_same_partition(a, b):
+    assert a.axis == b.axis
+    for field in ("group_of", "representatives", "sizes"):
+        assert np.array_equal(getattr(a, field), getattr(b, field))
+
+
 def _assert_same_instance(got, want):
     """Bitwise equal partitions, grids, r and p."""
     for name in ("w_rows", "w_cols", "wa_rows", "wa_cols"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.axis == b.axis
-        for field in ("group_of", "representatives", "sizes"):
-            assert np.array_equal(getattr(a, field), getattr(b, field))
+        _assert_same_partition(getattr(got, name), getattr(want, name))
     for grid in ("weights", "targets"):
         a, b = getattr(got, grid), getattr(want, grid)
         assert a.shape == b.shape
@@ -129,3 +134,39 @@ def test_transposing_swaps_u_and_v(problem, t, seed):
     swapped = cost_grouped_cols(inst, gv, gu)
     assert swapped == cost_grouped(flipped, gv, gu)
     assert swapped == pytest.approx(cost_grouped(inst, gu, gv), rel=1e-12, abs=1e-12)
+
+
+def _laid_out(M, layout, flips):
+    """M with the zeros at flips made -0.0, in C, F or strided layout."""
+    M = M.copy()
+    M[(M == 0) & flips] = -0.0
+    if layout == "F":
+        return np.asfortranarray(M)
+    if layout == "strided":
+        return np.repeat(M, 2, axis=1)[:, ::2]
+    return np.ascontiguousarray(M)
+
+
+_LAYOUTS = st.sampled_from(["C", "F", "strided"])
+
+
+@SETTINGS
+@hypothesis.given(st.integers(1, 40), st.sampled_from([[0.0, 1.0], [0.0, 0.5, 1.0, 2.0]]),
+                  st.data(), _LAYOUTS, _LAYOUTS)
+def test_build_instance_equals_detect_then_refine(n, weight_values, data, a_layout, w_layout):
+    # 0/1 or general weights, +-0.0 in both matrices, each in C, F or
+    # strided layout (so also mixed): the fused pass equals the two steps.
+    flips = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))).random((2, n, n)) < 0.5
+    W = _laid_out(data.draw(_matrix(n, weight_values)), w_layout, flips[0])
+    A = _laid_out(data.draw(_matrix(n, [-2.0, 0.0, 1.0, 3.0])), a_layout, flips[1])
+    inst = build_instance(A, W)
+    WA = W * A
+    w_rows, w_cols = detect_groups(W, "rows"), detect_groups(W, "cols")
+    wa_rows, wa_cols = refine(w_rows, WA), refine(w_cols, WA)
+    for got, want in ((inst.w_rows, w_rows), (inst.w_cols, w_cols),
+                      (inst.wa_rows, wa_rows), (inst.wa_cols, wa_cols)):
+        _assert_same_partition(got, want)
+    weights = W[np.ix_(w_rows.representatives, w_cols.representatives)]
+    targets = WA[np.ix_(wa_rows.representatives, wa_cols.representatives)]
+    assert inst.weights.tobytes() == weights.tobytes()
+    assert inst.targets.tobytes() == targets.tobytes()

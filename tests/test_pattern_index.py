@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -252,9 +254,17 @@ def _assert_matches_oracle(M, axis):
     idx.validate()
 
 
+def _fake_hashes(values):
+    """A stand-in for the hash pass: values(count) for every vector set."""
+    def fake(mats, across):
+        n_rows, n_cols = mats[0][0].shape
+        return [[values(n_cols if a else n_rows) for a in across] for _ in mats]
+    return fake
+
+
 _FAKE_HASHES = {
-    "constant": lambda mat, across: np.zeros(mat.shape[1 if across else 0], dtype=np.uint64),
-    "per_index": lambda mat, across: np.arange(mat.shape[1 if across else 0], dtype=np.uint64),
+    "constant": _fake_hashes(lambda count: np.zeros(count, dtype=np.uint64)),
+    "per_index": _fake_hashes(lambda count: np.arange(count, dtype=np.uint64)),
 }
 
 
@@ -262,7 +272,7 @@ _FAKE_HASHES = {
 @pytest.mark.parametrize("seed", range(4))
 def test_exact_partition_whatever_the_hash(monkeypatch, fake, seed):
     # constant: every vector collides; per_index: equal vectors never share a hash
-    monkeypatch.setattr(pattern_index, "_vector_hashes", _FAKE_HASHES[fake])
+    monkeypatch.setattr(pattern_index, "_hash_pass", _FAKE_HASHES[fake])
     M = _duplicated(seed, 30, 25, [0.0, 1.0, 2.0, -3.0, 0.25])
     for layout in _layouts(M):
         for axis in ("rows", "cols"):
@@ -273,11 +283,39 @@ def test_exact_partition_whatever_the_hash(monkeypatch, fake, seed):
 def test_exact_sort_keeps_apart_classes_split_early(monkeypatch, fake):
     # Two repeated vectors that differ only in their first entry both reach
     # the exact sort; its later rounds must not merge them again.
-    monkeypatch.setattr(pattern_index, "_vector_hashes", _FAKE_HASHES[fake])
+    monkeypatch.setattr(pattern_index, "_hash_pass", _FAKE_HASHES[fake])
     M = np.array([[5.0, 1, 1, 1], [0, 1, 1, 1], [1, 1, 1, 1], [0, 1, 1, 1], [1, 1, 1, 1]])
     for layout in _layouts(M):
         _assert_matches_oracle(layout, "rows")
         _assert_matches_oracle(layout.T, "cols")
+
+
+def _assert_instance_matches_oracle(A, W):
+    """build_instance against the brute-force oracle: W classes, then W and W*A classes."""
+    inst = build_instance(A, W)
+    inst.validate()
+    WA = W * A
+    want = {"w_rows": brute_force_groups(W, "rows", 0.0),
+            "w_cols": brute_force_groups(W, "cols", 0.0),
+            "wa_rows": brute_force_groups(np.hstack([W, WA]), "rows", 0.0),
+            "wa_cols": brute_force_groups(np.vstack([W, WA]), "cols", 0.0)}
+    for name, (groups, reps) in want.items():
+        assert np.array_equal(getattr(inst, name).group_of, groups)
+        assert np.array_equal(getattr(inst, name).representatives, reps)
+    cells = np.ix_(inst.wa_rows.representatives, inst.wa_cols.representatives)
+    assert np.array_equal(inst.weights, W[np.ix_(want["w_rows"][1], want["w_cols"][1])])
+    assert inst.targets.tobytes() == WA[cells].tobytes()
+
+
+@pytest.mark.parametrize("fake", sorted(_FAKE_HASHES))
+@pytest.mark.parametrize("seed", range(4))
+def test_build_instance_exact_whatever_the_hash(monkeypatch, fake, seed):
+    monkeypatch.setattr(pattern_index, "_hash_pass", _FAKE_HASHES[fake])
+    W = _duplicated(seed, 30, 30, [0.0, 1.0])
+    A = _duplicated(seed + 100, 30, 30, [0.0, 1.0, 2.0, -3.0, 0.25])
+    for a_layout in _layouts(A):
+        for w_layout in _layouts(W):
+            _assert_instance_matches_oracle(a_layout, w_layout)
 
 
 def test_zero_width_vectors_form_one_group():
@@ -287,30 +325,42 @@ def test_zero_width_vectors_form_one_group():
         assert idx.num_groups == 1 and list(idx.sizes) == [5]
 
 
+def _row_hashes(W, A=None):
+    """The hash pass's values for the rows of W (and of W*A), in whatever layout W has."""
+    mats, flipped = pattern_index._in_memory_order(W, A)
+    return pattern_index._hash_pass(mats, [flipped])
+
+
 def test_layout_does_not_change_hashes():
     M = _duplicated(3, 300, 200, [0.0, 1.0, -2.0])  # several blocks on each axis
     for vecs in (M, M.T):
-        want = pattern_index._vector_hashes(*pattern_index._in_memory_order(np.ascontiguousarray(vecs)))
-        got = pattern_index._vector_hashes(*pattern_index._in_memory_order(np.asfortranarray(vecs)))
-        assert np.array_equal(got, want)
+        want = _row_hashes(np.ascontiguousarray(vecs))
+        got = _row_hashes(np.asfortranarray(vecs))
+        assert np.array_equal(got[0][0], want[0][0])
+    A = _duplicated(4, 300, 300, [0.0, 1.0, 0.5])
+    W = _duplicated(5, 300, 300, [0.0, 1.0])
+    for a, w in ((A, W), (A.T, W.T)):
+        want = _row_hashes(np.ascontiguousarray(w), np.ascontiguousarray(a))
+        got = _row_hashes(np.asfortranarray(w), np.asfortranarray(a))
+        assert all(np.array_equal(g[0], h[0]) for g, h in zip(got, want))
 
 
 def test_no_collision_fallback_on_binary_and_small_integer_data(monkeypatch):
     # No vector may fail its check against the first vector with its hash,
     # and only one vector per group may reach the exact sort.
     checks, handed = [], []
-    match, sort = pattern_index._matches_ref, pattern_index._sorted_labels
+    check, sort = pattern_index._check_pass, pattern_index._sorted_labels
 
-    def match_spy(mat, across, ref):
-        ok = match(mat, across, ref)
-        checks.append(bool(ok.all()))
+    def check_spy(mats, across, refs):
+        ok = check(mats, across, refs)
+        checks.extend(bool(good.all()) for per_ok in ok for good in per_ok if good is not None)
         return ok
 
     def sort_spy(vecs, idx):
         handed.append(idx.shape[0])
         return sort(vecs, idx)
 
-    monkeypatch.setattr(pattern_index, "_matches_ref", match_spy)
+    monkeypatch.setattr(pattern_index, "_check_pass", check_spy)
     monkeypatch.setattr(pattern_index, "_sorted_labels", sort_spy)
     rng = np.random.default_rng(5)
     base01 = rng.integers(0, 2, size=(24, 96)).astype(float)
@@ -327,4 +377,44 @@ def test_no_collision_fallback_on_binary_and_small_integer_data(monkeypatch):
                 handed.clear()
                 idx = detect_groups(layout, axis)
                 assert handed == [idx.num_groups]
+    for style in ("block_mask01", "attention_block"):
+        A, W = generate(GenSpec(n=256, r=4, p=3, k_true=2, weight_style=style, seed=2))
+        want = [detect_groups(M, axis).num_groups for M in (W, W * A) for axis in ("rows", "cols")]
+        for a, w in ((A, W), (np.ascontiguousarray(A), np.ascontiguousarray(W))):
+            handed.clear()
+            build_instance(a, w)
+            assert handed == want
     assert checks and all(checks)
+
+
+# (name, entries (matrix, i, j, value) set in all-ones A and W)
+@pytest.mark.parametrize("name, entries", [
+    ("inf_in_w", [("W", 1, 2, np.inf)]),
+    ("nan_in_a_where_w_zero", [("W", 3, 0, 0.0), ("A", 3, 0, np.nan)]),
+    ("w_times_a_overflows", [("W", 0, 4, 1e200), ("A", 0, 4, 1e200)]),
+])
+def test_non_finite_input_rejected_like_detect_then_refine(name, entries):
+    mats = {"A": np.ones((6, 6)), "W": np.ones((6, 6))}
+    for matrix, i, j, value in entries:
+        mats[matrix][i, j] = value
+    A, W = mats["A"], mats["W"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError) as fused:
+            build_instance(A, W)
+        with pytest.raises(ValueError) as stepwise:
+            refine(detect_groups(W, "rows"), W * A)
+    assert str(fused.value) == str(stepwise.value) == "matrix contains non-finite entries"
+
+
+def test_build_instance_forms_no_n_by_n_temporary():
+    n = 512
+    A, W = generate(GenSpec(n=n, r=4, p=2, k_true=2, noise_sigma=0.1, seed=1))
+    A, W = np.ascontiguousarray(A), np.ascontiguousarray(W)
+    build_instance(A, W)
+    tracemalloc.start()
+    try:
+        build_instance(A, W)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n / 2  # half of one n x n float64 matrix
