@@ -158,6 +158,9 @@ def cmd_gen(args) -> int:
     try:
         A, W = generate(spec)
         inst = generate_compressed(spec)  # the partitions of (A, W), for the side-car
+    except ValueError as e:  # a grid that overflows
+        _err(f"the planted grids overflow: {e}")
+        return 1
     except (RuntimeError, MemoryError) as e:
         _err(str(e) or "out of memory for a dense instance of this size")
         return 2

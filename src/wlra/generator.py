@@ -11,12 +11,12 @@ by redrawing from a derived seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .pattern_index import (COLS, ROWS, StructuredInstance, _index_from_labels,
-                            detect_groups)
+from .pattern_index import COLS, ROWS, PatternIndex, StructuredInstance, detect_groups
 from .sketch import GEN_STREAM, MASK64, keyed_generator
 
 WEIGHT_STYLES = ("block_random", "block_mask01", "attention_block")
@@ -44,8 +44,8 @@ class GenSpec:
             raise ValueError("r * p must not exceed n")
         if not (1 <= self.k_true <= self.n):
             raise ValueError("k_true must lie in [1, n]")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be nonnegative")
+        if not (0 <= self.noise_sigma < math.inf):
+            raise ValueError("noise_sigma must be finite and nonnegative")
         if self.weight_style not in WEIGHT_STYLES:
             raise ValueError(f"weight_style must be one of {WEIGHT_STYLES}")
 
@@ -107,9 +107,11 @@ def _accepted_grids(spec: GenSpec):
     for attempt in range(_MAX_ATTEMPTS):
         seed = (spec.seed ^ (attempt * _ATTEMPT_STRIDE)) & MASK64
         gw = _weight_grid(spec, seed)
-        ga, u_cells, v_cells = _target_grid(spec, seed)
-        if _grids_valid(spec, gw, ga):
-            return gw, ga, u_cells, v_cells
+        # Huge noise can overflow a grid; detect_groups then raises ValueError.
+        with np.errstate(over="ignore"):
+            ga, u_cells, v_cells = _target_grid(spec, seed)
+            if _grids_valid(spec, gw, ga):
+                return gw, ga, u_cells, v_cells
     raise RuntimeError(f"instance generation failed after {_MAX_ATTEMPTS} attempts")
 
 
@@ -136,19 +138,15 @@ def generate_compressed(spec: GenSpec) -> StructuredInstance:
 
     The accepted grids have distinct rows and columns, so this equals
     build_instance(*generate(spec)) bitwise: the same four partitions and
-    the same two grids.
+    the same two grids.  Rows and columns share one band map, so they share
+    one partition object.
     """
     gw, ga, _, _ = _accepted_grids(spec)
-    n, r, p = spec.n, spec.r, spec.p
-    wband = _band_ids(n, r)
-    aband = _sub_band_ids(n, r, p)
-    parent = np.arange(r * p, dtype=np.int64) // p
-    return StructuredInstance(
-        w_rows=_index_from_labels(wband, ROWS),
-        w_cols=_index_from_labels(wband, COLS),
-        wa_rows=_index_from_labels(aband, ROWS),
-        wa_cols=_index_from_labels(aband, COLS),
-        weights=gw, targets=gw[np.ix_(parent, parent)] * ga, r=r, p=p)
+    w = PatternIndex.from_labels(_band_ids(spec.n, spec.r))
+    wa = PatternIndex.from_labels(_sub_band_ids(spec.n, spec.r, spec.p))
+    parent = np.arange(spec.r * spec.p, dtype=np.int64) // spec.p
+    return StructuredInstance(w_rows=w, w_cols=w, wa_rows=wa, wa_cols=wa,
+                              weights=gw, targets=gw[np.ix_(parent, parent)] * ga)
 
 
 def generate_attention_mask(n: int, block: int) -> np.ndarray:

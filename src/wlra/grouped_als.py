@@ -51,7 +51,7 @@ class SolveOptions:
             raise ValueError("eps must lie in (0, 0.5)")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be positive")
-        if self.rel_tol < 0:
+        if not (self.rel_tol >= 0):
             raise ValueError("rel_tol must be nonnegative")
         if self.restarts < 1:
             raise ValueError("restarts must be positive")
@@ -81,27 +81,22 @@ class SolveReport:
     run_seed: int = 0
 
 
-def _svd_factor(design: np.ndarray):
-    return np.linalg.svd(design, full_matrices=False)
-
-
-def _svd_apply(svd_parts, target: np.ndarray, rank_tolerance: float) -> np.ndarray:
+def _svd_apply(svd_parts, target: np.ndarray) -> np.ndarray:
     u, s, vt = svd_parts
     if s.size == 0 or s[0] <= 0.0:
         return np.zeros(u.shape[0])
-    keep = s > rank_tolerance * s[0]
+    keep = s > _RANK_TOLERANCE * s[0]
     if not np.any(keep):
         return np.zeros(u.shape[0])
     coeff = (vt[keep] @ target) / s[keep]
     return u[:, keep] @ coeff
 
 
-def min_norm_solve(design: np.ndarray, target: np.ndarray,
-                   rank_tolerance: float = _RANK_TOLERANCE) -> np.ndarray:
+def min_norm_solve(design: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Minimum-norm solution x of min || design^T x - target ||_2.
 
     Uses the SVD of the k x t design, zeroing singular values at or below
-    rank_tolerance times the largest.  For a full-rank design this equals
+    1e-10 times the largest.  For a full-rank design this equals
     the normal-equations solution (design design^T)^{-1} design target;
     for a rank-deficient one it picks the shortest minimizer, with the
     all-zero design mapping to the zero vector.
@@ -112,9 +107,7 @@ def min_norm_solve(design: np.ndarray, target: np.ndarray,
         raise ValueError("design must be k x t and target of length t")
     if not (np.all(np.isfinite(design)) and np.all(np.isfinite(target))):
         raise ValueError("non-finite input")
-    if rank_tolerance < 0:
-        raise ValueError("rank_tolerance must be nonnegative")
-    return _svd_apply(_svd_factor(design), target, rank_tolerance)
+    return _svd_apply(np.linalg.svd(design, full_matrices=False), target)
 
 
 def _grid_system(inst, gv: GroupedFactor):
@@ -155,18 +148,17 @@ def update_rows(inst, gv: GroupedFactor, S: np.ndarray | None,
         designs = [sketched_design(Z, w, S) for w in weights]
         targets = targets @ S.T
     parents = inst.row_parents()
-    factored = [_svd_factor(d) for d in designs]
+    factored = [np.linalg.svd(d, full_matrices=False) for d in designs]
     rows = np.empty((inst.wa_rows.num_groups, Z.shape[0]))
     for g in range(rows.shape[0]):
-        rows[g] = _svd_apply(factored[parents[g]], targets[g], _RANK_TOLERANCE)
+        rows[g] = _svd_apply(factored[parents[g]], targets[g])
     return GroupedFactor(index=inst.wa_rows, rows=rows)
 
 
 def update_cols(inst, gu: GroupedFactor, S: np.ndarray | None,
                 opts: SolveOptions) -> GroupedFactor:
     """One column half-sweep; the row update applied to the transposed instance."""
-    rows = update_rows(inst.transposed(), gu, S, opts).rows
-    return GroupedFactor(index=inst.wa_cols, rows=rows)
+    return update_rows(inst.transposed(), gu, S, opts)
 
 
 def row_certificates(inst, grouped_u: GroupedFactor, gv: GroupedFactor) -> np.ndarray:
@@ -270,6 +262,5 @@ def _solve_single(inst, opts: SolveOptions, run_seed: int, t: int | None):
 
     report.final_cost, gu, gv = best
     report.regressions_solved = sum(report.regressions_per_half_sweep)
-    gv = GroupedFactor(index=inst.wa_cols, rows=gv.rows)  # off the transposed side's index
     fact = Factorization(U=gu.expand(), V=gv.expand(), grouped_u=gu, grouped_v=gv)
     return fact, report

@@ -38,15 +38,15 @@ class BoundParams:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be positive")
-        if self.gamma < 0:
-            raise ValueError("gamma must be nonnegative")
+        if not (0 <= self.gamma < math.inf):
+            raise ValueError("gamma must be finite and nonnegative")
         if self.k < 1:
             raise ValueError("k must be positive")
         if self.r < 1:
             raise ValueError("r must be positive")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        if self.c_exp <= 0 or self.c_poly <= 0:
+        if not (0 < self.eps < math.inf):
+            raise ValueError("eps must be finite and positive")
+        if not (self.c_exp > 0 and self.c_poly > 0):
             raise ValueError("constants must be positive")
 
 

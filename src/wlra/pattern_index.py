@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,10 +26,12 @@ _AXES = (ROWS, COLS)
 class PatternIndex:
     """Partition of row (or column) indices into groups of identical vectors.
 
+    A partition does not record which direction it groups: the same object
+    serves as the row partition of an instance and the column partition of
+    its transpose.
+
     Attributes
     ----------
-    axis : str
-        "rows" or "cols"; which direction of the keyed matrix was grouped.
     group_of : ndarray of int64, shape (n,)
         Group id for each index.  Ids are assigned by order of first
         appearance, so they are deterministic.
@@ -39,7 +41,6 @@ class PatternIndex:
         Group cardinalities; they sum to n.
     """
 
-    axis: str
     group_of: np.ndarray
     representatives: np.ndarray
     sizes: np.ndarray
@@ -54,8 +55,6 @@ class PatternIndex:
 
     def validate(self) -> None:
         """Raise ValueError if the partition invariants are violated."""
-        if self.axis not in _AXES:
-            raise ValueError(f"axis must be one of {_AXES}, got {self.axis!r}")
         g = self.num_groups
         if int(self.sizes.sum()) != self.n:
             raise ValueError("group sizes do not sum to n")
@@ -69,6 +68,22 @@ class PatternIndex:
         if not np.array_equal(firsts, self.representatives):
             raise ValueError("representatives are not the smallest members")
 
+    @classmethod
+    def from_labels(cls, labels: np.ndarray) -> "PatternIndex":
+        """The canonical partition whose groups are the classes of equal labels.
+
+        Groups are numbered by first appearance, whatever the label values.
+        """
+        labels = np.asarray(labels, dtype=np.int64)
+        _, first_idx, inverse = np.unique(labels, return_index=True, return_inverse=True)
+        order = np.argsort(first_idx, kind="stable")
+        rank = np.empty(order.shape[0], dtype=np.int64)
+        rank[order] = np.arange(order.shape[0], dtype=np.int64)
+        group_of = rank[inverse.ravel()]
+        representatives = first_idx[order].astype(np.int64)
+        sizes = np.bincount(group_of, minlength=order.shape[0]).astype(np.int64)
+        return cls(group_of=group_of, representatives=representatives, sizes=sizes)
+
     def refines(self, outer: "PatternIndex") -> bool:
         """True if every group of self lies inside a single group of outer."""
         if outer.n != self.n:
@@ -80,20 +95,6 @@ class PatternIndex:
 def _check_finite(values: np.ndarray) -> None:
     if not np.all(np.isfinite(values)):
         raise ValueError("matrix contains non-finite entries")
-
-
-def _index_from_labels(labels: np.ndarray, axis: str) -> PatternIndex:
-    """Canonicalize arbitrary integer labels into a first-appearance PatternIndex."""
-    labels = np.asarray(labels, dtype=np.int64)
-    _, first_idx, inverse = np.unique(labels, return_index=True, return_inverse=True)
-    order = np.argsort(first_idx, kind="stable")
-    rank = np.empty(order.shape[0], dtype=np.int64)
-    rank[order] = np.arange(order.shape[0], dtype=np.int64)
-    group_of = rank[inverse.ravel()]
-    representatives = first_idx[order].astype(np.int64)
-    sizes = np.bincount(group_of, minlength=order.shape[0]).astype(np.int64)
-    return PatternIndex(axis=axis, group_of=group_of,
-                        representatives=representatives, sizes=sizes)
 
 
 def detect_groups(M: np.ndarray, axis: str = ROWS) -> PatternIndex:
@@ -116,7 +117,7 @@ def detect_groups(M: np.ndarray, axis: str = ROWS) -> PatternIndex:
     if M.ndim != 2:
         raise ValueError("expected a 2-D matrix")
     (labels,) = _equality_labels(M, None, (axis,))
-    return _index_from_labels(labels, axis)
+    return PatternIndex.from_labels(labels)
 
 
 # Grouping: one blocked pass over the rows of W (and, for build_instance,
@@ -320,24 +321,21 @@ def _sorted_labels(vecs: tuple, idx: np.ndarray) -> np.ndarray:
 def _refined(outer: PatternIndex, inner: PatternIndex) -> PatternIndex:
     """The intersection of two partitions of the same index set."""
     combo = outer.group_of * np.int64(inner.num_groups) + inner.group_of
-    return _index_from_labels(combo, outer.axis)
+    return PatternIndex.from_labels(combo)
 
 
-def refine(outer: PatternIndex, inner_key: np.ndarray) -> PatternIndex:
-    """Intersect an existing partition with the equality classes of a key matrix.
+def refine(outer: PatternIndex, inner_key: np.ndarray, axis: str = ROWS) -> PatternIndex:
+    """Intersect a partition of the rows (or columns) with the classes of a key matrix.
 
-    The result always refines `outer`: two indices share a group iff they
+    outer partitions the index set that axis names in inner_key.  The
+    result always refines `outer`: two indices share a group iff they
     shared one in `outer` and their key vectors are equal.  Used to split
     the weight-pattern groups by the masked-target pattern.
     """
-    inner = detect_groups(inner_key, outer.axis)
+    inner = detect_groups(inner_key, axis)
     if inner.n != outer.n:
         raise ValueError(f"partition length {outer.n} does not match key length {inner.n}")
     return _refined(outer, inner)
-
-
-def _flip(idx: PatternIndex) -> PatternIndex:
-    return replace(idx, axis=COLS if idx.axis == ROWS else ROWS)
 
 
 @dataclass(eq=False)
@@ -349,8 +347,7 @@ class StructuredInstance:
     four partitions and two small grids determine the problem exactly:
     `weights` holds one W value per weight block and `targets` one W*A
     value per refined block.  Nothing is n x n or n wide except the
-    partitions.  r is the weight-pattern count, p the per-group multiplier
-    (refined groups per weight group, rounded up).
+    partitions; r and p are derived from their group counts.
     """
 
     w_rows: PatternIndex
@@ -359,12 +356,20 @@ class StructuredInstance:
     wa_cols: PatternIndex
     weights: np.ndarray  # (w_rows.num_groups, w_cols.num_groups)
     targets: np.ndarray  # (wa_rows.num_groups, wa_cols.num_groups)
-    r: int
-    p: int
 
     @property
     def n(self) -> int:
         return self.w_rows.n
+
+    @property
+    def r(self) -> int:
+        """The weight-pattern count: the larger of the weight group counts."""
+        return max(self.w_rows.num_groups, self.w_cols.num_groups)
+
+    @property
+    def p(self) -> int:
+        """Refined groups per weight pattern, rounded up, so r * p bounds both refined counts."""
+        return max(1, math.ceil(max(self.wa_rows.num_groups, self.wa_cols.num_groups) / self.r))
 
     def row_parents(self) -> np.ndarray:
         """Weight-row group id of each refined row group."""
@@ -379,11 +384,10 @@ class StructuredInstance:
         return self.weights[np.ix_(self.row_parents(), self.col_parents())]
 
     def transposed(self) -> "StructuredInstance":
-        """The same problem with rows and columns exchanged (views, no copies)."""
+        """The same problem with rows and columns exchanged: the same partitions, grid views."""
         return StructuredInstance(
-            w_rows=_flip(self.w_cols), w_cols=_flip(self.w_rows),
-            wa_rows=_flip(self.wa_cols), wa_cols=_flip(self.wa_rows),
-            weights=self.weights.T, targets=self.targets.T, r=self.r, p=self.p)
+            w_rows=self.w_cols, w_cols=self.w_rows, wa_rows=self.wa_cols, wa_cols=self.wa_rows,
+            weights=self.weights.T, targets=self.targets.T)
 
     def validate(self) -> None:
         n = self.n
@@ -399,9 +403,6 @@ class StructuredInstance:
             raise ValueError("masked row groups do not refine weight row groups")
         if not self.wa_cols.refines(self.w_cols):
             raise ValueError("masked column groups do not refine weight column groups")
-        cap = self.r * self.p
-        if self.wa_rows.num_groups > cap or self.wa_cols.num_groups > cap:
-            raise ValueError("refined group count exceeds r*p")
 
 
 def build_instance(A: np.ndarray, W: np.ndarray) -> StructuredInstance:
@@ -409,9 +410,8 @@ def build_instance(A: np.ndarray, W: np.ndarray) -> StructuredInstance:
 
     Groups the rows and columns of W and of the masked target W*A in one
     pass over (A, W), forming W*A a row block at a time, refines each W
-    partition by the W*A one, reads one W value per weight block and one
-    W*A value per refined block, and records r = max of the weight group
-    counts and p = ceil(max refined count / r).
+    partition by the W*A one, and reads one W value per weight block and
+    one W*A value per refined block.
     """
     A = np.asarray(A, dtype=np.float64)
     W = np.asarray(W, dtype=np.float64)
@@ -420,17 +420,15 @@ def build_instance(A: np.ndarray, W: np.ndarray) -> StructuredInstance:
     if W.shape != A.shape:
         raise ValueError("W must match the shape of A")
     labels = _equality_labels(W, A, (ROWS, COLS))  # W rows, W cols, W*A rows, W*A cols
-    w_rows, w_cols = _index_from_labels(labels[0], ROWS), _index_from_labels(labels[1], COLS)
-    wa_rows = _refined(w_rows, _index_from_labels(labels[2], ROWS))
-    wa_cols = _refined(w_cols, _index_from_labels(labels[3], COLS))
-    r = max(w_rows.num_groups, w_cols.num_groups)
-    p = max(1, math.ceil(max(wa_rows.num_groups, wa_cols.num_groups) / r))
+    w_rows, w_cols = PatternIndex.from_labels(labels[0]), PatternIndex.from_labels(labels[1])
+    wa_rows = _refined(w_rows, PatternIndex.from_labels(labels[2]))
+    wa_cols = _refined(w_cols, PatternIndex.from_labels(labels[3]))
     cells = np.ix_(wa_rows.representatives, wa_cols.representatives)
     targets = W[cells]
     targets *= A[cells]
     inst = StructuredInstance(
         w_rows=w_rows, w_cols=w_cols, wa_rows=wa_rows, wa_cols=wa_cols,
         weights=W[np.ix_(w_rows.representatives, w_cols.representatives)],
-        targets=targets, r=r, p=p)
+        targets=targets)
     inst.validate()
     return inst

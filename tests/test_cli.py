@@ -303,12 +303,20 @@ BAD_INPUTS = [
     ("k_zero_missing_file", MISSING, ("--k", 0), 1, FILE_COMMANDS),
     ("eps_zero_missing_file", MISSING, ("--eps", 0), 1, FILE_COMMANDS),
     ("gamma_negative_missing_file", MISSING, ("--gamma", -1), 1, ("verify",)),
+    ("gamma_nan", _unchanged, ("--gamma", "nan"), 1, ("verify",)),
+    ("eps_nan", _unchanged, ("--eps", "nan"), 1, ("verify",)),
+    ("rel_tol_nan", _unchanged, ("--rel-tol", "nan"), 1, ("solve",)),
+    ("noise_inf", None, ("--noise", "inf"), 1, ("gen",)),
+    ("noise_nan", None, ("--noise", "nan"), 1, ("gen",)),
+    ("noise_overflowing_grid", None, ("--noise", "1e308"), 1, ("gen",)),
     ("rp_over_n", None, ("--sizes", 8, 16, "--r", 4, "--p", 4), 1, ("bench",)),
     ("size_zero", None, ("--sizes", 0), 1, ("bench",)),
     ("r_zero", None, ("--sizes", 8, "--r", 0), 1, ("bench",)),
 ]
 PARSER_ERRORS = ("unknown_flag", "threads_flag")  # argparse prints its usage line first
-FLAG_ERRORS = ("k_zero", "eps_zero", "gamma_negative")  # checked before the file is read
+# checked before the file is read (gen: before generating)
+FLAG_ERRORS = ("k_zero", "eps_zero", "gamma_negative", "gamma_nan", "eps_nan", "noise_inf",
+               "noise_nan")
 BAD_CASES = [(name, edit, extra, code, command)
              for name, edit, extra, code, commands in BAD_INPUTS for command in commands]
 
@@ -318,6 +326,8 @@ BAD_CASES = [(name, edit, extra, code, command)
 def test_bad_input_exit_codes(tmp_path, capsys, name, edit, extra, code, command):
     if command == "bench":
         args = ["bench", "--out", tmp_path / "bench.csv"]
+    elif command == "gen":
+        args = ["gen", "--n", 16, "--r", 2, "--p", 2, "--out", tmp_path / "gen.wlra"]
     else:
         path = tmp_path / f"{name}.wlra"
         if edit is not MISSING:
@@ -334,6 +344,8 @@ def test_bad_input_exit_codes(tmp_path, capsys, name, edit, extra, code, command
         assert err.startswith("error: ") and err.count("\n") == 1
     if name.startswith(FLAG_ERRORS):  # names the bad flag and nothing else
         assert extra[0].lstrip("-") in err and re.search(r"\br\b", err) is None
+    if command == "gen":
+        assert not (tmp_path / "gen.wlra").exists()
 
 
 # ---------------------------------------------------------------------------

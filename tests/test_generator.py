@@ -34,6 +34,9 @@ def test_invalid_specs():
         GenSpec(n=4, r=1, p=1, k_true=0)
     with pytest.raises(ValueError):
         GenSpec(n=4, r=1, p=1, k_true=1, noise_sigma=-0.5)
+    for sigma in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            GenSpec(n=4, r=1, p=1, k_true=1, noise_sigma=sigma)
     with pytest.raises(ValueError):
         GenSpec(n=4, r=1, p=1, k_true=1, weight_style="diagonal")
 

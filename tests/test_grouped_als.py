@@ -85,6 +85,12 @@ def test_min_norm_shape_errors():
         min_norm_solve(np.ones((2, 3)), np.ones(4))
 
 
+@pytest.mark.parametrize("field", ["eps", "rel_tol"])
+def test_options_reject_nan(field):
+    with pytest.raises(ValueError, match=field):
+        _opts(**{field: float("nan")})
+
+
 # ---------------------------------------------------------------------------
 # update_rows / update_cols
 

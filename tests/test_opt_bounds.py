@@ -88,6 +88,13 @@ def test_bound_params_validation():
         BoundParams(n=4, gamma=-0.1, k=1, r=1, eps=0.5)
     with pytest.raises(ValueError):
         BoundParams(n=4, gamma=0.0, k=1, r=1, eps=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="gamma"):
+            BoundParams(n=4, gamma=bad, k=1, r=1, eps=0.5)
+        with pytest.raises(ValueError, match="eps"):
+            BoundParams(n=4, gamma=0.0, k=1, r=1, eps=bad)
+    with pytest.raises(ValueError, match="constants"):
+        BoundParams(n=4, gamma=0.0, k=1, r=1, eps=0.5, c_exp=math.nan)
 
 
 def test_default_gamma():

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from wlra import (GenSpec, build_instance, detect_groups, generate,
                   generate_attention_mask, generate_compressed, refine)
 from wlra import pattern_index
-from wlra.pattern_index import PatternIndex
+from wlra.pattern_index import PatternIndex, StructuredInstance
 
 from oracles import brute_force_groups
 
@@ -41,7 +42,6 @@ def test_cols_axis():
     M = np.array([[1.0, 2.0, 1.0],
                   [3.0, 4.0, 3.0]])
     idx = detect_groups(M, "cols")
-    assert idx.axis == "cols"
     assert idx.num_groups == 2
     assert list(idx.group_of) == [0, 1, 0]
 
@@ -119,22 +119,25 @@ def test_refine_singleton_outer_unchanged():
 
 
 def test_refine_planted_blocks():
+    # Both axes in one test: the cols case is the rows case transposed.
     n = 16
-    outer_key = np.repeat(np.array([[1.0, 0.0], [0.0, 1.0]]), n // 2, axis=0)
-    inner_key = np.tile(np.repeat(np.array([[2.0], [3.0]]), n // 4, axis=0), (2, 1))
-    outer = detect_groups(outer_key, "rows")
-    out = refine(outer, inner_key)
-    assert out.num_groups == 4
-    assert list(out.sizes) == [n // 4] * 4
-    assert out.refines(outer)
-    # brute force: groups are intersections of outer and key classes
-    key_groups, _ = brute_force_groups(inner_key, "rows", 0.0)
-    for i in range(n):
-        for j in range(n):
-            same = out.group_of[i] == out.group_of[j]
-            expect = (outer.group_of[i] == outer.group_of[j]
-                      and key_groups[i] == key_groups[j])
-            assert same == expect
+    row_outer = np.repeat(np.array([[1.0, 0.0], [0.0, 1.0]]), n // 2, axis=0)
+    row_inner = np.tile(np.repeat(np.array([[2.0], [3.0]]), n // 4, axis=0), (2, 1))
+    for axis, outer_key, inner_key in (("rows", row_outer, row_inner),
+                                       ("cols", row_outer.T, row_inner.T)):
+        outer = detect_groups(outer_key, axis)
+        out = refine(outer, inner_key, axis)
+        assert out.num_groups == 4
+        assert list(out.sizes) == [n // 4] * 4
+        assert out.refines(outer)
+        # brute force: groups are intersections of outer and key classes
+        key_groups, _ = brute_force_groups(inner_key, axis, 0.0)
+        for i in range(n):
+            for j in range(n):
+                same = out.group_of[i] == out.group_of[j]
+                expect = (outer.group_of[i] == outer.group_of[j]
+                          and key_groups[i] == key_groups[j])
+                assert same == expect
 
 
 def test_refine_length_mismatch():
@@ -179,6 +182,14 @@ def test_build_instance_generator_round_trip():
     assert inst.wa_cols.refines(inst.w_cols)
 
 
+def test_r_and_p_derived_from_group_counts():
+    W = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
+    inst = build_instance(np.arange(1.0, 10.0).reshape(3, 3), W)
+    counts = [idx.num_groups for idx in (inst.w_rows, inst.w_cols, inst.wa_rows, inst.wa_cols)]
+    assert counts == [2, 1, 3, 3]
+    assert (inst.r, inst.p) == (2, 2)  # p rounds 3 / 2 up
+
+
 def test_build_instance_shape_errors():
     with pytest.raises(ValueError):
         build_instance(np.ones((2, 3)), np.ones((2, 3)))
@@ -194,15 +205,14 @@ def test_build_instance_shape_errors():
     ([1, 0], [0, 1], [1, 1], "representatives are not the smallest members"),
 ])
 def test_validate_messages(group_of, reps, sizes, message):
-    idx = PatternIndex(axis="rows", group_of=np.array(group_of),
-                       representatives=np.array(reps), sizes=np.array(sizes))
+    idx = PatternIndex(group_of=np.array(group_of), representatives=np.array(reps),
+                       sizes=np.array(sizes))
     with pytest.raises(ValueError, match=message):
         idx.validate()
 
 
 def test_validate_catches_bad_representatives():
-    idx = PatternIndex(axis="rows",
-                       group_of=np.array([0, 0, 1]),
+    idx = PatternIndex(group_of=np.array([0, 0, 1]),
                        representatives=np.array([1, 2]),
                        sizes=np.array([2, 1]))
     with pytest.raises(ValueError):
@@ -217,7 +227,6 @@ def test_transpose_involution_and_compress_parity():
     assert np.array_equal(back.targets, inst.targets)
     assert np.array_equal(back.weights, inst.weights)
     assert np.array_equal(back.wa_rows.group_of, inst.wa_rows.group_of)
-    assert back.wa_rows.axis == "rows" and back.wa_cols.axis == "cols"
 
     flipped = build_instance(A.T, W.T)
     for got, want in ((inst.transposed(), flipped), (generate_compressed(spec), inst)):
@@ -226,7 +235,35 @@ def test_transpose_involution_and_compress_parity():
         assert np.array_equal(got.targets, want.targets)
         for f in ("w_rows", "w_cols", "wa_rows", "wa_cols"):
             assert np.array_equal(getattr(got, f).group_of, getattr(want, f).group_of)
-            assert getattr(got, f).axis == getattr(want, f).axis
+
+
+def test_transposed_swaps_the_same_partitions():
+    inst = build_instance(*generate(GenSpec(n=24, r=3, p=2, k_true=2, noise_sigma=0.1, seed=9)))
+    flipped = inst.transposed()
+    assert flipped.w_rows is inst.w_cols and flipped.w_cols is inst.w_rows
+    assert flipped.wa_rows is inst.wa_cols and flipped.wa_cols is inst.wa_rows
+    assert (flipped.r, flipped.p) == (inst.r, inst.p)
+
+
+def test_generate_compressed_shares_its_partitions():
+    inst = generate_compressed(GenSpec(n=24, r=3, p=2, k_true=2, seed=9))
+    assert inst.w_rows is inst.w_cols
+    assert inst.wa_rows is inst.wa_cols
+
+
+def test_instance_is_four_partitions_and_two_grids():
+    assert [f.name for f in dataclasses.fields(PatternIndex)] == [
+        "group_of", "representatives", "sizes"]
+    assert [f.name for f in dataclasses.fields(StructuredInstance)] == [
+        "w_rows", "w_cols", "wa_rows", "wa_cols", "weights", "targets"]
+
+
+def test_from_labels_numbers_groups_by_first_appearance():
+    idx = PatternIndex.from_labels(np.array([7, 3, 7, 5, 3]))
+    idx.validate()
+    assert list(idx.group_of) == [0, 1, 0, 2, 1]
+    assert list(idx.representatives) == [0, 1, 3]
+    assert list(idx.sizes) == [2, 2, 1]
 
 
 # ---------------------------------------------------------------------------
