@@ -18,10 +18,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .generator import GenSpec, WEIGHT_STYLES, generate, generate_compressed
+from .generator import GenSpec, TiledMatrix, WEIGHT_STYLES, generate_compressed, generate_tiled
 from .grouped_als import SolveOptions, solve
 from .opt_bounds import BoundParams, default_gamma, iteration_budget, lower_bound_log2, upper_bound
-from .pattern_index import build_instance
+# build_instance is not called here: solve and verify detect while reading.
+# It stays importable from this module, where the benchmark's tracer wraps it.
+from .pattern_index import BlockDetector, build_instance  # noqa: F401
 
 _MAGIC = b"WLRA"
 _VERSION = 1
@@ -37,53 +39,90 @@ CSV_HEADER = "n,r,p,k,eps,sweep,wall_s,cost,regressions,seed"
 # Instance file format
 
 
-def write_instance(path, A: np.ndarray, W: np.ndarray, sidecar=None) -> None:
+def _write_rows(f, M) -> None:
+    """M to an open file as <f8 in C order, a block of rows at a time.
+
+    M is an array, or anything with a shape whose row slices are arrays.
+    """
+    step = max(1, _WRITE_BLOCK_BYTES // (8 * max(1, M.shape[1])))
+    for lo in range(0, M.shape[0], step):
+        f.write(np.ascontiguousarray(M[lo:lo + step], dtype="<f8"))
+
+
+def write_instance(path, A, W, sidecar=None) -> None:
     """Write the binary instance file: header, A, W, optional group side-car.
 
     Each matrix goes to the file in C order a block of rows at a time, so
-    no whole-matrix copy is made whatever the layout of A and W.
+    no whole-matrix copy is made whatever the layout of A and W; they may
+    also be TiledMatrix objects, which are never expanded whole.
     """
-    A = np.asarray(A, dtype="<f8")
-    W = np.asarray(W, dtype="<f8")
+    A, W = (M if isinstance(M, TiledMatrix) else np.asarray(M, dtype="<f8") for M in (A, W))
     n = A.shape[0]
     flags = _FLAG_W_DENSE | (_FLAG_SIDECAR if sidecar is not None else 0)
     with open(path, "wb") as f:
         f.write(_HEADER.pack(_MAGIC, _VERSION, n, flags))
-        for M in (A, W):
-            step = max(1, _WRITE_BLOCK_BYTES // (M.itemsize * max(1, M.shape[1])))
-            for lo in range(0, M.shape[0], step):
-                f.write(np.ascontiguousarray(M[lo:lo + step]))
+        _write_rows(f, A)
+        _write_rows(f, W)
         for arr in sidecar if sidecar is not None else ():
             f.write(np.ascontiguousarray(arr, dtype="<u4"))
+
+
+def _read_header(f):
+    """(n, flags) from the header of an open instance file.
+
+    Raises ValueError on a short header, bad magic bytes or an unknown
+    version.
+    """
+    head = f.read(_HEADER.size)
+    if len(head) < _HEADER.size:
+        raise ValueError("truncated instance file")
+    magic, version, n, flags = _HEADER.unpack(head)
+    if magic != _MAGIC:
+        raise ValueError("bad magic bytes")
+    if version != _VERSION:
+        raise ValueError(f"unsupported version {version}")
+    return n, flags
+
+
+def _check_length(f, n: int, flags: int) -> int:
+    """The file's length; raises ValueError unless it is what the header says."""
+    matrices = 1 + (1 if flags & _FLAG_W_DENSE else 0)
+    expected = _HEADER.size + 8 * n * n * matrices
+    if flags & _FLAG_SIDECAR:
+        expected += 4 * 4 * n
+    if os.fstat(f.fileno()).st_size != expected:
+        raise ValueError("payload length does not match header")
+    return expected
+
+
+def _read_exact(f, out: np.ndarray, offset: int) -> np.ndarray:
+    """Fill the C-contiguous array out with the file's little-endian values from offset on."""
+    view = memoryview(out).cast("B")
+    f.seek(offset)
+    while view.nbytes:
+        got = f.readinto(view)
+        if not got:
+            raise OSError("instance file ended before its payload did")
+        view = view[got:]
+    if not np.little_endian:  # out holds native values
+        out.byteswap(inplace=True)
+    return out
 
 
 def read_instance(path):
     """Read an instance file; returns (A, W, sidecar or None).
 
-    The file is read once into an uninitialised buffer; A, W and the
+    The payload is read once into an uninitialised buffer; A, W and the
     side-car are views into it, not copies.  A clear W-present flag is
     read as an all-ones weight matrix.  Raises ValueError on any
     structural corruption, OSError on I/O failure.
     """
-    with open(path, "rb") as f:
-        buf = np.empty(os.fstat(f.fileno()).st_size, dtype=np.uint8)
-        buf = buf[:f.readinto(buf)]
-    if len(buf) < _HEADER.size:
-        raise ValueError("truncated instance file")
-    magic, version, n, flags = _HEADER.unpack_from(buf, 0)
-    if magic != _MAGIC:
-        raise ValueError("bad magic bytes")
-    if version != _VERSION:
-        raise ValueError(f"unsupported version {version}")
-    matrices = 1 + (1 if flags & _FLAG_W_DENSE else 0)
-    expected = _HEADER.size + 8 * n * n * matrices
-    if flags & _FLAG_SIDECAR:
-        expected += 4 * 4 * n
-    if len(buf) != expected:
-        raise ValueError("payload length does not match header")
-    off = _HEADER.size
-    A = np.frombuffer(buf, "<f8", n * n, off).reshape(n, n)
-    off += 8 * n * n
+    with open(path, "rb", buffering=0) as f:
+        n, flags = _read_header(f)
+        size = _check_length(f, n, flags)
+        buf = _read_exact(f, np.empty(size - _HEADER.size, dtype=np.uint8), _HEADER.size)
+    A = np.frombuffer(buf, "<f8", n * n, 0).reshape(n, n)
+    off = 8 * n * n
     if flags & _FLAG_W_DENSE:
         W = np.frombuffer(buf, "<f8", n * n, off).reshape(n, n)
         off += 8 * n * n
@@ -93,6 +132,38 @@ def read_instance(path):
     if flags & _FLAG_SIDECAR:
         sidecar = [np.frombuffer(buf, "<u4", n, off + 4 * n * i) for i in range(4)]
     return A, W, sidecar
+
+
+def _stream_instance(f, n: int, flags: int):
+    """The StructuredInstance of an open, length-checked instance file, and its side-car.
+
+    Detects while reading: each row block of W and of A is read from its
+    offset straight into a block buffer of one BlockDetector, and W*A is
+    formed in A's, so the file is read once and never held whole.  Raises
+    ValueError on a non-finite entry.
+    """
+    det = BlockDetector(n, n)
+    row_bytes, w_dense = 8 * n, bool(flags & _FLAG_W_DENSE)
+    w_start = _HEADER.size + row_bytes * n
+    for lo in range(0, n, det.block_rows):
+        rows = min(det.block_rows, n - lo)
+
+        def w_block(out):
+            if not w_dense:
+                out.fill(1.0)
+                return out
+            return _read_exact(f, out, w_start + row_bytes * lo)
+
+        def wa_block(w, out):
+            return np.multiply(w, _read_exact(f, out, _HEADER.size + row_bytes * lo), out=out)
+
+        det.feed(rows, w_block, wa_block)
+    inst = det.instance()
+    sidecar = None
+    if flags & _FLAG_SIDECAR:
+        side_start = w_start + (row_bytes * n if w_dense else 0)
+        sidecar = list(_read_exact(f, np.empty((4, n), dtype=np.uint32), side_start))
+    return inst, sidecar
 
 
 def _sidecar_of(inst):
@@ -124,13 +195,42 @@ def _report_csv_lines(report, n, r, p, k, eps):
         ])
 
 
-def _build(A, W):
-    """The instance's structure, or None after reporting bad numeric input."""
+class _Exit(Exception):
+    """Ends a subcommand: the message goes to standard error, the code is its exit code."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
+def _load(path, k: int | None = None):
+    """(instance, side-car or None, upper bound) of an instance file, detected while reading.
+
+    The header is checked first, then k (a flag error, exit 1, if above the
+    header's n), then the file length, all before any block is read.  A
+    non-finite entry, or a weighted target whose squared norm overflows,
+    makes the instance invalid (exit 2).
+    """
     try:
-        return build_instance(A, W)
-    except ValueError as e:  # non-finite entries
-        _err(f"invalid instance: {e}")
-        return None
+        with open(path, "rb", buffering=0) as f:
+            n, flags = _read_header(f)
+            if k is not None and k > n:
+                raise _Exit(1, f"k={k} exceeds n={n}")
+            _check_length(f, n, flags)
+            try:
+                inst, sidecar = _stream_instance(f, n, flags)
+            except ValueError as e:  # non-finite entries
+                raise _Exit(2, f"invalid instance: {e}") from None
+    except (OSError, ValueError) as e:
+        raise _Exit(2, str(e)) from None
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = upper_bound(inst)
+    except OverflowError:  # math.fsum of finite terms whose sum overflows
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise _Exit(2, "invalid instance: the weighted target's squared norm overflows")
+    return inst, sidecar, bound
 
 
 def _check_assumed(inst, args) -> bool:
@@ -156,7 +256,7 @@ def cmd_gen(args) -> int:
         _err(str(e))
         return 1
     try:
-        A, W = generate(spec)
+        A, W = generate_tiled(spec)  # expanded a row block at a time while writing
         inst = generate_compressed(spec)  # the partitions of (A, W), for the side-car
     except ValueError as e:  # a grid that overflows
         _err(f"the planted grids overflow: {e}")
@@ -181,18 +281,7 @@ def cmd_solve(args) -> int:
     except ValueError as e:
         _err(str(e))
         return 1
-    try:
-        A, W, _ = read_instance(args.infile)
-    except (OSError, ValueError) as e:
-        _err(str(e))
-        return 2
-    n = A.shape[0]
-    if args.k > n:
-        _err(f"k={args.k} exceeds n={n}")
-        return 1
-    inst = _build(A, W)
-    if inst is None:
-        return 2
+    inst, _, _ = _load(args.infile, args.k)
     if not _check_assumed(inst, args):
         return 1
     fact, report = solve(inst, opts)
@@ -201,11 +290,12 @@ def cmd_solve(args) -> int:
     print(f"bracket [2^{_fmt(lower_log2)}, {_fmt(upper)}]")
     try:
         if args.out_factors:
-            payload = (np.ascontiguousarray(fact.U).astype("<f8").tobytes()
-                       + np.ascontiguousarray(fact.V).astype("<f8").tobytes())
-            Path(args.out_factors).write_bytes(payload)
+            with open(args.out_factors, "wb") as f:
+                _write_rows(f, fact.U)
+                _write_rows(f, fact.V)
         if args.out_report:
-            lines = [CSV_HEADER, *_report_csv_lines(report, n, inst.r, inst.p, args.k, args.eps)]
+            lines = [CSV_HEADER, *_report_csv_lines(report, inst.n, inst.r, inst.p, args.k,
+                                                    args.eps)]
             Path(args.out_report).write_text("\n".join(lines) + "\n")
     except OSError as e:
         _err(str(e))
@@ -283,14 +373,7 @@ def cmd_verify(args) -> int:
     except ValueError as e:
         _err(str(e))
         return 1
-    try:
-        A, W, sidecar = read_instance(args.infile)
-    except (OSError, ValueError) as e:
-        _err(str(e))
-        return 2
-    inst = _build(A, W)
-    if inst is None:
-        return 2
+    inst, sidecar, bound = _load(args.infile)
     if not _check_assumed(inst, args):
         return 1
     gamma = default_gamma(inst.n) if args.gamma is None else args.gamma
@@ -301,7 +384,7 @@ def cmd_verify(args) -> int:
     print(f"p {inst.p}")
     print(f"wa_rows_groups {inst.wa_rows.num_groups}")
     print(f"wa_cols_groups {inst.wa_cols.num_groups}")
-    print(f"upper_bound {_fmt(upper_bound(inst))}")
+    print(f"upper_bound {_fmt(bound)}")
     print(f"lower_bound_log2 {_fmt(lower)}")
     if math.isinf(lower):
         print("iteration_budget overflow")
@@ -390,7 +473,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Exit as e:
+        _err(str(e))
+        return e.code
 
 
 def console() -> None:

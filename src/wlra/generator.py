@@ -133,6 +133,38 @@ def generate(spec: GenSpec):
     return A, W
 
 
+@dataclass(frozen=True, eq=False)
+class TiledMatrix:
+    """grid[row_ids][:, col_ids], expanded a block of rows at a time.
+
+    shape and row slicing are all it offers: M[lo:hi] is a fresh C-ordered
+    array equal to those rows of the expanded matrix.
+    """
+
+    grid: np.ndarray
+    row_ids: np.ndarray
+    col_ids: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.row_ids.shape[0], self.col_ids.shape[0]
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return np.take(self.grid[self.row_ids[rows]], self.col_ids, axis=1)
+
+
+def generate_tiled(spec: GenSpec) -> tuple[TiledMatrix, TiledMatrix]:
+    """The planted (A, W) of generate(spec), as matrices expanded a row block at a time.
+
+    Their rows equal generate(spec)'s entry for entry, but no n x n array
+    is formed, so a writer can stream an instance of any size.
+    """
+    gw, ga, _, _ = _accepted_grids(spec)
+    wband = _band_ids(spec.n, spec.r)
+    aband = _sub_band_ids(spec.n, spec.r, spec.p)
+    return TiledMatrix(ga, aband, aband), TiledMatrix(gw, wband, wband)
+
+
 def generate_compressed(spec: GenSpec) -> StructuredInstance:
     """The same planted instance straight from its grids, in O(n) memory.
 

@@ -92,8 +92,8 @@ class PatternIndex:
         return bool(np.array_equal(expected, outer.group_of))
 
 
-def _check_finite(values: np.ndarray) -> None:
-    if not np.all(np.isfinite(values)):
+def _check_finite(values: np.ndarray, scratch: np.ndarray) -> None:
+    if not np.isfinite(values, out=scratch).all():
         raise ValueError("matrix contains non-finite entries")
 
 
@@ -116,104 +116,54 @@ def detect_groups(M: np.ndarray, axis: str = ROWS) -> PatternIndex:
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2:
         raise ValueError("expected a 2-D matrix")
-    (labels,) = _equality_labels(M, None, (axis,))
-    return PatternIndex.from_labels(labels)
+    (M,), flipped = _in_memory_order(M)
+    rows = (axis == ROWS) != flipped
+    det = BlockDetector(*M.shape, masked=False, rows=rows, cols=not rows)
+    for lo in range(0, M.shape[0], det.block_rows):
+        block = M[lo:lo + det.block_rows]
+        det.feed(block.shape[0], lambda out: block)
+    return (det.row_partitions() if rows else det.col_partitions())[0]
 
 
-# Grouping: one blocked pass over the rows of W (and, for build_instance,
-# of A, forming W*A a block at a time) hashes every row and column of each
-# matrix; a second pass checks every vector against the first vector with
-# its hash; then only the vectors that stand for themselves (one per hash
-# value, plus any that failed the check) are sorted exactly.  The result is
-# the exact equality partition whatever the hash returns; the hash only
-# decides how much work the exact sort gets.  A matrix is a tuple of
-# factors, (W,) or (W, A), whose entry-wise product it is.
-
-_BLOCK_BYTES = 1 << 18  # a quarter MiB of rows at a time stays in cache
-_MIX_SHIFT = np.uint64(29)
-
-
-def _equality_labels(W: np.ndarray, A: np.ndarray | None, axes) -> list[np.ndarray]:
-    """Labels of the entry-wise equality classes of the vectors of W and W*A.
-
-    W*A is grouped only if A is given.  Returns one label array per
-    (matrix, axis) pair: W along each of axes, then W*A along each.
-    Raises ValueError on an empty index set or a non-finite entry of W or
-    W*A.
-    """
-    mats, flipped = _in_memory_order(W, A)
-    across = [(axis == COLS) != flipped for axis in axes]
-    if any(mats[0][0].shape[1 if a else 0] == 0 for a in across):
-        raise ValueError("cannot group an empty index set")
-    refs = [[_first_with_hash(h) for h in per_mat] for per_mat in _hash_pass(mats, across)]
-    labels = []
-    for factors, per_ref, per_ok in zip(mats, refs, _check_pass(mats, across, refs)):
-        for a, ref, ok in zip(across, per_ref, per_ok):
-            if ok is not None:
-                ref[~ok] = np.flatnonzero(~ok)
-            own = np.flatnonzero(ref == np.arange(ref.shape[0]))
-            vec_labels = np.empty(ref.shape[0], dtype=np.int64)
-            vec_labels[own] = _sorted_labels(tuple(f.T for f in factors) if a else factors, own)
-            labels.append(vec_labels[ref])
-    return labels
-
-
-def _in_memory_order(W: np.ndarray, A: np.ndarray | None):
-    """The matrices [(W,)] or [(W,), (W, A)] in C order, and whether they are transposed.
+def _in_memory_order(*mats: np.ndarray):
+    """mats in C order, and whether they are transposed.
 
     Fortran-ordered inputs (what generate() returns) are read as their
-    C-ordered transposes, so their vectors swap axes; any other layout is
-    copied once into C order.
+    C-ordered transposes, so their rows and columns swap; any other layout
+    is copied once into C order.
     """
-    given = (W,) if A is None else (W, A)
     flipped = False
-    if not all(m.flags.c_contiguous for m in given):
-        flipped = all(m.T.flags.c_contiguous for m in given)
-        given = tuple(m.T if flipped else np.ascontiguousarray(m) for m in given)
-    return ([given] if A is None else [given[:1], given]), flipped
+    if not all(m.flags.c_contiguous for m in mats):
+        flipped = all(m.T.flags.c_contiguous for m in mats)
+        mats = tuple(m.T if flipped else np.ascontiguousarray(m) for m in mats)
+    return mats, flipped
 
 
-def _block_rows(mat: np.ndarray) -> int:
-    """Rows per block, so a block of mat takes at most about _BLOCK_BYTES."""
-    return max(1, min(mat.shape[0], _BLOCK_BYTES // (mat.itemsize * max(1, mat.shape[1]))))
+# Grouping: BlockDetector takes the row blocks of W (and of W*A) in order,
+# once each, and keeps the classes of equal rows and of equal columns of
+# each matrix seen so far.
+# - Rows: a row's keyed hash finds the first class with that hash, and the
+#   row is compared entry-wise with the first row of that class, which is
+#   stored.  A row that differs (a collision) walks the chain of classes
+#   with its hash, and starts a class if none matches.  At the end the
+#   stored rows are sorted exactly, so classes of equal rows merge even if
+#   the hash kept them apart.
+# - Columns: no hash.  Each block compares every column's slice with the
+#   slice of its class's first column; only the columns that differ leave
+#   their class, split by an exact sort on (class, slice).  Two columns
+#   share a class only if they are equal in every block.
+# The result is the exact equality partition whatever the hash returns; the
+# hash only decides how many comparisons a row takes.  The detector holds
+# two block buffers, one stored row per row class and O(n) labels.
+
+_BLOCK_BYTES = 1 << 18  # a quarter MiB of rows at a time stays in cache
+_PARENT_MIX = np.uint64(0x9E3779B97F4A7C15)  # odd: spreads parent ids over the hash
+_LOW, _HIGH = (0, 1) if np.little_endian else (1, 0)  # 32-bit halves of a float64
 
 
-def _buffer(mat: np.ndarray, dtype=np.float64) -> np.ndarray:
-    # A block-sized array that every block reuses: a fresh array per block
-    # costs page faults that take longer than the arithmetic on it.
-    return np.empty((_block_rows(mat), mat.shape[1]), dtype=dtype)
-
-
-def _product(factors: tuple, index, out: np.ndarray | None = None) -> np.ndarray:
-    """The entries at index of the entry-wise product of factors.
-
-    Formed in out if given; a single factor's entries are returned as they
-    are (a view for a slice index).
-    """
-    block = factors[0][index]
-    for f in factors[1:]:
-        block = np.multiply(block, f[index], out=out)
-    return block
-
-
-def _gathered_rows(factors: tuple, rows: np.ndarray, out: np.ndarray,
-                   spare: np.ndarray) -> np.ndarray:
-    """Rows `rows` of the entry-wise product of factors, formed in out."""
-    # mode="clip" lets take write straight into out (the indices are valid)
-    np.take(factors[0], rows, axis=0, out=out, mode="clip")
-    for f in factors[1:]:
-        out *= np.take(f, rows, axis=0, out=spare, mode="clip")
-    return out
-
-
-def _row_blocks(mats: list):
-    """(lo, hi, blocks): rows lo:hi of each matrix, products formed per block."""
-    n_rows, step = mats[0][0].shape[0], _block_rows(mats[0][0])
-    bufs = [_buffer(factors[0]) if len(factors) > 1 else None for factors in mats]
-    for lo in range(0, n_rows, step):
-        hi = min(lo + step, n_rows)
-        yield lo, hi, [_product(factors, slice(lo, hi), None if buf is None else buf[:hi - lo])
-                       for factors, buf in zip(mats, bufs)]
+def _block_rows(n_rows: int, n_cols: int) -> int:
+    """Rows per block, so a block of float64 takes at most about _BLOCK_BYTES."""
+    return max(1, min(n_rows, _BLOCK_BYTES // (8 * max(1, n_cols))))
 
 
 @functools.lru_cache(maxsize=8)
@@ -226,95 +176,258 @@ def _hash_key(length: int) -> np.ndarray:
     return key
 
 
-def _hash_pass(mats: list, across: list) -> list[list[np.ndarray]]:
-    """Pass 1: keyed hash sum_j mix(bits_j) * key_j mod 2^64 of every vector.
+def _row_hashes(block: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Keyed hash sum_j mix(bits_j) * key_j mod 2^64 of every row of block.
 
-    Returns, per matrix, one hash array per axis: the C-ordered rows
-    (bits @ key) or, where across, the columns (key[lo:hi] @ bits summed
-    over row blocks).  bits_j are the IEEE bits of entry j with -0.0
-    folded into +0.0, mixed once per block for both axes.  Small integers
-    and 0/1 values have 52 trailing zero bits; the shift-xor mix moves
-    high bits down, so the products keep most of their 64 bits.  Integer
-    sums wrap, so equal vectors hash equal in any summation order.
-    Raises ValueError on a non-finite entry, checked while the block is hot.
+    bits_j are the IEEE bits of entry j with -0.0 folded into +0.0, formed
+    in scratch.  The mix x ^ (x >> 32) xors each entry's high half into its
+    low half in place: small integers and 0/1 values have 52 trailing zero
+    bits, and moving the high bits down keeps most of the products' 64 bits.
+    Integer sums wrap, so equal rows hash equal.
     """
-    n_rows, n_cols = mats[0][0].shape
-    key = _hash_key(max(n_rows, n_cols))
-    hashes = [[np.zeros(n_cols if a else n_rows, dtype=np.uint64) for a in across]
-              for _ in mats]
-    folded, shifted = _buffer(mats[0][0]), _buffer(mats[0][0], np.uint64)
-    for lo, hi, blocks in _row_blocks(mats):
-        _check_finite(blocks[-1])  # W*A is non-finite wherever W is
-        for block, per_mat in zip(blocks, hashes):
-            bits = np.add(block, 0.0, out=folded[:hi - lo]).view(np.uint64)  # folds -0.0
-            bits ^= np.right_shift(bits, _MIX_SHIFT, out=shifted[:hi - lo])
-            for a, out in zip(across, per_mat):
-                if a:
-                    out += key[lo:hi] @ bits
-                else:
-                    out[lo:hi] = bits @ key[:n_cols]
-    return hashes
+    bits = np.add(block, 0.0, out=scratch)  # folds -0.0
+    halves = bits.view(np.uint32).reshape(*bits.shape, 2)
+    np.bitwise_xor(halves[..., _LOW], halves[..., _HIGH], out=halves[..., _LOW])
+    return bits.view(np.uint64) @ _hash_key(bits.shape[1])
 
 
-def _first_with_hash(hashes: np.ndarray) -> np.ndarray:
-    """Index of the first vector with each vector's hash."""
-    _, first, candidate = np.unique(hashes, return_index=True, return_inverse=True)
-    return first[candidate.ravel()]
+class _RowClasses:
+    """Classes of equal rows of one matrix, fed a row block at a time.
 
-
-def _check_pass(mats: list, across: list, refs: list) -> list[list]:
-    """Pass 2: True where vector i equals vector ref[i] entry-wise.
-
-    Per matrix, one result per axis; None where every vector is its own
-    reference, and no pass at all if that holds everywhere.  Products are
-    formed again block by block; a row is compared with the product row of
-    its reference, a column with its reference in the same block.
+    Each class stores its first row.  Rows may come with their parents,
+    their classes in a coarser partition; two rows then share a class only
+    if their parents are equal too.
     """
-    ok = [[np.ones(ref.shape[0], dtype=bool) if np.any(ref != np.arange(ref.shape[0])) else None
-           for ref in per_ref] for per_ref in refs]
-    if all(good is None for per_ok in ok for good in per_ok):
-        return ok
-    gathered, spare = _buffer(mats[0][0]), _buffer(mats[0][0])
-    for lo, hi, blocks in _row_blocks(mats):
-        for factors, block, per_ref, per_ok in zip(mats, blocks, refs, ok):
-            for a, ref, good in zip(across, per_ref, per_ok):
-                if good is None:
-                    continue
-                if a:
-                    other = np.take(block, ref, axis=1, out=gathered[:hi - lo], mode="clip")
-                    good &= (block == other).all(axis=0)
-                else:
-                    other = _gathered_rows(factors, ref[lo:hi], gathered[:hi - lo], spare[:hi - lo])
-                    good[lo:hi] = (block == other).all(axis=1)
-    return ok
+
+    def __init__(self, n_rows: int, n_cols: int):
+        self.labels = np.empty(n_rows, dtype=np.int64)
+        self.rows = np.empty((min(n_rows, 8), n_cols))
+        self.parents = np.empty(self.rows.shape[0], dtype=np.int64)
+        self.count = 0
+        self._first: dict[int, int] = {}          # hash -> the first class with it
+        self._later: dict[int, list[int]] = {}    # hash -> the classes after the first
+        self._pending = None  # (hashes, classes) the last block started, not yet in _first:
+        #                       a matrix of one block never builds the dict
+
+    def _add(self, block: np.ndarray, rows: np.ndarray, parents: np.ndarray | None) -> np.ndarray:
+        """Ids of new classes whose first rows are block[rows]."""
+        lo, hi = self.count, self.count + rows.shape[0]
+        if hi > self.rows.shape[0]:  # grow by doubling
+            grown = np.empty((max(hi, 2 * self.rows.shape[0]), self.rows.shape[1]))
+            grown[:lo] = self.rows[:lo]
+            self.rows = grown
+            self.parents = np.concatenate([self.parents[:lo], np.empty(grown.shape[0] - lo,
+                                                                        dtype=np.int64)])
+        np.take(block, rows, axis=0, out=self.rows[lo:hi], mode="clip")
+        self.parents[lo:hi] = 0 if parents is None else parents[rows]
+        self.count = hi
+        return np.arange(lo, hi)
+
+    def feed(self, block: np.ndarray, lo: int, parents: np.ndarray | None,
+             scratch: np.ndarray, same: np.ndarray) -> None:
+        """Label rows lo:lo+len(block); scratch and same are block-shaped buffers."""
+        hashes = _row_hashes(block, scratch)
+        if parents is not None:
+            hashes ^= parents.astype(np.uint64) * _PARENT_MIX
+        self._index_pending()
+        if self.count:
+            labels = np.array([self._first.get(h, -1) for h in hashes.tolist()], dtype=np.int64)
+            new = np.flatnonzero(labels < 0)
+        else:
+            labels, new = np.empty(block.shape[0], dtype=np.int64), np.arange(block.shape[0])
+        founders = 0
+        if new.shape[0]:
+            # Rows whose hash no class has start classes in bulk: one per
+            # hash value, its first row.
+            keys, first, inverse = np.unique(hashes[new], return_index=True, return_inverse=True)
+            ids = self._add(block, new[first], parents)
+            labels[new] = ids[inverse.ravel()]
+            self._pending = keys, ids  # indexed when a later row needs them
+            founders = ids.shape[0]
+        if founders < block.shape[0]:
+            # Every row is compared with the first class of its hash.
+            reps = np.take(self.rows, labels, axis=0, out=scratch, mode="clip")
+            ok = np.equal(block, reps, out=same).all(axis=1)
+            if parents is not None:
+                ok &= self.parents[labels] == parents
+            self._index_pending()
+            for i in np.flatnonzero(~ok).tolist():
+                labels[i] = self._collided(block, i, parents, int(hashes[i]))
+        self.labels[lo:lo + block.shape[0]] = labels
+
+    def _index_pending(self) -> None:
+        if self._pending is not None:
+            self._first.update(zip(*(a.tolist() for a in self._pending)))
+            self._pending = None
+
+    def _collided(self, block: np.ndarray, i: int, parents: np.ndarray | None, key: int) -> int:
+        """The class of row i of block, which differs from the first class with its hash."""
+        later = self._later.setdefault(key, [])
+        for c in later:
+            if (parents is None or self.parents[c] == parents[i]) and np.array_equal(
+                    self.rows[c], block[i]):
+                return c
+        later.append(int(self._add(block, np.array([i]), parents)[0]))
+        return later[-1]
+
+    def class_labels(self, parent_labels: np.ndarray | None = None) -> np.ndarray:
+        """One label per class, equal for classes whose rows (and parents' labels) are equal.
+
+        parent_labels labels the parent classes; without it the parents are
+        ignored.  Label rows with class_labels()[labels].
+        """
+        initial = None if parent_labels is None else parent_labels[self.parents[:self.count]]
+        return _sorted_labels(self.rows[:self.count], np.arange(self.count), initial)
+
+    def grid(self, rows: PatternIndex, cols: PatternIndex) -> np.ndarray:
+        """Entries (first row of each group of rows, first column of each group of cols)."""
+        # A group's first row is the first row of the class that holds it.
+        return self.rows[np.ix_(self.labels[rows.representatives], cols.representatives)]
 
 
-def _sorted_labels(vecs: tuple, idx: np.ndarray) -> np.ndarray:
-    """Exact equality classes of the vectors idx of the product of vecs, by sorting.
+class _ColClasses:
+    """Classes of equal columns of one matrix, fed a row block at a time.
 
-    vecs are factors whose rows are the vectors.  Sorts (class so far,
-    next coordinates) keys over a prefix of the coordinates that doubles
-    each round, and drops a vector once its class is a singleton, so
-    distinct vectors are usually told apart after a few coordinates and no
-    coordinate is read twice.
+    Each class is represented by its first column.  Every block compares
+    each column with its representative's slice; the columns that differ
+    leave their class, split by an exact sort on (class, slice).
     """
-    m = vecs[0].shape[1]
-    labels = np.zeros(idx.shape[0], dtype=np.int64)
+
+    def __init__(self, n_cols: int):
+        self.labels = np.zeros(n_cols, dtype=np.int64)
+        self.firsts = np.zeros(1, dtype=np.int64)  # first column of each class
+        self._reps = self.firsts[self.labels]      # each column's representative
+
+    def feed(self, block: np.ndarray, scratch: np.ndarray, same: np.ndarray) -> None:
+        if self.firsts.shape[0] >= self.labels.shape[0]:
+            return  # every column is alone in its class
+        reps = np.take(block, self._reps, axis=1, out=scratch, mode="clip")
+        moved = np.flatnonzero(~np.equal(block, reps, out=same).all(axis=0))
+        if moved.shape[0] == 0:
+            return
+        split = _sorted_labels(block.T, moved, self.labels[moved])
+        _, first, inverse = np.unique(split, return_index=True, return_inverse=True)
+        self.labels[moved] = self.firsts.shape[0] + inverse.ravel()
+        self.firsts = np.concatenate([self.firsts, moved[first]])
+        self._reps = self.firsts[self.labels]
+
+
+class BlockDetector:
+    """The group structure of W and W*A, detected from their row blocks.
+
+    feed() takes consecutive row blocks of W and, if masked, of W*A, from
+    the first row on, each at most block_rows rows.  After the last block,
+    row_partitions(), col_partitions() and instance() give the exact
+    equality partitions, as build_instance() defines them.  Raises
+    ValueError on a non-finite entry of the last matrix fed (W*A is
+    non-finite wherever W is), or on an empty index set.
+
+    Holds two block buffers, one stored row per row class of each matrix
+    (n wide) and O(n) labels; the grids are read from the stored rows.
+    """
+
+    def __init__(self, n_rows: int, n_cols: int, masked: bool = True,
+                 rows: bool = True, cols: bool = True):
+        if (rows and n_rows == 0) or (cols and n_cols == 0):
+            raise ValueError("cannot group an empty index set")
+        self.block_rows = _block_rows(n_rows, n_cols)
+        self._buffers = (np.empty((self.block_rows, n_cols)), np.empty((self.block_rows, n_cols)))
+        self._same = np.empty((self.block_rows, n_cols), dtype=bool)
+        self._lo = 0
+        mats = 2 if masked else 1
+        self._rows = [_RowClasses(n_rows, n_cols) for _ in range(mats)] if rows else []
+        self._cols = [_ColClasses(n_cols) for _ in range(mats)] if cols else []
+
+    def feed(self, rows: int, w_block, wa_block=None) -> None:
+        """Take the next `rows` rows: w_block(out) gives W's, wa_block(w, out) W*A's.
+
+        out is a (rows, n_cols) buffer of the detector's.  w_block fills and
+        returns it, or returns the caller's own block of W; wa_block fills it
+        with W*A given the block of W, and returns it.  The W*A block is
+        formed only after W's block has been grouped, so the two buffers
+        serve as each other's scratch and no third block is held.
+        """
+        lo, first, second = self._lo, self._buffers[0][:rows], self._buffers[1][:rows]
+        W = w_block(first)
+        if wa_block is None:
+            _check_finite(W, self._same[:rows])
+        self._group(0, W, lo, None, second)
+        if wa_block is not None:
+            WA = wa_block(W, second)
+            _check_finite(WA, self._same[:rows])  # W*A is non-finite wherever W is
+            parents = self._rows[0].labels[lo:lo + rows] if self._rows else None
+            self._group(1, WA, lo, parents, first)
+        self._lo = lo + rows
+
+    def _group(self, mat: int, block: np.ndarray, lo: int, parents, scratch: np.ndarray) -> None:
+        same = self._same[:block.shape[0]]
+        if self._rows:
+            self._rows[mat].feed(block, lo, parents, scratch, same)
+        if self._cols:
+            self._cols[mat].feed(block, scratch, same)
+
+    def row_partitions(self) -> list[PatternIndex]:
+        """The row partitions of W and, if masked, of W*A refined by W."""
+        classes = self._rows[0].class_labels()
+        parts = [PatternIndex.from_labels(classes[self._rows[0].labels])]
+        if len(self._rows) > 1:
+            refined = self._rows[1].class_labels(classes)
+            parts.append(PatternIndex.from_labels(refined[self._rows[1].labels]))
+        return parts
+
+    def col_partitions(self) -> list[PatternIndex]:
+        """The column partitions of W and, if masked, of W*A refined by W."""
+        parts = [PatternIndex.from_labels(self._cols[0].labels)]
+        if len(self._cols) > 1:
+            parts.append(_refined(parts[0], PatternIndex.from_labels(self._cols[1].labels)))
+        return parts
+
+    def instance(self, transposed: bool = False) -> "StructuredInstance":
+        """The validated instance of a masked detection (of its transpose if transposed)."""
+        w_rows, wa_rows = self.row_partitions()
+        w_cols, wa_cols = self.col_partitions()
+        weights = self._rows[0].grid(w_rows, w_cols)
+        targets = self._rows[1].grid(wa_rows, wa_cols)
+        if transposed:
+            w_rows, w_cols, wa_rows, wa_cols = w_cols, w_rows, wa_cols, wa_rows
+            weights, targets = np.ascontiguousarray(weights.T), np.ascontiguousarray(targets.T)
+        inst = StructuredInstance(w_rows=w_rows, w_cols=w_cols, wa_rows=wa_rows,
+                                  wa_cols=wa_cols, weights=weights, targets=targets)
+        inst.validate()
+        return inst
+
+
+_SORT_ENTRIES = 1 << 12  # coordinates a round of the exact sort reads, past its first
+
+
+def _sorted_labels(vecs: np.ndarray, idx: np.ndarray,
+                   labels: np.ndarray | None = None) -> np.ndarray:
+    """Exact equality classes of the rows idx of vecs, within classes of labels.
+
+    Sorts (class so far, next coordinates) keys over a prefix of the
+    coordinates that doubles each round, and drops a vector once its class
+    is a singleton, so distinct vectors are usually told apart after a few
+    coordinates and no coordinate is read twice.  A round reads at most
+    about _SORT_ENTRIES coordinates, which bounds its memory when many
+    equal vectors stay in play.  labels (nonnegative, one per idx; all
+    equal if None) are the classes to start from.
+    """
+    m = vecs.shape[1]
+    labels = np.zeros(idx.shape[0], dtype=np.int64) if labels is None else labels.copy()
     active = np.arange(idx.shape[0])
-    next_label, lo, width = 1, 0, 1
+    next_label, lo, width = int(labels.max(initial=0)) + 1, 0, 1
     while active.shape[0] > 1 and lo < m:
         hi = min(m, lo + width)
         keys = np.empty((active.shape[0], 1 + hi - lo), dtype=np.uint64)
         keys[:, 0] = labels[active]
-        coords = _product(vecs, (idx[active], slice(lo, hi))) + 0.0  # folds -0.0
-        keys[:, 1:] = coords.view(np.uint64)
+        np.add(vecs[idx[active], lo:hi], 0.0, out=keys[:, 1:].view(np.float64))  # folds -0.0
         byte_rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
         _, inverse, counts = np.unique(byte_rows, return_inverse=True, return_counts=True)
         inverse = inverse.ravel()
         labels[active] = next_label + inverse
         next_label += counts.shape[0]
         active = active[counts[inverse] > 1]
-        lo, width = hi, 2 * width
+        lo, width = hi, max(1, min(2 * width, _SORT_ENTRIES // max(1, active.shape[0])))
     return labels
 
 
@@ -408,10 +521,10 @@ class StructuredInstance:
 def build_instance(A: np.ndarray, W: np.ndarray) -> StructuredInstance:
     """Detect the full group structure of a weighted instance and take its grids.
 
-    Groups the rows and columns of W and of the masked target W*A in one
-    pass over (A, W), forming W*A a row block at a time, refines each W
-    partition by the W*A one, and reads one W value per weight block and
-    one W*A value per refined block.
+    Feeds (W, W*A) to one BlockDetector a row block at a time, W*A formed
+    in one of its block buffers: it groups the rows and columns of W and of W*A,
+    refines each W partition by the W*A one, and reads one W value per
+    weight block and one W*A value per refined block.
     """
     A = np.asarray(A, dtype=np.float64)
     W = np.asarray(W, dtype=np.float64)
@@ -419,16 +532,9 @@ def build_instance(A: np.ndarray, W: np.ndarray) -> StructuredInstance:
         raise ValueError("A must be square")
     if W.shape != A.shape:
         raise ValueError("W must match the shape of A")
-    labels = _equality_labels(W, A, (ROWS, COLS))  # W rows, W cols, W*A rows, W*A cols
-    w_rows, w_cols = PatternIndex.from_labels(labels[0]), PatternIndex.from_labels(labels[1])
-    wa_rows = _refined(w_rows, PatternIndex.from_labels(labels[2]))
-    wa_cols = _refined(w_cols, PatternIndex.from_labels(labels[3]))
-    cells = np.ix_(wa_rows.representatives, wa_cols.representatives)
-    targets = W[cells]
-    targets *= A[cells]
-    inst = StructuredInstance(
-        w_rows=w_rows, w_cols=w_cols, wa_rows=wa_rows, wa_cols=wa_cols,
-        weights=W[np.ix_(w_rows.representatives, w_cols.representatives)],
-        targets=targets)
-    inst.validate()
-    return inst
+    (W, A), flipped = _in_memory_order(W, A)
+    det = BlockDetector(*W.shape)
+    for lo in range(0, W.shape[0], det.block_rows):
+        w, a = W[lo:lo + det.block_rows], A[lo:lo + det.block_rows]
+        det.feed(w.shape[0], lambda out: w, lambda w_rows, out: np.multiply(w_rows, a, out=out))
+    return det.instance(transposed=flipped)

@@ -1,11 +1,15 @@
 import re
 import struct
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from wlra import GenSpec, build_instance, generate
+from wlra import GenSpec, SolveOptions, build_instance, generate, generate_compressed, solve
+from wlra import cli
 from wlra.cli import CSV_HEADER, main, read_instance, write_instance
+from wlra.pattern_index import BlockDetector
 
 
 def run(args):
@@ -42,6 +46,18 @@ def test_gen_deterministic_bytes(tmp_path):
     a = _gen(tmp_path, "a.wlra", seed=3)
     b = _gen(tmp_path, "b.wlra", seed=3)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_gen_streams_the_bytes_of_the_dense_matrices(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_WRITE_BLOCK_BYTES", 100)  # many blocks per matrix
+    path = _gen(tmp_path, n=50, r=3, p=2, k_true=2, seed=4,
+                extra=("--noise", 0.2, "--style", "attention_block"))
+    spec = GenSpec(n=50, r=3, p=2, k_true=2, noise_sigma=0.2, weight_style="attention_block",
+                   seed=4)
+    A, W = generate(spec)
+    dense = tmp_path / "dense.wlra"
+    write_instance(dense, A, W, cli._sidecar_of(generate_compressed(spec)))
+    assert path.read_bytes() == dense.read_bytes()
 
 
 def test_gen_unwritable_path(tmp_path):
@@ -267,6 +283,13 @@ def _set_entry(matrix, i, j, value):
     return edit
 
 
+def _edits(*edits):
+    def edit(data):
+        for e in edits:
+            e(data)
+    return edit
+
+
 def _truncate(data):
     del data[-4:]
 
@@ -293,6 +316,13 @@ BAD_INPUTS = [
     ("nan_in_a", _set_entry(0, 1, 2, np.nan), (), 2, FILE_COMMANDS),
     ("inf_in_w", _set_entry(1, 3, 0, np.inf), (), 2, FILE_COMMANDS),
     ("truncated_payload", _truncate, (), 2, FILE_COMMANDS),
+    # finite entries whose squared norm overflows: one whose square is inf,
+    # and two whose squares are finite but whose sum is not
+    ("cost_overflow", _set_entry(0, 1, 2, 1e200), (), 2, FILE_COMMANDS),
+    ("cost_overflow_in_sum", _edits(_set_entry(0, 1, 2, 1.2e154), _set_entry(0, 3, 4, 1.2e154)),
+     (), 2, FILE_COMMANDS),
+    # judged from the header alone, before the (truncated) payload
+    ("k_over_header_n_truncated_payload", _truncate, ("--k", N_BAD + 1), 1, ("solve",)),
     ("bad_magic", _bad_magic, (), 2, FILE_COMMANDS),
     ("bad_version", _bad_version, (), 2, FILE_COMMANDS),
     ("unknown_flag", _unchanged, ("--bogus",), 1, FILE_COMMANDS),
@@ -338,7 +368,10 @@ def test_bad_input_exit_codes(tmp_path, capsys, name, edit, extra, code, command
             path.write_bytes(bytes(data))
         args = [command, "--in", path, "--k", 2]
     capsys.readouterr()
-    assert run([*args, *extra]) == code
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run([*args, *extra]) == code
+    assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err
     if name not in PARSER_ERRORS:  # one line, no traceback
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -346,6 +379,97 @@ def test_bad_input_exit_codes(tmp_path, capsys, name, edit, extra, code, command
         assert extra[0].lstrip("-") in err and re.search(r"\br\b", err) is None
     if command == "gen":
         assert not (tmp_path / "gen.wlra").exists()
+
+
+# ---------------------------------------------------------------------------
+# solve and verify detect while reading
+
+
+def _multi_block_file(tmp_path, n=200):
+    """An n x n instance file whose rows take more than one detection block."""
+    assert BlockDetector(n, n).block_rows < n
+    A, W = generate(GenSpec(n=n, r=4, p=2, k_true=2, noise_sigma=0.1, seed=3))
+    path = tmp_path / "blocks.wlra"
+    write_instance(path, A, W)
+    return path
+
+
+@pytest.mark.parametrize("matrix, value", [(0, np.nan), (1, np.inf)])
+@pytest.mark.parametrize("command", FILE_COMMANDS)
+def test_non_finite_entry_in_last_block_exits_2(tmp_path, capsys, matrix, value, command):
+    path = _multi_block_file(tmp_path)
+    n = 200
+    data = bytearray(path.read_bytes())
+    off = 16 + 8 * (n * n * matrix + n * (n - 1) + 7)  # row n - 1, column 7
+    data[off:off + 8] = struct.pack("<d", value)
+    path.write_bytes(bytes(data))
+    capsys.readouterr()
+    assert run([command, "--in", path, "--k", 2]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: invalid instance: matrix contains non-finite entries\n"
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+@pytest.mark.parametrize("command", FILE_COMMANDS)
+def test_payload_off_by_one_byte_exits_2_before_any_block(tmp_path, capsys, monkeypatch,
+                                                          delta, command):
+    path = _multi_block_file(tmp_path)
+    data = path.read_bytes()
+    path.write_bytes(data[:-1] if delta < 0 else data + b"\0")
+    reads = []
+    read = cli._read_exact
+
+    def spy(*args):
+        reads.append(args[2])
+        return read(*args)
+
+    monkeypatch.setattr(cli, "_read_exact", spy)
+    capsys.readouterr()
+    assert run([command, "--in", path, "--k", 2]) == 2
+    assert capsys.readouterr().err == "error: payload length does not match header\n"
+    assert reads == []
+
+
+def test_streamed_instance_equals_build_instance_of_the_read_file(tmp_path):
+    path = _multi_block_file(tmp_path)
+    A, W, sidecar = read_instance(path)
+    got, got_sidecar, bound = cli._load(path)
+    want = build_instance(A, W)
+    for name in ("w_rows", "w_cols", "wa_rows", "wa_cols"):
+        for field in ("group_of", "representatives", "sizes"):
+            assert np.array_equal(getattr(getattr(got, name), field),
+                                  getattr(getattr(want, name), field))
+    assert got.weights.tobytes() == want.weights.tobytes()
+    assert got.targets.tobytes() == want.targets.tobytes()
+    assert got_sidecar is None and sidecar is None
+    assert bound == pytest.approx(float(np.sum((W * A) ** 2)), rel=1e-12)
+
+
+def test_solve_holds_less_than_a_quarter_of_the_file(tmp_path, capsys):
+    path = _gen(tmp_path, n=512, r=4, p=2, k_true=2, seed=6)
+    args = ["solve", "--in", path, "--k", 2, "--out-factors", tmp_path / "f.bin",
+            "--out-report", tmp_path / "r.csv"]
+    assert run(args) == 0  # warm: caches and lazy imports
+    tracemalloc.start()
+    try:
+        assert run(args) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < path.stat().st_size / 4
+
+
+def test_factor_file_is_u_then_v_as_little_endian_rows(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_WRITE_BLOCK_BYTES", 64)  # a few rows per write
+    path = _gen(tmp_path, n=40, r=2, p=2, k_true=3, seed=12)
+    factors = tmp_path / "factors.bin"
+    assert run(["solve", "--in", path, "--k", 3, "--seed", 5, "--out-factors", factors]) == 0
+    inst, _, _ = cli._load(path)
+    fact, _ = solve(inst, SolveOptions(k=3, seed=5))
+    want = (np.ascontiguousarray(fact.U).astype("<f8").tobytes()
+            + np.ascontiguousarray(fact.V).astype("<f8").tobytes())
+    assert factors.read_bytes() == want
 
 
 # ---------------------------------------------------------------------------

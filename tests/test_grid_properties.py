@@ -7,9 +7,16 @@ from its dense matrices, and build_instance's one pass over (A, W) finds
 what detecting W's groups and refining them by W*A finds.
 """
 
+import struct
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from wlra import cli, pattern_index
+from wlra.cli import read_instance, write_instance
 from wlra import (WEIGHT_STYLES, GenSpec, GroupedFactor, SolveOptions, build_instance,
                   compress_factor, cost_dense, cost_grouped, cost_grouped_cols, detect_groups,
                   gaussian_sketch, generate, generate_compressed, refine, update_cols,
@@ -169,3 +176,32 @@ def test_build_instance_equals_detect_then_refine(n, weight_values, data, a_layo
     targets = WA[np.ix_(wa_rows.representatives, wa_cols.representatives)]
     assert inst.weights.tobytes() == weights.tobytes()
     assert inst.targets.tobytes() == targets.tobytes()
+
+
+def _instance_file(path, A, W):
+    """An instance file of A and W; W None writes no weights (read as all ones)."""
+    if W is not None:
+        write_instance(path, A, W)
+    else:
+        path.write_bytes(struct.pack("<4sHQH", b"WLRA", 1, A.shape[0], 0)
+                         + np.ascontiguousarray(A, dtype="<f8").tobytes())
+
+
+@SETTINGS
+@hypothesis.given(st.integers(1, 40), st.booleans(), st.sampled_from([1, 256, 1 << 18]),
+                  st.data())
+def test_file_streamed_instance_equals_build_instance_of_read(n, with_weights, block_bytes,
+                                                              data):
+    # 0/1 weights or none, +-0.0 in both matrices, one row per block up to
+    # the whole matrix in one: what solve and verify detect while reading
+    # the file is what build_instance finds on the matrices read from it.
+    flips = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))).random((2, n, n)) < 0.5
+    W = _laid_out(data.draw(_matrix(n, [0.0, 1.0])), "C", flips[0]) if with_weights else None
+    A = _laid_out(data.draw(_matrix(n, [-2.0, 0.0, 1.0, 3.0])), "C", flips[1])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "instance.wlra"
+        _instance_file(path, A, W)
+        want = build_instance(*read_instance(path)[:2])
+        with mock.patch.object(pattern_index, "_BLOCK_BYTES", block_bytes):
+            got, _, _ = cli._load(path)
+    _assert_same_instance(got, want)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 
 from wlra import (GenSpec, build_instance, detect_groups, generate,
                   generate_attention_mask, generate_compressed, refine)
-from wlra import pattern_index
+from wlra import cli, pattern_index
+from wlra.cli import write_instance
 from wlra.pattern_index import PatternIndex, StructuredInstance
 
 from oracles import brute_force_groups
@@ -292,24 +294,26 @@ def _assert_matches_oracle(M, axis):
 
 
 def _fake_hashes(values):
-    """A stand-in for the hash pass: values(count) for every vector set."""
-    def fake(mats, across):
-        n_rows, n_cols = mats[0][0].shape
-        return [[values(n_cols if a else n_rows) for a in across] for _ in mats]
+    """A stand-in for the row hash: values(count) for every block of rows."""
+    def fake(block, scratch):
+        return values(block.shape[0])
     return fake
 
 
+_FRESH = itertools.count()
+
 _FAKE_HASHES = {
     "constant": _fake_hashes(lambda count: np.zeros(count, dtype=np.uint64)),
-    "per_index": _fake_hashes(lambda count: np.arange(count, dtype=np.uint64)),
+    "per_index": _fake_hashes(
+        lambda count: np.fromiter(itertools.islice(_FRESH, count), np.uint64, count)),
 }
 
 
 @pytest.mark.parametrize("fake", sorted(_FAKE_HASHES))
 @pytest.mark.parametrize("seed", range(4))
 def test_exact_partition_whatever_the_hash(monkeypatch, fake, seed):
-    # constant: every vector collides; per_index: equal vectors never share a hash
-    monkeypatch.setattr(pattern_index, "_hash_pass", _FAKE_HASHES[fake])
+    # constant: every row collides; per_index: equal rows never share a hash
+    monkeypatch.setattr(pattern_index, "_row_hashes", _FAKE_HASHES[fake])
     M = _duplicated(seed, 30, 25, [0.0, 1.0, 2.0, -3.0, 0.25])
     for layout in _layouts(M):
         for axis in ("rows", "cols"):
@@ -320,16 +324,15 @@ def test_exact_partition_whatever_the_hash(monkeypatch, fake, seed):
 def test_exact_sort_keeps_apart_classes_split_early(monkeypatch, fake):
     # Two repeated vectors that differ only in their first entry both reach
     # the exact sort; its later rounds must not merge them again.
-    monkeypatch.setattr(pattern_index, "_hash_pass", _FAKE_HASHES[fake])
+    monkeypatch.setattr(pattern_index, "_row_hashes", _FAKE_HASHES[fake])
     M = np.array([[5.0, 1, 1, 1], [0, 1, 1, 1], [1, 1, 1, 1], [0, 1, 1, 1], [1, 1, 1, 1]])
     for layout in _layouts(M):
         _assert_matches_oracle(layout, "rows")
         _assert_matches_oracle(layout.T, "cols")
 
 
-def _assert_instance_matches_oracle(A, W):
-    """build_instance against the brute-force oracle: W classes, then W and W*A classes."""
-    inst = build_instance(A, W)
+def _assert_instance_matches_oracle(inst, A, W):
+    """inst against the brute-force oracle: W classes, then W and W*A classes."""
     inst.validate()
     WA = W * A
     want = {"w_rows": brute_force_groups(W, "rows", 0.0),
@@ -344,15 +347,51 @@ def _assert_instance_matches_oracle(A, W):
     assert inst.targets.tobytes() == WA[cells].tobytes()
 
 
+def _streamed(tmp_path, A, W):
+    """The instance that solve and verify detect while reading a file of (A, W)."""
+    path = tmp_path / "streamed.wlra"
+    write_instance(path, A, W)
+    inst, _, _ = cli._load(path)
+    return inst
+
+
 @pytest.mark.parametrize("fake", sorted(_FAKE_HASHES))
 @pytest.mark.parametrize("seed", range(4))
-def test_build_instance_exact_whatever_the_hash(monkeypatch, fake, seed):
-    monkeypatch.setattr(pattern_index, "_hash_pass", _FAKE_HASHES[fake])
+def test_build_instance_exact_whatever_the_hash(monkeypatch, tmp_path, fake, seed):
+    # The hash of a W*A row may even ignore the row's W class.
+    monkeypatch.setattr(pattern_index, "_row_hashes", _FAKE_HASHES[fake])
+    monkeypatch.setattr(pattern_index, "_PARENT_MIX", np.uint64(0))
     W = _duplicated(seed, 30, 30, [0.0, 1.0])
     A = _duplicated(seed + 100, 30, 30, [0.0, 1.0, 2.0, -3.0, 0.25])
     for a_layout in _layouts(A):
         for w_layout in _layouts(W):
-            _assert_instance_matches_oracle(a_layout, w_layout)
+            _assert_instance_matches_oracle(build_instance(a_layout, w_layout), a_layout, w_layout)
+    _assert_instance_matches_oracle(_streamed(tmp_path, A, W), A, W)
+
+
+@pytest.mark.parametrize("fake", sorted(_FAKE_HASHES))
+def test_equal_masked_rows_under_different_weight_rows_stay_apart(monkeypatch, tmp_path, fake):
+    # Every W*A row is [2, 0, 2, 0, 2, 0], but W has three row classes: the
+    # refined rows must keep them apart even when the hash ignores the W class.
+    monkeypatch.setattr(pattern_index, "_row_hashes", _FAKE_HASHES[fake])
+    monkeypatch.setattr(pattern_index, "_PARENT_MIX", np.uint64(0))
+    W = np.array([[1.0, 0, 1, 0, 1, 0], [1, 1, 1, 1, 1, 1], [1, 0, 1, 1, 1, 0]])[[0, 1, 2, 0, 1, 2]]
+    A = np.tile([2.0, 0, 2, 0, 2, 0], (6, 1))
+    for inst in (build_instance(A, W), _streamed(tmp_path, A, W)):
+        assert list(inst.wa_rows.group_of) == [0, 1, 2, 0, 1, 2]
+        _assert_instance_matches_oracle(inst, A, W)
+
+
+@pytest.mark.parametrize("fake", sorted(_FAKE_HASHES))
+def test_file_path_exact_whatever_the_hash_across_blocks(monkeypatch, tmp_path, fake):
+    # One row per block: every row meets the classes of the rows before it
+    # through the hash alone, and every column is split block by block.
+    monkeypatch.setattr(pattern_index, "_row_hashes", _FAKE_HASHES[fake])
+    monkeypatch.setattr(pattern_index, "_BLOCK_BYTES", 1)
+    W = _duplicated(11, 24, 24, [0.0, 1.0])
+    A = _duplicated(12, 24, 24, [0.0, 1.0, 2.0, -3.0, 0.25])
+    _assert_instance_matches_oracle(_streamed(tmp_path, A, W), A, W)
+    _assert_instance_matches_oracle(build_instance(A, W), A, W)
 
 
 def test_zero_width_vectors_form_one_group():
@@ -362,43 +401,38 @@ def test_zero_width_vectors_form_one_group():
         assert idx.num_groups == 1 and list(idx.sizes) == [5]
 
 
-def _row_hashes(W, A=None):
-    """The hash pass's values for the rows of W (and of W*A), in whatever layout W has."""
-    mats, flipped = pattern_index._in_memory_order(W, A)
-    return pattern_index._hash_pass(mats, [flipped])
-
-
 def test_layout_does_not_change_hashes():
-    M = _duplicated(3, 300, 200, [0.0, 1.0, -2.0])  # several blocks on each axis
-    for vecs in (M, M.T):
-        want = _row_hashes(np.ascontiguousarray(vecs))
-        got = _row_hashes(np.asfortranarray(vecs))
-        assert np.array_equal(got[0][0], want[0][0])
-    A = _duplicated(4, 300, 300, [0.0, 1.0, 0.5])
-    W = _duplicated(5, 300, 300, [0.0, 1.0])
-    for a, w in ((A, W), (A.T, W.T)):
-        want = _row_hashes(np.ascontiguousarray(w), np.ascontiguousarray(a))
-        got = _row_hashes(np.asfortranarray(w), np.asfortranarray(a))
-        assert all(np.array_equal(g[0], h[0]) for g, h in zip(got, want))
+    # A row's hash depends on its entries only: not on the layout of the
+    # block that holds it, the sign of its zeros, or where blocks begin.
+    M = _duplicated(3, 300, 200, [0.0, 1.0, -2.0])
+    scratch = np.empty(M.shape)
+    want = pattern_index._row_hashes(M + 0.0, scratch)  # every zero +0.0
+    for layout in _layouts(M):
+        assert np.array_equal(pattern_index._row_hashes(layout, scratch), want)
+    step = 7
+    blocks = [pattern_index._row_hashes(M[lo:lo + step], scratch[:M[lo:lo + step].shape[0]])
+              for lo in range(0, M.shape[0], step)]
+    assert np.array_equal(np.concatenate(blocks), want)
+    assert np.unique(want).shape[0] == np.unique(M, axis=0).shape[0]
 
 
-def test_no_collision_fallback_on_binary_and_small_integer_data(monkeypatch):
-    # No vector may fail its check against the first vector with its hash,
-    # and only one vector per group may reach the exact sort.
-    checks, handed = [], []
-    check, sort = pattern_index._check_pass, pattern_index._sorted_labels
+def test_no_collision_fallback_on_binary_and_small_integer_data(monkeypatch, tmp_path):
+    # No row may differ from the first class with its hash, and no two row
+    # classes may hold equal rows (which the final exact sort would merge).
+    collided, merged = [], []
+    collide, classes = pattern_index._RowClasses._collided, pattern_index._RowClasses.class_labels
 
-    def check_spy(mats, across, refs):
-        ok = check(mats, across, refs)
-        checks.extend(bool(good.all()) for per_ok in ok for good in per_ok if good is not None)
-        return ok
+    def collide_spy(self, *args):
+        collided.append(args)
+        return collide(self, *args)
 
-    def sort_spy(vecs, idx):
-        handed.append(idx.shape[0])
-        return sort(vecs, idx)
+    def classes_spy(self, *args):
+        labels = classes(self, *args)
+        merged.append(self.count - np.unique(labels).shape[0])
+        return labels
 
-    monkeypatch.setattr(pattern_index, "_check_pass", check_spy)
-    monkeypatch.setattr(pattern_index, "_sorted_labels", sort_spy)
+    monkeypatch.setattr(pattern_index._RowClasses, "_collided", collide_spy)
+    monkeypatch.setattr(pattern_index._RowClasses, "class_labels", classes_spy)
     rng = np.random.default_rng(5)
     base01 = rng.integers(0, 2, size=(24, 96)).astype(float)
     matrices = [
@@ -411,17 +445,14 @@ def test_no_collision_fallback_on_binary_and_small_integer_data(monkeypatch):
     for M in matrices:
         for layout in (M, np.asfortranarray(M)):
             for axis in ("rows", "cols"):
-                handed.clear()
-                idx = detect_groups(layout, axis)
-                assert handed == [idx.num_groups]
+                detect_groups(layout, axis)
     for style in ("block_mask01", "attention_block"):
         A, W = generate(GenSpec(n=256, r=4, p=3, k_true=2, weight_style=style, seed=2))
-        want = [detect_groups(M, axis).num_groups for M in (W, W * A) for axis in ("rows", "cols")]
-        for a, w in ((A, W), (np.ascontiguousarray(A), np.ascontiguousarray(W))):
-            handed.clear()
-            build_instance(a, w)
-            assert handed == want
-    assert checks and all(checks)
+        build_instance(A, W)
+        build_instance(np.ascontiguousarray(A), np.ascontiguousarray(W))
+        _streamed(tmp_path, A, W)
+    assert not collided
+    assert merged and not any(merged)
 
 
 # (name, entries (matrix, i, j, value) set in all-ones A and W)
