@@ -196,7 +196,11 @@ def _report_csv_lines(report, n, r, p, k, eps):
 
 
 class _Exit(Exception):
-    """Ends a subcommand: the message goes to standard error, the code is its exit code."""
+    """How a subcommand fails, raised where the failure is found.
+
+    main prints the message as one `error:` line and returns the code; an
+    OSError escaping a subcommand is reported the same way, with code 2.
+    """
 
     def __init__(self, code: int, message: str):
         super().__init__(message)
@@ -219,28 +223,18 @@ def _load(path, k: int | None = None):
             _check_length(f, n, flags)
             try:
                 inst, sidecar = _stream_instance(f, n, flags)
-            except ValueError as e:  # non-finite entries
+                return inst, sidecar, upper_bound(inst)
+            except ValueError as e:  # a non-finite entry or an overflowing norm
                 raise _Exit(2, f"invalid instance: {e}") from None
-    except (OSError, ValueError) as e:
+    except ValueError as e:  # a corrupt header or payload length
         raise _Exit(2, str(e)) from None
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            bound = upper_bound(inst)
-    except OverflowError:  # math.fsum of finite terms whose sum overflows
-        bound = math.inf
-    if not math.isfinite(bound):
-        raise _Exit(2, "invalid instance: the weighted target's squared norm overflows")
-    return inst, sidecar, bound
 
 
-def _check_assumed(inst, args) -> bool:
+def _check_assumed(inst, args) -> None:
     if args.assume_r is not None and inst.r != args.assume_r:
-        _err(f"detected r={inst.r} does not match assumed r={args.assume_r}")
-        return False
+        raise _Exit(1, f"detected r={inst.r} does not match assumed r={args.assume_r}")
     if args.assume_p is not None and inst.p != args.assume_p:
-        _err(f"detected p={inst.p} does not match assumed p={args.assume_p}")
-        return False
-    return True
+        raise _Exit(1, f"detected p={inst.p} does not match assumed p={args.assume_p}")
 
 
 # ---------------------------------------------------------------------------
@@ -253,22 +247,15 @@ def cmd_gen(args) -> int:
                        noise_sigma=args.noise, weight_style=args.style,
                        seed=args.seed)
     except ValueError as e:
-        _err(str(e))
-        return 1
+        raise _Exit(1, str(e)) from None
     try:
         A, W = generate_tiled(spec)  # expanded a row block at a time while writing
         inst = generate_compressed(spec)  # the partitions of (A, W), for the side-car
     except ValueError as e:  # a grid that overflows
-        _err(f"the planted grids overflow: {e}")
-        return 1
+        raise _Exit(1, f"the planted grids overflow: {e}") from None
     except (RuntimeError, MemoryError) as e:
-        _err(str(e) or "out of memory for a dense instance of this size")
-        return 2
-    try:
-        write_instance(args.out, A, W, _sidecar_of(inst))
-    except OSError as e:
-        _err(str(e))
-        return 2
+        raise _Exit(2, str(e) or "out of memory for a dense instance of this size") from None
+    write_instance(args.out, A, W, _sidecar_of(inst))
     print(f"wrote {args.out} n={inst.n} r={inst.r} p={inst.p}")
     return 0
 
@@ -279,27 +266,20 @@ def cmd_solve(args) -> int:
                             rel_tol=args.rel_tol, seed=args.seed,
                             restarts=args.restarts, sketchless=args.sketchless)
     except ValueError as e:
-        _err(str(e))
-        return 1
+        raise _Exit(1, str(e)) from None
     inst, _, _ = _load(args.infile, args.k)
-    if not _check_assumed(inst, args):
-        return 1
+    _check_assumed(inst, args)
     fact, report = solve(inst, opts)
     lower_log2, upper = report.bracket
     print(f"lambda {_fmt(report.final_cost)}")
     print(f"bracket [2^{_fmt(lower_log2)}, {_fmt(upper)}]")
-    try:
-        if args.out_factors:
-            with open(args.out_factors, "wb") as f:
-                _write_rows(f, fact.U)
-                _write_rows(f, fact.V)
-        if args.out_report:
-            lines = [CSV_HEADER, *_report_csv_lines(report, inst.n, inst.r, inst.p, args.k,
-                                                    args.eps)]
-            Path(args.out_report).write_text("\n".join(lines) + "\n")
-    except OSError as e:
-        _err(str(e))
-        return 2
+    if args.out_factors:
+        with open(args.out_factors, "wb") as f:
+            _write_rows(f, fact.U)
+            _write_rows(f, fact.V)
+    if args.out_report:
+        lines = [CSV_HEADER, *_report_csv_lines(report, inst.n, inst.r, inst.p, args.k, args.eps)]
+        Path(args.out_report).write_text("\n".join(lines) + "\n")
     return 0
 
 
@@ -321,18 +301,15 @@ def _fit_slope(sizes, medians):
 def cmd_bench(args) -> int:
     sizes = args.sizes
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        _err("sizes must be strictly ascending")
-        return 1
+        raise _Exit(1, "sizes must be strictly ascending")
     if args.trials < 1:
-        _err("trials must be positive")
-        return 1
+        raise _Exit(1, "trials must be positive")
     try:
         _ = SolveOptions(k=args.k, eps=args.eps, max_sweeps=args.sweeps)
         specs = [GenSpec(n=n, r=args.r, p=args.p, k_true=args.k, noise_sigma=0.0,
                          weight_style="block_random", seed=args.seed) for n in sizes]
     except ValueError as e:
-        _err(str(e))
-        return 1
+        raise _Exit(1, str(e)) from None
 
     rows = [CSV_HEADER]
     medians = []
@@ -343,8 +320,7 @@ def cmd_bench(args) -> int:
             try:
                 inst = generate_compressed(replace(spec, seed=run_seed))
             except RuntimeError as e:
-                _err(str(e))
-                return 1
+                raise _Exit(1, str(e)) from None
             opts = SolveOptions(k=args.k, eps=args.eps, max_sweeps=args.sweeps,
                                 rel_tol=0.0, seed=run_seed, restarts=1)
             _, report = solve(inst, opts)
@@ -353,12 +329,7 @@ def cmd_bench(args) -> int:
         medians.append(float(np.median(sweep_times)))
         print(f"size {n} median_sweep_s {medians[-1]:.6f}", file=sys.stderr)
 
-    try:
-        Path(args.out).write_text("\n".join(rows) + "\n")
-    except OSError as e:
-        _err(str(e))
-        return 2
-
+    Path(args.out).write_text("\n".join(rows) + "\n")
     slope = _fit_slope(sizes, medians)
     if slope is None:
         print("slope n/a")
@@ -371,11 +342,9 @@ def cmd_verify(args) -> int:
     try:  # the bound flags alone, before the file is read; n and r come from it
         BoundParams(n=1, gamma=args.gamma or 0.0, k=args.k, r=1, eps=args.eps)
     except ValueError as e:
-        _err(str(e))
-        return 1
+        raise _Exit(1, str(e)) from None
     inst, sidecar, bound = _load(args.infile)
-    if not _check_assumed(inst, args):
-        return 1
+    _check_assumed(inst, args)
     gamma = default_gamma(inst.n) if args.gamma is None else args.gamma
     params = BoundParams(n=inst.n, gamma=gamma, k=args.k, r=inst.r, eps=args.eps)
     lower = lower_bound_log2(params)
@@ -478,6 +447,9 @@ def main(argv=None) -> int:
     except _Exit as e:
         _err(str(e))
         return e.code
+    except OSError as e:  # I/O failure, exit 2 in every subcommand
+        _err(str(e))
+        return 2
 
 
 def console() -> None:

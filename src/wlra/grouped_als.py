@@ -85,9 +85,7 @@ def _svd_apply(svd_parts, target: np.ndarray) -> np.ndarray:
     u, s, vt = svd_parts
     if s.size == 0 or s[0] <= 0.0:
         return np.zeros(u.shape[0])
-    keep = s > _RANK_TOLERANCE * s[0]
-    if not np.any(keep):
-        return np.zeros(u.shape[0])
+    keep = s > _RANK_TOLERANCE * s[0]  # never empty: s[0] > 0 is kept
     coeff = (vt[keep] @ target) / s[keep]
     return u[:, keep] @ coeff
 
@@ -209,7 +207,8 @@ def solve(inst, opts: SolveOptions):
     the least cost in cost_per_sweep.  With restarts > 1 the whole
     procedure reruns from derived seeds and the best final cost wins.
     The achieved cost is always an upper bound on the optimum; the report
-    also carries the theoretical bracket.
+    also carries the theoretical bracket.  Raises ValueError if k exceeds n
+    or if the squared norm of W*A overflows (see upper_bound).
     """
     n = inst.n
     if opts.k > n:
@@ -218,20 +217,23 @@ def solve(inst, opts: SolveOptions):
     bracket = (lower_bound_log2(bparams), upper_bound(inst))
     t = None if opts.sketchless else sketch_dim(opts.k, opts.eps)
 
-    best_fact = None
-    best_report = None
+    best = None
     for restart in range(opts.restarts):
         run_seed = (opts.seed + _RESTART_STRIDE * restart) & MASK64
-        fact, report = _solve_single(inst, opts, run_seed, t)
-        if best_report is None or report.final_cost < best_report.final_cost:
-            best_fact, best_report = fact, report
-    best_report.bracket = bracket
-    return best_fact, best_report
+        gu, gv, report = _solve_single(inst, opts, run_seed, t)
+        if best is None or report.final_cost < best[2].final_cost:
+            best = gu, gv, report
+    gu, gv, report = best
+    report.bracket = bracket
+    return Factorization(U=gu.expand(), V=gv.expand(), grouped_u=gu, grouped_v=gv), report
 
 
 def _solve_single(inst, opts: SolveOptions, run_seed: int, t: int | None):
-    """One run from run_seed.  A column half-sweep is the row half-sweep of
-    the transposed instance, so each sweep runs one body on both sides."""
+    """(grouped U, grouped V, report) of one run from run_seed.
+
+    A column half-sweep is the row half-sweep of the transposed instance,
+    so each sweep runs one body on both sides.
+    """
     report = SolveReport(run_seed=run_seed)
     sides = (inst, inst.transposed())
     factors = [None, _init_factor(inst, run_seed, opts.k)]  # [U, V], grouped
@@ -262,5 +264,4 @@ def _solve_single(inst, opts: SolveOptions, run_seed: int, t: int | None):
 
     report.final_cost, gu, gv = best
     report.regressions_solved = sum(report.regressions_per_half_sweep)
-    fact = Factorization(U=gu.expand(), V=gv.expand(), grouped_u=gu, grouped_v=gv)
-    return fact, report
+    return gu, gv, report

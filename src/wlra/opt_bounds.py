@@ -58,10 +58,21 @@ def default_gamma(n: int) -> float:
 
 
 def upper_bound(inst) -> float:
-    """Cost of the zero factorization, a valid upper bound for every instance."""
+    """Cost of the zero factorization, a valid upper bound for every instance.
+
+    Raises ValueError if that cost, the squared norm of W*A, overflows a
+    float: no bound or cost of such an instance could be printed true.
+    """
     zero_u = GroupedFactor(index=inst.wa_rows, rows=np.zeros((inst.wa_rows.num_groups, 1)))
     zero_v = GroupedFactor(index=inst.wa_cols, rows=np.zeros((inst.wa_cols.num_groups, 1)))
-    return cost_grouped(inst, zero_u, zero_v)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = cost_grouped(inst, zero_u, zero_v)
+    except OverflowError:  # math.fsum of finite terms whose sum overflows
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise ValueError("the weighted target's squared norm overflows")
+    return bound
 
 
 def lower_bound_log2(params: BoundParams) -> float:

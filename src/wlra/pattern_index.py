@@ -159,6 +159,7 @@ def _in_memory_order(*mats: np.ndarray):
 _BLOCK_BYTES = 1 << 18  # a quarter MiB of rows at a time stays in cache
 _PARENT_MIX = np.uint64(0x9E3779B97F4A7C15)  # odd: spreads parent ids over the hash
 _LOW, _HIGH = (0, 1) if np.little_endian else (1, 0)  # 32-bit halves of a float64
+_UNSEEN = (-1,)  # the classes of a hash no row has had
 
 
 def _block_rows(n_rows: int, n_cols: int) -> int:
@@ -204,10 +205,7 @@ class _RowClasses:
         self.rows = np.empty((min(n_rows, 8), n_cols))
         self.parents = np.empty(self.rows.shape[0], dtype=np.int64)
         self.count = 0
-        self._first: dict[int, int] = {}          # hash -> the first class with it
-        self._later: dict[int, list[int]] = {}    # hash -> the classes after the first
-        self._pending = None  # (hashes, classes) the last block started, not yet in _first:
-        #                       a matrix of one block never builds the dict
+        self._classes: dict[int, list[int]] = {}  # hash -> the classes with it, oldest first
 
     def _add(self, block: np.ndarray, rows: np.ndarray, parents: np.ndarray | None) -> np.ndarray:
         """Ids of new classes whose first rows are block[rows]."""
@@ -229,9 +227,9 @@ class _RowClasses:
         hashes = _row_hashes(block, scratch)
         if parents is not None:
             hashes ^= parents.astype(np.uint64) * _PARENT_MIX
-        self._index_pending()
         if self.count:
-            labels = np.array([self._first.get(h, -1) for h in hashes.tolist()], dtype=np.int64)
+            labels = np.array([self._classes.get(h, _UNSEEN)[0] for h in hashes.tolist()],
+                              dtype=np.int64)
             new = np.flatnonzero(labels < 0)
         else:
             labels, new = np.empty(block.shape[0], dtype=np.int64), np.arange(block.shape[0])
@@ -242,7 +240,7 @@ class _RowClasses:
             keys, first, inverse = np.unique(hashes[new], return_index=True, return_inverse=True)
             ids = self._add(block, new[first], parents)
             labels[new] = ids[inverse.ravel()]
-            self._pending = keys, ids  # indexed when a later row needs them
+            self._classes.update((h, [c]) for h, c in zip(keys.tolist(), ids.tolist()))
             founders = ids.shape[0]
         if founders < block.shape[0]:
             # Every row is compared with the first class of its hash.
@@ -250,25 +248,19 @@ class _RowClasses:
             ok = np.equal(block, reps, out=same).all(axis=1)
             if parents is not None:
                 ok &= self.parents[labels] == parents
-            self._index_pending()
             for i in np.flatnonzero(~ok).tolist():
                 labels[i] = self._collided(block, i, parents, int(hashes[i]))
         self.labels[lo:lo + block.shape[0]] = labels
 
-    def _index_pending(self) -> None:
-        if self._pending is not None:
-            self._first.update(zip(*(a.tolist() for a in self._pending)))
-            self._pending = None
-
     def _collided(self, block: np.ndarray, i: int, parents: np.ndarray | None, key: int) -> int:
         """The class of row i of block, which differs from the first class with its hash."""
-        later = self._later.setdefault(key, [])
-        for c in later:
+        classes = self._classes[key]
+        for c in classes[1:]:
             if (parents is None or self.parents[c] == parents[i]) and np.array_equal(
                     self.rows[c], block[i]):
                 return c
-        later.append(int(self._add(block, np.array([i]), parents)[0]))
-        return later[-1]
+        classes.append(int(self._add(block, np.array([i]), parents)[0]))
+        return classes[-1]
 
     def class_labels(self, parent_labels: np.ndarray | None = None) -> np.ndarray:
         """One label per class, equal for classes whose rows (and parents' labels) are equal.

@@ -44,19 +44,19 @@ def keyed_normals(seed: int, stream: int, count: int) -> np.ndarray:
     return z[:count]
 
 
-def sketch_dim(k: int, eps: float, sketch_constant: float = 4.0) -> int:
-    """Sketch dimension t = ceil(c * k / eps), clamped to at least k + 1.
+SKETCH_CONSTANT = 4.0  # stands in for the constant hidden inside the O(k/eps) guarantee
 
-    eps must lie in (0, 0.5).  The constant is a tunable stand-in for the
-    one hidden inside the O(k/eps) guarantee.
+
+def sketch_dim(k: int, eps: float) -> int:
+    """Sketch dimension t = ceil(SKETCH_CONSTANT * k / eps), clamped to at least k + 1.
+
+    eps must lie in (0, 0.5).
     """
     if not (0.0 < eps < 0.5):
         raise ValueError("eps must lie in (0, 0.5)")
     if k < 1:
         raise ValueError("k must be positive")
-    if sketch_constant <= 0:
-        raise ValueError("sketch_constant must be positive")
-    return max(k + 1, math.ceil(sketch_constant * k / eps))
+    return max(k + 1, math.ceil(SKETCH_CONSTANT * k / eps))
 
 
 def gaussian_sketch(seed: int, t: int, n: int) -> np.ndarray:

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import re
 import struct
 import tracemalloc
@@ -246,6 +248,18 @@ def test_bench_rejects_unsorted_sizes(tmp_path):
     assert run(["bench", "--sizes", 512, 256, "--out", tmp_path / "b.csv"]) == 1
 
 
+def test_bench_unwritable_out_exits_2_after_its_progress_line(tmp_path, capsys):
+    capsys.readouterr()
+    assert run(["bench", "--sizes", 16, "--r", 2, "--p", 2, "--k", 1, "--sweeps", 1,
+                "--trials", 1, "--out", tmp_path / "missing_dir" / "b.csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("size 16 median_sweep_s ")
+    assert lines[1].startswith("error: ") and "missing_dir" in lines[1]
+
+
 def test_bench_slope_printed_for_multiple_sizes(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     code = run(["bench", "--sizes", 128, 256, 512, "--r", 2, "--p", 2, "--k", 2,
@@ -307,6 +321,7 @@ def _unchanged(data):
 
 
 MISSING = object()  # in place of an edit: no instance file at the --in path
+UNWRITABLE = object()  # in place of a flag value: a path in a missing directory
 
 
 FILE_COMMANDS = ("solve", "verify")
@@ -342,6 +357,13 @@ BAD_INPUTS = [
     ("rp_over_n", None, ("--sizes", 8, 16, "--r", 4, "--p", 4), 1, ("bench",)),
     ("size_zero", None, ("--sizes", 0), 1, ("bench",)),
     ("r_zero", None, ("--sizes", 8, "--r", 0), 1, ("bench",)),
+    ("trials_zero", None, ("--sizes", 8, "--trials", 0), 1, ("bench",)),
+    # the instance has r=1 and p=8 (W all ones, A's rows distinct)
+    ("assume_r_mismatch", _unchanged, ("--assume-r", 2), 1, FILE_COMMANDS),
+    ("assume_p_mismatch", _unchanged, ("--assume-p", 1), 1, FILE_COMMANDS),
+    # solve prints its results, then cannot write them
+    ("unwritable_factors", _unchanged, ("--out-factors", UNWRITABLE), 2, ("solve",)),
+    ("unwritable_report", _unchanged, ("--out-report", UNWRITABLE), 2, ("solve",)),
 ]
 PARSER_ERRORS = ("unknown_flag", "threads_flag")  # argparse prints its usage line first
 # checked before the file is read (gen: before generating)
@@ -367,6 +389,7 @@ def test_bad_input_exit_codes(tmp_path, capsys, name, edit, extra, code, command
             edit(data)
             path.write_bytes(bytes(data))
         args = [command, "--in", path, "--k", 2]
+    extra = [tmp_path / "missing_dir" / "out" if a is UNWRITABLE else a for a in extra]
     capsys.readouterr()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -482,3 +505,44 @@ def test_unknown_flag_exits_1():
 
 def test_missing_subcommand_exits_1():
     assert run([]) == 1
+
+
+# ---------------------------------------------------------------------------
+# one failure path: subcommands raise, main reports
+
+
+_OS_ERROR_HANDLERS = {"OSError", "IOError", "EnvironmentError", "Exception", "BaseException"}
+
+
+def _functions(tree):
+    """(name, node) of each module-level function, and of each method as Class.name."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _handles_os_error(handler):
+    if handler.type is None:  # a bare except
+        return True
+    return any(isinstance(n, ast.Name) and n.id in _OS_ERROR_HANDLERS
+               for n in ast.walk(handler.type))
+
+
+def test_cli_errors_are_reported_only_by_main():
+    tree = ast.parse(inspect.getsource(cli))
+    err_calls = {node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Name) and node.func.id == "_err"}
+    callers, handlers = [], set()  # a caller once per call
+    for name, fn in _functions(tree):
+        for node in ast.walk(fn):
+            if node in err_calls:
+                callers.append(name)
+            if isinstance(node, ast.ExceptHandler) and _handles_os_error(node):
+                handlers.add(name)
+    assert set(callers) == {"main", "_Parser.error"}
+    assert len(callers) == len(err_calls)  # none outside a function
+    assert handlers == {"main"}

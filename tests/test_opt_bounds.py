@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from wlra import (BoundParams, GenSpec, build_instance, cost_dense,
-                  default_gamma, generate, iteration_budget, lower_bound_log2,
+from wlra import (BoundParams, GenSpec, SolveOptions, build_instance, cost_dense,
+                  default_gamma, generate, iteration_budget, lower_bound_log2, solve,
                   upper_bound)
 
 
@@ -23,6 +24,22 @@ def test_upper_bound_matches_zero_factor_cost():
     inst = build_instance(A, W)
     want = cost_dense(A, W, np.zeros((24, 2)), np.zeros((24, 2)))
     assert upper_bound(inst) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("entries", [
+    {(0, 0): 1e200},  # a square that overflows
+    {(0, 0): 1.2e154, (2, 3): 1.2e154},  # finite squares whose sum overflows
+])
+def test_overflowing_norm_rejected_without_warning(entries):
+    A = np.zeros((8, 8))
+    for ij, value in entries.items():
+        A[ij] = value
+    inst = build_instance(A, np.ones((8, 8)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: upper_bound(inst), lambda: solve(inst, SolveOptions(k=1))):
+            with pytest.raises(ValueError, match="squared norm overflows"):
+                call()
 
 
 def test_lower_bound_hand_value():

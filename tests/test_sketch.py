@@ -1,20 +1,22 @@
 import numpy as np
 import pytest
 
-from wlra import gaussian_sketch, min_norm_solve, sketch_dim, sketched_design
+from wlra import gaussian_sketch, min_norm_solve, sketch, sketch_dim, sketched_design
 
 from oracles import triple_loop_matmul
 
 
-def test_sketch_dim_worked_values():
-    assert sketch_dim(3, 0.1, 4.0) == 120
-    assert sketch_dim(1, 0.49, 4.0) == 9
-    assert sketch_dim(5, 0.25, 1.0) == 20
+def test_sketch_dim_worked_values(monkeypatch):
+    assert sketch_dim(3, 0.1) == 120
+    assert sketch_dim(1, 0.49) == 9
+    monkeypatch.setattr(sketch, "SKETCH_CONSTANT", 1.0)
+    assert sketch_dim(5, 0.25) == 20
 
 
-def test_sketch_dim_clamp_active():
+def test_sketch_dim_clamp_active(monkeypatch):
     # tiny c makes the formula smaller than k + 1
-    assert sketch_dim(5, 0.49, 0.01) == 6
+    monkeypatch.setattr(sketch, "SKETCH_CONSTANT", 0.01)
+    assert sketch_dim(5, 0.49) == 6
 
 
 def test_sketch_dim_eps_range():
