@@ -249,8 +249,9 @@ def cmd_gen(args) -> int:
     except ValueError as e:
         raise _Exit(1, str(e)) from None
     try:
-        A, W = generate_tiled(spec)  # expanded a row block at a time while writing
-        inst = generate_compressed(spec)  # the partitions of (A, W), for the side-car
+        # A and W expand a row block at a time while writing; inst's
+        # partitions form the side-car.  The grids are drawn and checked once.
+        A, W, inst = generate_tiled(spec)
     except ValueError as e:  # a grid that overflows
         raise _Exit(1, f"the planted grids overflow: {e}") from None
     except (RuntimeError, MemoryError) as e:

@@ -153,16 +153,30 @@ class TiledMatrix:
         return np.take(self.grid[self.row_ids[rows]], self.col_ids, axis=1)
 
 
-def generate_tiled(spec: GenSpec) -> tuple[TiledMatrix, TiledMatrix]:
-    """The planted (A, W) of generate(spec), as matrices expanded a row block at a time.
-
-    Their rows equal generate(spec)'s entry for entry, but no n x n array
-    is formed, so a writer can stream an instance of any size.
-    """
+def _planted(spec: GenSpec):
+    """The accepted grids (gw, ga) and the weight and target band ids of spec."""
     gw, ga, _, _ = _accepted_grids(spec)
-    wband = _band_ids(spec.n, spec.r)
-    aband = _sub_band_ids(spec.n, spec.r, spec.p)
-    return TiledMatrix(ga, aband, aband), TiledMatrix(gw, wband, wband)
+    return gw, ga, _band_ids(spec.n, spec.r), _sub_band_ids(spec.n, spec.r, spec.p)
+
+
+def _instance(spec: GenSpec, gw, ga, wband, aband) -> StructuredInstance:
+    w, wa = PatternIndex.from_labels(wband), PatternIndex.from_labels(aband)
+    parent = np.arange(spec.r * spec.p, dtype=np.int64) // spec.p
+    return StructuredInstance(w_rows=w, w_cols=w, wa_rows=wa, wa_cols=wa,
+                              weights=gw, targets=gw[np.ix_(parent, parent)] * ga)
+
+
+def generate_tiled(spec: GenSpec) -> tuple[TiledMatrix, TiledMatrix, StructuredInstance]:
+    """The planted (A, W) of generate(spec), expanded a row block at a time, and its instance.
+
+    The rows of A and W equal generate(spec)'s entry for entry, but no
+    n x n array is formed, so a writer can stream an instance of any size.
+    The instance is generate_compressed(spec), from the same draw of the
+    grids.
+    """
+    gw, ga, wband, aband = _planted(spec)
+    return (TiledMatrix(ga, aband, aband), TiledMatrix(gw, wband, wband),
+            _instance(spec, gw, ga, wband, aband))
 
 
 def generate_compressed(spec: GenSpec) -> StructuredInstance:
@@ -173,12 +187,7 @@ def generate_compressed(spec: GenSpec) -> StructuredInstance:
     the same two grids.  Rows and columns share one band map, so they share
     one partition object.
     """
-    gw, ga, _, _ = _accepted_grids(spec)
-    w = PatternIndex.from_labels(_band_ids(spec.n, spec.r))
-    wa = PatternIndex.from_labels(_sub_band_ids(spec.n, spec.r, spec.p))
-    parent = np.arange(spec.r * spec.p, dtype=np.int64) // spec.p
-    return StructuredInstance(w_rows=w, w_cols=w, wa_rows=wa, wa_cols=wa,
-                              weights=gw, targets=gw[np.ix_(parent, parent)] * ga)
+    return _instance(spec, *_planted(spec))
 
 
 def generate_attention_mask(n: int, block: int) -> np.ndarray:

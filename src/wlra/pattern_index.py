@@ -148,10 +148,22 @@ def _in_memory_order(*mats: np.ndarray):
 #   with its hash, and starts a class if none matches.  At the end the
 #   stored rows are sorted exactly, so classes of equal rows merge even if
 #   the hash kept them apart.
-# - Columns: no hash.  Each block compares every column's slice with the
-#   slice of its class's first column; only the columns that differ leave
-#   their class, split by an exact sort on (class, slice).  Two columns
-#   share a class only if they are equal in every block.
+# - Columns: no hash.  The column pass compares every column's slice of
+#   some rows with the slice of its class's first column; only the columns
+#   that differ leave their class, split by an exact sort on (class, slice).
+#   Two columns share a class only if they are equal on every row fed.
+# Every row fed equals a stored row, so the column pass needs to see only
+# the stored rows: it runs on the first rows of the classes a block founds.
+# Hence the invariant: every stored row is constant on every column class.
+# A row equal to a stored row is then constant on the classes too, and with
+# class keys K_c = sum of key_j over the columns j of class c (mod 2^64),
+# such a row x hashes to sum_c mix(x_{first_c}) * K_c, which is its
+# full-width hash.  So a block is first hashed on the first columns of the
+# classes alone, and each row compared in full with the first class of its
+# hash; a split changes K but never the hash of a stored row.  Only the
+# rows that match nothing are hashed in full and go through the founding,
+# comparing and collision walk above; in the regime that is a few blocks.
+# Grouping the rows alone hashes every row in full.
 # The result is the exact equality partition whatever the hash returns; the
 # hash only decides how many comparisons a row takes.  The detector holds
 # two block buffers, one stored row per row class and O(n) labels.
@@ -177,19 +189,27 @@ def _hash_key(length: int) -> np.ndarray:
     return key
 
 
-def _row_hashes(block: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+def _row_hashes(block: np.ndarray, scratch: np.ndarray,
+                key: np.ndarray | None = None) -> np.ndarray:
     """Keyed hash sum_j mix(bits_j) * key_j mod 2^64 of every row of block.
 
     bits_j are the IEEE bits of entry j with -0.0 folded into +0.0, formed
-    in scratch.  The mix x ^ (x >> 32) xors each entry's high half into its
-    low half in place: small integers and 0/1 values have 52 trailing zero
-    bits, and moving the high bits down keeps most of the products' 64 bits.
-    Integer sums wrap, so equal rows hash equal.
+    in scratch (which may be block itself).  The mix x ^ (x >> 32) xors
+    each entry's high half into its low half in place: small integers and
+    0/1 values have 52 trailing zero bits, and moving the high bits down
+    keeps most of the products' 64 bits.  Integer sums wrap, so equal rows
+    hash equal.  key defaults to _hash_key(width).
     """
     bits = np.add(block, 0.0, out=scratch)  # folds -0.0
     halves = bits.view(np.uint32).reshape(*bits.shape, 2)
     np.bitwise_xor(halves[..., _LOW], halves[..., _HIGH], out=halves[..., _LOW])
-    return bits.view(np.uint64) @ _hash_key(bits.shape[1])
+    return bits.view(np.uint64) @ (_hash_key(bits.shape[1]) if key is None else key)
+
+
+def _with_parents(hashes: np.ndarray, parents: np.ndarray | None) -> np.ndarray:
+    if parents is not None:
+        hashes ^= parents.astype(np.uint64) * _PARENT_MIX
+    return hashes
 
 
 class _RowClasses:
@@ -221,15 +241,29 @@ class _RowClasses:
         self.count = hi
         return np.arange(lo, hi)
 
-    def feed(self, block: np.ndarray, lo: int, parents: np.ndarray | None,
-             scratch: np.ndarray, same: np.ndarray) -> None:
-        """Label rows lo:lo+len(block); scratch and same are block-shaped buffers."""
-        hashes = _row_hashes(block, scratch)
+    def first_classes(self, hashes: np.ndarray) -> np.ndarray:
+        """The first class with each hash, -1 for a hash no class has."""
+        return np.array([self._classes.get(h, _UNSEEN)[0] for h in hashes.tolist()],
+                        dtype=np.int64)
+
+    def matches(self, block: np.ndarray, labels: np.ndarray, parents: np.ndarray | None,
+                scratch: np.ndarray, same: np.ndarray) -> np.ndarray:
+        """Which rows of block equal the first row (and parent) of their class in labels.
+
+        A label -1 never matches.  scratch and same are block-shaped buffers.
+        """
+        stored = np.take(self.rows, labels, axis=0, out=scratch, mode="clip")
+        ok = np.equal(block, stored, out=same).all(axis=1)
+        ok &= labels >= 0
         if parents is not None:
-            hashes ^= parents.astype(np.uint64) * _PARENT_MIX
+            ok &= self.parents[labels] == parents
+        return ok
+
+    def assign(self, block: np.ndarray, hashes: np.ndarray, parents: np.ndarray | None,
+               scratch: np.ndarray, same: np.ndarray) -> np.ndarray:
+        """The classes of the rows of block, given their full-width hashes, founding new ones."""
         if self.count:
-            labels = np.array([self._classes.get(h, _UNSEEN)[0] for h in hashes.tolist()],
-                              dtype=np.int64)
+            labels = self.first_classes(hashes)
             new = np.flatnonzero(labels < 0)
         else:
             labels, new = np.empty(block.shape[0], dtype=np.int64), np.arange(block.shape[0])
@@ -244,13 +278,10 @@ class _RowClasses:
             founders = ids.shape[0]
         if founders < block.shape[0]:
             # Every row is compared with the first class of its hash.
-            reps = np.take(self.rows, labels, axis=0, out=scratch, mode="clip")
-            ok = np.equal(block, reps, out=same).all(axis=1)
-            if parents is not None:
-                ok &= self.parents[labels] == parents
+            ok = self.matches(block, labels, parents, scratch, same)
             for i in np.flatnonzero(~ok).tolist():
                 labels[i] = self._collided(block, i, parents, int(hashes[i]))
-        self.labels[lo:lo + block.shape[0]] = labels
+        return labels
 
     def _collided(self, block: np.ndarray, i: int, parents: np.ndarray | None, key: int) -> int:
         """The class of row i of block, which differs from the first class with its hash."""
@@ -280,17 +311,20 @@ class _RowClasses:
 class _ColClasses:
     """Classes of equal columns of one matrix, fed a row block at a time.
 
-    Each class is represented by its first column.  Every block compares
+    Each class is represented by its first column.  Every feed compares
     each column with its representative's slice; the columns that differ
-    leave their class, split by an exact sort on (class, slice).
+    leave their class, split by an exact sort on (class, slice).  The class
+    keys let row_hashes hash a row on the representatives alone.
     """
 
     def __init__(self, n_cols: int):
         self.labels = np.zeros(n_cols, dtype=np.int64)
         self.firsts = np.zeros(1, dtype=np.int64)  # first column of each class
         self._reps = self.firsts[self.labels]      # each column's representative
+        self._keys: np.ndarray | None = None       # class keys, formed when first hashed
 
     def feed(self, block: np.ndarray, scratch: np.ndarray, same: np.ndarray) -> None:
+        """Split the classes by the rows of block; scratch and same are block-shaped."""
         if self.firsts.shape[0] >= self.labels.shape[0]:
             return  # every column is alone in its class
         reps = np.take(block, self._reps, axis=1, out=scratch, mode="clip")
@@ -302,6 +336,22 @@ class _ColClasses:
         self.labels[moved] = self.firsts.shape[0] + inverse.ravel()
         self.firsts = np.concatenate([self.firsts, moved[first]])
         self._reps = self.firsts[self.labels]
+        self._keys = None
+
+    def row_hashes(self, block: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """_row_hashes(block) of the rows of block that are constant on every class.
+
+        Reads one entry per class, the first column's, weighted by the class
+        key K_c = sum of _hash_key over the columns of c.  scratch is a
+        C-contiguous buffer of at least block's size.
+        """
+        if self._keys is None:
+            self._keys = np.zeros(self.firsts.shape[0], dtype=np.uint64)
+            np.add.at(self._keys, self.labels, _hash_key(self.labels.shape[0]))
+        firsts = scratch.reshape(-1)[:block.shape[0] * self.firsts.shape[0]]
+        firsts = np.take(block, self.firsts, axis=1,
+                         out=firsts.reshape(block.shape[0], -1), mode="clip")
+        return _row_hashes(firsts, firsts, self._keys)
 
 
 class BlockDetector:
@@ -313,6 +363,16 @@ class BlockDetector:
     equality partitions, as build_instance() defines them.  Raises
     ValueError on a non-finite entry of the last matrix fed (W*A is
     non-finite wherever W is), or on an empty index set.
+
+    When it groups both rows and columns, every stored row is constant on
+    every column class: the column pass runs on the first row of each new
+    row class, and every other row equals a stored row.  So a row equal to
+    a stored row cannot split a column class, and its hash over the first
+    columns of the classes, weighted by the class keys (the sums of the
+    column keys of each class), is its full-width hash.  A block's rows are
+    hashed on the classes and compared in full with the first class of
+    their hash; only the rows that match none are hashed in full, and the
+    column pass runs at most once per row class founded.
 
     Holds two block buffers, one stored row per row class of each matrix
     (n wide) and O(n) labels; the grids are read from the stored rows.
@@ -353,10 +413,42 @@ class BlockDetector:
 
     def _group(self, mat: int, block: np.ndarray, lo: int, parents, scratch: np.ndarray) -> None:
         same = self._same[:block.shape[0]]
-        if self._rows:
-            self._rows[mat].feed(block, lo, parents, scratch, same)
-        if self._cols:
-            self._cols[mat].feed(block, scratch, same)
+        cols = self._cols[mat] if self._cols else None
+        if not self._rows:
+            cols.feed(block, scratch, same)
+            return
+        rows, hi = self._rows[mat], lo + block.shape[0]
+        if cols is None or not rows.count:
+            rows.labels[lo:hi] = self._assign(rows, cols, block, parents, scratch)
+            return
+        # A row equal to a stored row is constant on the column classes, so
+        # its hash over their first columns is its full-width hash.
+        labels = rows.first_classes(_with_parents(cols.row_hashes(block, scratch), parents))
+        fresh = np.flatnonzero(labels < 0)
+        if fresh.shape[0] < block.shape[0]:
+            fresh = np.flatnonzero(~rows.matches(block, labels, parents, scratch, same))
+        if fresh.shape[0] == block.shape[0]:
+            labels = self._assign(rows, cols, block, parents, scratch)
+        elif fresh.shape[0]:
+            labels[fresh] = self._assign(rows, cols, block[fresh],
+                                         None if parents is None else parents[fresh], scratch)
+        rows.labels[lo:hi] = labels
+
+    def _assign(self, rows: _RowClasses, cols: _ColClasses | None, block: np.ndarray,
+                parents, scratch: np.ndarray) -> np.ndarray:
+        """The row classes of block, hashed and compared in full, founding new ones.
+
+        Every row of block then equals a stored row, so only the first rows
+        of the new classes can split a column class.
+        """
+        count, n_block = rows.count, block.shape[0]
+        scratch, same = scratch[:n_block], self._same[:n_block]
+        hashes = _with_parents(_row_hashes(block, scratch), parents)
+        labels = rows.assign(block, hashes, parents, scratch, same)
+        if cols is not None and rows.count > count:
+            new = rows.rows[count:rows.count]
+            cols.feed(new, scratch[:new.shape[0]], same[:new.shape[0]])
+        return labels
 
     def row_partitions(self) -> list[PatternIndex]:
         """The row partitions of W and, if masked, of W*A refined by W."""

@@ -48,15 +48,16 @@ SKETCH_CONSTANT = 4.0  # stands in for the constant hidden inside the O(k/eps) g
 
 
 def sketch_dim(k: int, eps: float) -> int:
-    """Sketch dimension t = ceil(SKETCH_CONSTANT * k / eps), clamped to at least k + 1.
+    """Sketch dimension t = ceil(SKETCH_CONSTANT * k / eps).
 
-    eps must lie in (0, 0.5).
+    eps must lie in (0, 0.5), so t > 2 * SKETCH_CONSTANT * k = 8k >= k + 1:
+    the sketch always has more rows than the rank.
     """
     if not (0.0 < eps < 0.5):
         raise ValueError("eps must lie in (0, 0.5)")
     if k < 1:
         raise ValueError("k must be positive")
-    return max(k + 1, math.ceil(SKETCH_CONSTANT * k / eps))
+    return math.ceil(SKETCH_CONSTANT * k / eps)
 
 
 def gaussian_sketch(seed: int, t: int, n: int) -> np.ndarray:

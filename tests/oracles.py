@@ -37,6 +37,22 @@ def brute_force_groups(M, axis="rows", tolerance=0.0):
     return np.asarray(group_of), np.asarray(reps)
 
 
+def brute_force_instance(A, W):
+    """The four partitions {name: (group_of, representatives)} and two grids of (A, W).
+
+    A row (column) of W*A is grouped together with its row (column) of W,
+    so the refined partitions refine the weight ones.
+    """
+    WA = W * A
+    parts = {"w_rows": brute_force_groups(W, "rows"),
+             "w_cols": brute_force_groups(W, "cols"),
+             "wa_rows": brute_force_groups(np.hstack([W, WA]), "rows"),
+             "wa_cols": brute_force_groups(np.vstack([W, WA]), "cols")}
+    weights = W[np.ix_(parts["w_rows"][1], parts["w_cols"][1])]
+    targets = WA[np.ix_(parts["wa_rows"][1], parts["wa_cols"][1])]
+    return parts, weights, targets
+
+
 def rowwise_weighted_lstsq(A, W, V):
     """Per-row weighted least squares via explicit normal equations.
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from wlra import GenSpec, SolveOptions, build_instance, generate, generate_compressed, solve
-from wlra import cli
+from wlra import cli, generator
 from wlra.cli import CSV_HEADER, main, read_instance, write_instance
 from wlra.pattern_index import BlockDetector
 
@@ -60,6 +60,16 @@ def test_gen_streams_the_bytes_of_the_dense_matrices(tmp_path, monkeypatch):
     dense = tmp_path / "dense.wlra"
     write_instance(dense, A, W, cli._sidecar_of(generate_compressed(spec)))
     assert path.read_bytes() == dense.read_bytes()
+
+
+def test_gen_draws_and_checks_the_planted_grids_once(tmp_path, monkeypatch):
+    # The written matrices and the side-car come from one accepted draw.
+    draws = []
+    accepted = generator._accepted_grids
+    monkeypatch.setattr(generator, "_accepted_grids",
+                        lambda spec: draws.append(spec) or accepted(spec))
+    _gen(tmp_path, n=48, r=3, p=2, seed=6)
+    assert len(draws) == 1
 
 
 def test_gen_unwritable_path(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 from wlra import (GenSpec, build_instance, cost_dense, detect_groups, generate,
                   generate_attention_mask, generate_compressed, generate_with_factors)
+from wlra.generator import generate_tiled
 
 
 def test_trivial_spec_single_pattern():
@@ -79,6 +80,22 @@ def test_compressed_matches_dense_path():
     assert np.array_equal(comp.targets, ref.targets)
     for f in ("w_rows", "w_cols", "wa_rows", "wa_cols"):
         assert np.array_equal(getattr(comp, f).group_of, getattr(ref, f).group_of)
+
+
+@pytest.mark.parametrize("style", ["block_random", "attention_block"])
+def test_tiled_rows_and_instance_match_the_dense_and_compressed_paths(style):
+    spec = GenSpec(n=40, r=3, p=2, k_true=2, noise_sigma=0.1, weight_style=style, seed=8)
+    tiled_a, tiled_w, inst = generate_tiled(spec)
+    A, W = generate(spec)
+    for tiled, dense in ((tiled_a, A), (tiled_w, W)):
+        assert tiled.shape == dense.shape
+        for lo in range(0, 40, 7):
+            assert tiled[lo:lo + 7].tobytes() == dense[lo:lo + 7].tobytes()
+    comp = generate_compressed(spec)
+    assert inst.weights.tobytes() == comp.weights.tobytes()
+    assert inst.targets.tobytes() == comp.targets.tobytes()
+    for name in ("w_rows", "w_cols", "wa_rows", "wa_cols"):
+        assert np.array_equal(getattr(inst, name).group_of, getattr(comp, name).group_of)
 
 
 def test_attention_mask_small():

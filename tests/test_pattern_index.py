@@ -295,7 +295,7 @@ def _assert_matches_oracle(M, axis):
 
 def _fake_hashes(values):
     """A stand-in for the row hash: values(count) for every block of rows."""
-    def fake(block, scratch):
+    def fake(block, scratch, key=None):
         return values(block.shape[0])
     return fake
 
@@ -486,3 +486,111 @@ def test_build_instance_forms_no_n_by_n_temporary():
     finally:
         tracemalloc.stop()
     assert peak < 8 * n * n / 2  # half of one n x n float64 matrix
+
+
+# ---------------------------------------------------------------------------
+# Rows detected on the column classes
+
+
+def _attention(n, r, p, seed=4):
+    A, W = generate(GenSpec(n=n, r=r, p=p, k_true=2, noise_sigma=0.1,
+                            weight_style="attention_block", seed=seed))
+    return np.ascontiguousarray(A), np.ascontiguousarray(W)
+
+
+def test_column_pass_runs_only_for_new_row_classes(monkeypatch, tmp_path):
+    # A row equal to a stored row cannot split a column class, so the column
+    # pass runs at most once per row class of W and of W*A, not per block.
+    passes = []
+    feed = pattern_index._ColClasses.feed
+
+    def feed_spy(self, block, *args):
+        passes.append(block.shape[0])
+        return feed(self, block, *args)
+
+    monkeypatch.setattr(pattern_index._ColClasses, "feed", feed_spy)
+    n = 512
+    A, W = _attention(n, r=2, p=2)
+    block_feeds = 2 * -(-n // pattern_index._block_rows(n, n))
+    for detect in (lambda: build_instance(A, W), lambda: _streamed(tmp_path, A, W)):
+        passes.clear()
+        inst = detect()
+        _assert_instance_matches_oracle(inst, A, W)
+        assert len(passes) <= inst.w_rows.num_groups + inst.wa_rows.num_groups < block_feeds
+
+
+def test_class_key_hash_equals_full_width_hash():
+    # For a row constant on the column classes, hashing the first column of
+    # each class with the class key (the sum of its columns' keys) gives the
+    # full-width hash, whatever splits came before.
+    rng = np.random.default_rng(2)
+    M = _duplicated(4, 40, 300, [0.0, 1.0, 2.0, -3.0])
+    cols = pattern_index._ColClasses(M.shape[1])
+    for lo in range(0, M.shape[0], 8):
+        block = M[lo:lo + 8]
+        cols.feed(block, np.empty(block.shape), np.empty(block.shape, dtype=bool))
+        values = rng.choice([0.0, -0.0, 1.0, 2.5, -7.0], size=(12, cols.firsts.shape[0]))
+        constant = values[:, cols.labels]
+        want = pattern_index._row_hashes(constant, np.empty(constant.shape))
+        assert np.array_equal(cols.row_hashes(constant, np.empty(constant.shape)), want)
+    assert 1 < cols.firsts.shape[0] < M.shape[1]
+
+
+@pytest.mark.parametrize("fake", ["real", *sorted(_FAKE_HASHES)])
+def test_row_equal_on_the_first_columns_only_starts_its_own_class(monkeypatch, tmp_path, fake):
+    # When row 3 arrives the column classes are {0, 2, 3} and {1}, so on
+    # their first columns it equals row 1; it differs on column 2, which it
+    # is the first to split off.
+    if fake != "real":
+        monkeypatch.setattr(pattern_index, "_row_hashes", _FAKE_HASHES[fake])
+    monkeypatch.setattr(pattern_index, "_BLOCK_BYTES", 1)  # one row per block
+    W = np.array([[1.0, 1, 1, 1], [1, 2, 1, 1], [1, 1, 1, 1], [1, 2, 2, 1]])
+    A = np.ones((4, 4))  # so W*A is W
+    for inst in (build_instance(A, W), _streamed(tmp_path, A, W)):
+        assert list(inst.w_rows.group_of) == [0, 1, 0, 2]
+        assert list(inst.w_cols.group_of) == [0, 1, 2, 0]
+        _assert_instance_matches_oracle(inst, A, W)
+
+
+def test_each_row_is_hashed_at_most_twice(monkeypatch, tmp_path):
+    # Once on the column classes, and once in full if it matched no stored
+    # row; stored rows are never hashed again when a column class splits.
+    hashed, current = [0, 0], [0]
+    group, row_hashes = pattern_index.BlockDetector._group, pattern_index._row_hashes
+
+    def group_spy(self, mat, *args):
+        current[0] = mat
+        return group(self, mat, *args)
+
+    def hash_spy(block, *args):
+        hashed[current[0]] += block.shape[0]
+        return row_hashes(block, *args)
+
+    monkeypatch.setattr(pattern_index.BlockDetector, "_group", group_spy)
+    monkeypatch.setattr(pattern_index, "_row_hashes", hash_spy)
+    n = 256
+    A, W = _attention(n, r=4, p=2)
+    # eye: every block of W*A splits a column class
+    for detect in (lambda: build_instance(np.eye(n), np.ones((n, n))),
+                   lambda: _streamed(tmp_path, A, W)):
+        hashed[:] = [0, 0]
+        detect()
+        assert 0 < hashed[0] <= 2 * n and 0 < hashed[1] <= 2 * n
+
+
+def test_streamed_detection_holds_about_four_blocks(tmp_path):
+    # Two block buffers, the comparison mask, the stored rows and the
+    # labels; a copy of every block of candidate rows would reach about 5.
+    n = 1024
+    A, W = generate(GenSpec(n=n, r=8, p=4, k_true=3, noise_sigma=0.1,
+                            weight_style="attention_block", seed=3))
+    path = tmp_path / "inst.wlra"
+    write_instance(path, A, W)
+    cli._load(path)
+    tracemalloc.start()
+    try:
+        cli._load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * 8 * pattern_index._block_rows(n, n) * n

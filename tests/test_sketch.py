@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,12 @@ def test_sketch_dim_worked_values(monkeypatch):
     assert sketch_dim(5, 0.25) == 20
 
 
-def test_sketch_dim_clamp_active(monkeypatch):
-    # tiny c makes the formula smaller than k + 1
-    monkeypatch.setattr(sketch, "SKETCH_CONSTANT", 0.01)
-    assert sketch_dim(5, 0.49) == 6
+def test_sketch_dim_exceeds_k_without_a_clamp():
+    # eps < 0.5 gives 4k/eps > 8k >= k + 1, so the formula alone keeps t > k
+    for k in (1, 2, 3, 7, 64, 1000):
+        for eps in (1e-3, 0.1, 0.25, 0.4, 0.49, 0.4999):
+            t = sketch_dim(k, eps)
+            assert t == math.ceil(4 * k / eps) >= k + 1
 
 
 def test_sketch_dim_eps_range():
