@@ -9,6 +9,7 @@ given its flags; only measured wall times vary between runs.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
 import struct
@@ -145,19 +146,21 @@ def _stream_instance(f, n: int, flags: int):
     det = BlockDetector(n, n)
     row_bytes, w_dense = 8 * n, bool(flags & _FLAG_W_DENSE)
     w_start = _HEADER.size + row_bytes * n
-    for lo in range(0, n, det.block_rows):
-        rows = min(det.block_rows, n - lo)
 
-        def w_block(out):
-            if not w_dense:
-                out.fill(1.0)
-                return out
-            return _read_exact(f, out, w_start + row_bytes * lo)
+    def w_block(out):
+        if not w_dense:
+            out.fill(1.0)
+            return out
+        return _read_exact(f, out, w_start + row_bytes * lo)
 
-        def wa_block(w, out):
-            return np.multiply(w, _read_exact(f, out, _HEADER.size + row_bytes * lo), out=out)
+    def wa_block(w, out):
+        return np.multiply(w, _read_exact(f, out, _HEADER.size + row_bytes * lo), out=out)
 
-        det.feed(rows, w_block, wa_block)
+    # A product that overflows or is inf * 0 is rejected as non-finite,
+    # with one error line and no warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n, det.block_rows):
+            det.feed(min(det.block_rows, n - lo), w_block, wa_block)
     inst = det.instance()
     sidecar = None
     if flags & _FLAG_SIDECAR:
@@ -230,6 +233,24 @@ def _load(path, k: int | None = None):
         raise _Exit(2, str(e)) from None
 
 
+def _check_writable(path) -> None:
+    """Raise the OSError that opening path for writing would, without opening it.
+
+    Run before the work, so a run that cannot write its output fails first;
+    opening early would truncate an earlier output if the work then failed.
+    """
+    path = Path(path)
+    if path.is_dir():
+        code = errno.EISDIR
+    elif not path.parent.is_dir():
+        code = errno.ENOTDIR if path.parent.exists() else errno.ENOENT
+    elif not os.access(path if path.exists() else path.parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), str(path))
+
+
 def _check_assumed(inst, args) -> None:
     if args.assume_r is not None and inst.r != args.assume_r:
         raise _Exit(1, f"detected r={inst.r} does not match assumed r={args.assume_r}")
@@ -268,6 +289,9 @@ def cmd_solve(args) -> int:
                             restarts=args.restarts, sketchless=args.sketchless)
     except ValueError as e:
         raise _Exit(1, str(e)) from None
+    for out in (args.out_factors, args.out_report):
+        if out:
+            _check_writable(out)
     inst, _, _ = _load(args.infile, args.k)
     _check_assumed(inst, args)
     fact, report = solve(inst, opts)
@@ -311,6 +335,7 @@ def cmd_bench(args) -> int:
                          weight_style="block_random", seed=args.seed) for n in sizes]
     except ValueError as e:
         raise _Exit(1, str(e)) from None
+    _check_writable(args.out)
 
     rows = [CSV_HEADER]
     medians = []

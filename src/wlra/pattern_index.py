@@ -163,7 +163,12 @@ def _in_memory_order(*mats: np.ndarray):
 # hash; a split changes K but never the hash of a stored row.  Only the
 # rows that match nothing are hashed in full and go through the founding,
 # comparing and collision walk above; in the regime that is a few blocks.
-# Grouping the rows alone hashes every row in full.
+# Before any of that, rows come in bands: a block equal row for row to the
+# stored row (and parent) of the class of the row before it joins that
+# class after one compare, with no hash, gather or column pass.  A stored
+# row is finite, as NaN never compares equal, so non-finite entries are
+# looked for only in a block where some row matched no stored row.
+# Grouping the rows or the columns alone checks and hashes every row.
 # The result is the exact equality partition whatever the hash returns; the
 # hash only decides how many comparisons a row takes.  The detector holds
 # two block buffers, one stored row per row class and O(n) labels.
@@ -241,6 +246,21 @@ class _RowClasses:
         self.count = hi
         return np.arange(lo, hi)
 
+    def continued(self, block: np.ndarray, c: int, parents: np.ndarray | None,
+                  same: np.ndarray) -> bool:
+        """Whether every row of block equals the first row (and parent) of class c.
+
+        On data that is not banded a block seldom does, so the first entry
+        and then the first row are compared first: a miss costs about one
+        row at most.  same is a block-shaped buffer.
+        """
+        stored = self.rows[c]
+        if block[0, 0] != stored[0] or not np.equal(block[0], stored, out=same[0]).all():
+            return False
+        if parents is not None and not (parents == self.parents[c]).all():
+            return False
+        return bool(np.equal(block[1:], stored, out=same[1:]).all())
+
     def first_classes(self, hashes: np.ndarray) -> np.ndarray:
         """The first class with each hash, -1 for a hash no class has."""
         return np.array([self._classes.get(h, _UNSEEN)[0] for h in hashes.tolist()],
@@ -252,9 +272,13 @@ class _RowClasses:
 
         A label -1 never matches.  scratch and same are block-shaped buffers.
         """
-        stored = np.take(self.rows, labels, axis=0, out=scratch, mode="clip")
-        ok = np.equal(block, stored, out=same).all(axis=1)
-        ok &= labels >= 0
+        listed = labels.tolist()  # cheaper to test than the array
+        if listed[0] >= 0 and listed.count(listed[0]) == len(listed):  # one class: broadcast it
+            ok = np.equal(block, self.rows[listed[0]], out=same).all(axis=1)
+        else:
+            stored = np.take(self.rows, labels, axis=0, out=scratch, mode="clip")
+            ok = np.equal(block, stored, out=same).all(axis=1)
+            ok &= labels >= 0
         if parents is not None:
             ok &= self.parents[labels] == parents
         return ok
@@ -369,10 +393,13 @@ class BlockDetector:
     row class, and every other row equals a stored row.  So a row equal to
     a stored row cannot split a column class, and its hash over the first
     columns of the classes, weighted by the class keys (the sums of the
-    column keys of each class), is its full-width hash.  A block's rows are
-    hashed on the classes and compared in full with the first class of
-    their hash; only the rows that match none are hashed in full, and the
-    column pass runs at most once per row class founded.
+    column keys of each class), is its full-width hash.  A block equal row
+    for row to the class of the row before it (parents too) joins it after
+    one compare.  Any other block's rows are hashed on the classes and
+    compared in full with the first class of their hash; only the rows that
+    match none are hashed in full, and the column pass runs at most once
+    per row class founded.  Stored rows are finite, so only a block with
+    such a row is checked for non-finite entries.
 
     Holds two block buffers, one stored row per row class of each matrix
     (n wide) and O(n) labels; the grids are read from the stored rows.
@@ -401,25 +428,32 @@ class BlockDetector:
         """
         lo, first, second = self._lo, self._buffers[0][:rows], self._buffers[1][:rows]
         W = w_block(first)
-        if wa_block is None:
-            _check_finite(W, self._same[:rows])
-        self._group(0, W, lo, None, second)
+        self._group(0, W, lo, None, second, wa_block is None)
         if wa_block is not None:
-            WA = wa_block(W, second)
-            _check_finite(WA, self._same[:rows])  # W*A is non-finite wherever W is
+            WA = wa_block(W, second)  # W*A is non-finite wherever W is
             parents = self._rows[0].labels[lo:lo + rows] if self._rows else None
-            self._group(1, WA, lo, parents, first)
+            self._group(1, WA, lo, parents, first, True)
         self._lo = lo + rows
 
-    def _group(self, mat: int, block: np.ndarray, lo: int, parents, scratch: np.ndarray) -> None:
-        same = self._same[:block.shape[0]]
+    def _group(self, mat: int, block: np.ndarray, lo: int, parents, scratch: np.ndarray,
+               check: bool) -> None:
+        """Group the rows and columns of block in matrix mat; check: reject non-finite entries."""
+        same, hi = self._same[:block.shape[0]], lo + block.shape[0]
+        rows = self._rows[mat] if self._rows else None
         cols = self._cols[mat] if self._cols else None
-        if not self._rows:
-            cols.feed(block, scratch, same)
+        if rows is None or cols is None or not rows.count:
+            if check:
+                _check_finite(block, same)
+            if rows is None:
+                cols.feed(block, scratch, same)
+            else:
+                rows.labels[lo:hi] = self._assign(rows, cols, block, parents, scratch)
             return
-        rows, hi = self._rows[mat], lo + block.shape[0]
-        if cols is None or not rows.count:
-            rows.labels[lo:hi] = self._assign(rows, cols, block, parents, scratch)
+        # A block that continues the class of the row before it needs nothing
+        # else: its rows are finite and constant on the column classes.
+        c = int(rows.labels[lo - 1])
+        if rows.continued(block, c, parents, same):
+            rows.labels[lo:hi] = c
             return
         # A row equal to a stored row is constant on the column classes, so
         # its hash over their first columns is its full-width hash.
@@ -427,6 +461,8 @@ class BlockDetector:
         fresh = np.flatnonzero(labels < 0)
         if fresh.shape[0] < block.shape[0]:
             fresh = np.flatnonzero(~rows.matches(block, labels, parents, scratch, same))
+        if fresh.shape[0] and check:  # only a row that matched no stored row can be non-finite
+            _check_finite(block, same)
         if fresh.shape[0] == block.shape[0]:
             labels = self._assign(rows, cols, block, parents, scratch)
         elif fresh.shape[0]:

@@ -34,7 +34,7 @@ class GroupedFactor:
         return int(self.rows.shape[1])
 
     def expand(self) -> np.ndarray:
-        return self.rows[self.index.group_of]
+        return np.take(self.rows, self.index.group_of, axis=0)
 
     def check_groups(self, index: PatternIndex, side: str) -> None:
         """Raise ValueError unless this factor lives on the groups of index."""
@@ -58,12 +58,14 @@ def compress_factor(X: np.ndarray, index: PatternIndex) -> GroupedFactor:
 
 
 def _row_residual_sq(V: np.ndarray, u_row: np.ndarray, w_row: np.ndarray,
-                     wa_row: np.ndarray, counts=1.0) -> float:
+                     wa_row: np.ndarray, counts: np.ndarray | None, out: np.ndarray) -> float:
     # Single audited kernel: sum_j counts_j (w * (V @ u) - (w * a))_j^2 for
-    # one row.  counts are the column-group sizes on the grid, 1 on n columns.
-    pred = V @ u_row
-    d = w_row * pred - wa_row
-    return float(np.dot(d * counts, d))
+    # one row.  counts are the column-group sizes on the grid, None (all 1)
+    # on n columns.  The residual is formed in out, a buffer of V's height.
+    d = np.matmul(V, u_row, out=out)
+    d *= w_row
+    d -= wa_row
+    return float(np.dot(d if counts is None else d * counts, d))
 
 
 def cost_dense(A: np.ndarray, W: np.ndarray, U: np.ndarray, V: np.ndarray) -> float:
@@ -83,7 +85,9 @@ def cost_dense(A: np.ndarray, W: np.ndarray, U: np.ndarray, V: np.ndarray) -> fl
     if U.shape[0] != A.shape[0] or V.shape[0] != A.shape[1]:
         raise ValueError("factor heights must match A")
 
-    return math.fsum(_row_residual_sq(V, U[i], W[i], W[i] * A[i]) for i in range(A.shape[0]))
+    wa, d = np.empty(A.shape[1]), np.empty(A.shape[1])
+    return math.fsum(_row_residual_sq(V, U[i], W[i], np.multiply(W[i], A[i], out=wa), None, d)
+                     for i in range(A.shape[0]))
 
 
 def cost_grouped(inst, grouped_u: GroupedFactor, V) -> float:
@@ -97,18 +101,31 @@ def cost_grouped(inst, grouped_u: GroupedFactor, V) -> float:
     O(Gr * n * k).  Each row term is multiplied by its row group size.
     """
     grouped_u.check_groups(inst.wa_rows, "row")
+    sizes = inst.wa_rows.sizes
     if isinstance(V, GroupedFactor):
         V.check_groups(inst.wa_cols, "column")
-        V, cols, counts = V.rows, slice(None), inst.wa_cols.sizes
-    else:
-        V = np.ascontiguousarray(V, dtype=np.float64)
-        if V.ndim != 2 or V.shape[0] != inst.n or V.shape[1] != grouped_u.k:
-            raise ValueError("V shape does not conform to the instance and factor")
-        cols, counts = inst.wa_cols.group_of, 1.0
-    return math.fsum(
-        float(size) * _row_residual_sq(V, u, w[cols], t[cols], counts)
-        for size, u, w, t in zip(inst.wa_rows.sizes, grouped_u.rows,
-                                 inst.refined_weights(), inst.targets))
+        d = np.empty(V.rows.shape[0])
+        return math.fsum(
+            float(size) * _row_residual_sq(V.rows, u, w, t, inst.wa_cols.sizes, d)
+            for size, u, w, t in zip(sizes, grouped_u.rows, inst.refined_weights(),
+                                     inst.targets))
+    V = np.ascontiguousarray(V, dtype=np.float64)
+    if V.ndim != 2 or V.shape[0] != inst.n or V.shape[1] != grouped_u.k:
+        raise ValueError("V shape does not conform to the instance and factor")
+    # Refined rows in order of their weight-row group, so each weight row is
+    # gathered to n width once; the terms keep their order for fsum.
+    cols, parents = inst.wa_cols.group_of, inst.row_parents()
+    weights = inst.weights[:, inst.col_parents()]
+    w, t, d = np.empty(inst.n), np.empty(inst.n), np.empty(inst.n)
+    terms, gathered = [0.0] * sizes.shape[0], -1
+    order = np.argsort(parents, kind="stable")
+    for i, g in zip(order.tolist(), parents[order].tolist()):
+        if g != gathered:
+            np.take(weights[g], cols, out=w, mode="clip")
+            gathered = g
+        np.take(inst.targets[i], cols, out=t, mode="clip")
+        terms[i] = float(sizes[i]) * _row_residual_sq(V, grouped_u.rows[i], w, t, None, d)
+    return math.fsum(terms)
 
 
 def cost_grouped_cols(inst, grouped_v: GroupedFactor, U) -> float:

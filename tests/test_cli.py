@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from wlra import GenSpec, SolveOptions, build_instance, generate, generate_compressed, solve
-from wlra import cli, generator
+from wlra import cli, generator, pattern_index
 from wlra.cli import CSV_HEADER, main, read_instance, write_instance
 from wlra.pattern_index import BlockDetector
 
@@ -160,6 +160,40 @@ def test_solve_missing_file(tmp_path, capsys):
     assert capsys.readouterr().err != ""
 
 
+@pytest.mark.parametrize("flag", ["--out-factors", "--out-report"])
+@pytest.mark.parametrize("where", ["missing_dir", "a_directory", "under_a_file"])
+def test_solve_unwritable_output_exits_2_before_reading(tmp_path, capsys, monkeypatch,
+                                                         flag, where):
+    path = _gen(tmp_path, n=8)
+    (tmp_path / "a_file").write_text("")
+    out = {"missing_dir": tmp_path / "missing_dir" / "out", "a_directory": tmp_path,
+           "under_a_file": tmp_path / "a_file" / "out"}[where]
+    try:
+        open(out, "wb")
+    except OSError as e:
+        message = f"error: {e}\n"
+    reads = []
+    monkeypatch.setattr(cli, "_read_exact", lambda *args: reads.append(args))
+    capsys.readouterr()
+    assert run(["solve", "--in", path, "--k", 2, flag, out]) == 2
+    assert capsys.readouterr() == ("", message)  # the error that opening it gives
+    assert reads == []
+
+
+def test_solve_that_fails_leaves_an_earlier_output_whole(tmp_path):
+    # The output paths are checked, not opened, before the instance is read.
+    path = _gen(tmp_path, n=8)
+    data = bytearray(path.read_bytes())
+    data[16:24] = struct.pack("<d", np.nan)
+    path.write_bytes(bytes(data))
+    factors, report = tmp_path / "factors.bin", tmp_path / "report.csv"
+    factors.write_bytes(b"earlier")
+    report.write_text("earlier\n")
+    assert run(["solve", "--in", path, "--k", 2, "--out-factors", factors,
+                "--out-report", report]) == 2
+    assert factors.read_bytes() == b"earlier" and report.read_text() == "earlier\n"
+
+
 def test_solve_k_too_large(tmp_path):
     path = _gen(tmp_path, n=8)
     assert run(["solve", "--in", path, "--k", 9]) == 1
@@ -258,16 +292,17 @@ def test_bench_rejects_unsorted_sizes(tmp_path):
     assert run(["bench", "--sizes", 512, 256, "--out", tmp_path / "b.csv"]) == 1
 
 
-def test_bench_unwritable_out_exits_2_after_its_progress_line(tmp_path, capsys):
+def test_bench_unwritable_out_exits_2_before_any_trial(tmp_path, capsys, monkeypatch):
+    trials = []
+    monkeypatch.setattr(cli, "solve", lambda *args: trials.append(args))
     capsys.readouterr()
     assert run(["bench", "--sizes", 16, "--r", 2, "--p", 2, "--k", 1, "--sweeps", 1,
                 "--trials", 1, "--out", tmp_path / "missing_dir" / "b.csv"]) == 2
     captured = capsys.readouterr()
-    assert captured.out == ""
+    assert captured.out == "" and trials == []
     lines = captured.err.splitlines()
-    assert len(lines) == 2
-    assert lines[0].startswith("size 16 median_sweep_s ")
-    assert lines[1].startswith("error: ") and "missing_dir" in lines[1]
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and "missing_dir" in lines[0]
 
 
 def test_bench_slope_printed_for_multiple_sizes(tmp_path, capsys):
@@ -371,7 +406,7 @@ BAD_INPUTS = [
     # the instance has r=1 and p=8 (W all ones, A's rows distinct)
     ("assume_r_mismatch", _unchanged, ("--assume-r", 2), 1, FILE_COMMANDS),
     ("assume_p_mismatch", _unchanged, ("--assume-p", 1), 1, FILE_COMMANDS),
-    # solve prints its results, then cannot write them
+    # checked before the file is read: nothing is printed first
     ("unwritable_factors", _unchanged, ("--out-factors", UNWRITABLE), 2, ("solve",)),
     ("unwritable_report", _unchanged, ("--out-report", UNWRITABLE), 2, ("solve",)),
 ]
@@ -438,6 +473,34 @@ def test_non_finite_entry_in_last_block_exits_2(tmp_path, capsys, matrix, value,
     path.write_bytes(bytes(data))
     capsys.readouterr()
     assert run([command, "--in", path, "--k", 2]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: invalid instance: matrix contains non-finite entries\n"
+
+
+@pytest.mark.parametrize("matrix, value, where", [
+    (0, np.nan, "w_one"), (0, np.nan, "w_zero"), (1, np.inf, "a_zero")])
+@pytest.mark.parametrize("command", FILE_COMMANDS)
+def test_non_finite_entry_mid_band_exits_2(tmp_path, capsys, monkeypatch, matrix, value, where,
+                                           command):
+    # One row per block: rows 1..3 of each band of four equal rows continue
+    # the class of the row before them, and row 6 is inside the second band.
+    monkeypatch.setattr(pattern_index, "_BLOCK_BYTES", 1)
+    n = 16
+    W = np.repeat(np.array([[1.0, 0, 1, 1], [1, 0, 0, 1], [0, 0, 1, 1], [1, 0, 1, 0]]), 4, axis=0)
+    W = np.tile(W, (1, 4))
+    A = np.repeat(np.arange(1.0, 5.0)[:, None] * np.arange(n), 4, axis=0)  # column 0 is 0
+    j = {"w_one": 3, "w_zero": 1, "a_zero": 0}[where]
+    path = tmp_path / "banded.wlra"
+    write_instance(path, A, W)
+    data = bytearray(path.read_bytes())
+    off = 16 + 8 * (n * n * matrix + n * 6 + j)
+    data[off:off + 8] = struct.pack("<d", value)
+    path.write_bytes(bytes(data))
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run([command, "--in", path, "--k", 2]) == 2
+    assert [str(w.message) for w in caught] == []  # inf * 0 is rejected, not warned about
     err = capsys.readouterr().err
     assert err == "error: invalid instance: matrix contains non-finite entries\n"
 

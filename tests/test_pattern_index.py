@@ -594,3 +594,128 @@ def test_streamed_detection_holds_about_four_blocks(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 4.5 * 8 * pattern_index._block_rows(n, n) * n
+
+
+# ---------------------------------------------------------------------------
+# A block that continues the class of the row before it
+
+
+def _one_row_blocks(monkeypatch, fake):
+    if fake != "real":
+        monkeypatch.setattr(pattern_index, "_row_hashes", _FAKE_HASHES[fake])
+    monkeypatch.setattr(pattern_index, "_BLOCK_BYTES", 1)  # one row per block
+
+
+def _banded(n=16, bands=4):
+    """(A, W) whose rows repeat in bands of n // bands.
+
+    W's columns 0 and 1 are 1 and 0, and A's column 2 is 0.
+    """
+    rng = np.random.default_rng(6)
+    W = rng.integers(0, 2, size=(bands, n)).astype(float)
+    W[:, :2] = [1.0, 0.0]
+    A = rng.integers(-3, 4, size=(bands, n)).astype(float)
+    A[:, 2] = 0.0
+    return np.repeat(A, n // bands, axis=0), np.repeat(W, n // bands, axis=0)
+
+
+@pytest.mark.parametrize("fake", ["real", *sorted(_FAKE_HASHES)])
+def test_equal_masked_rows_after_a_new_weight_row_start_a_class(monkeypatch, tmp_path, fake):
+    # Row 2's W*A row equals row 1's, but its W row differs, so it must not
+    # join the class of the row before it.
+    _one_row_blocks(monkeypatch, fake)
+    W = np.array([[1.0, 0, 1], [1, 0, 1], [3, 0, 1]])
+    A = np.array([[3.0, 5, 1], [3, 5, 1], [1, 7, 1]])
+    for inst in (build_instance(A, W), _streamed(tmp_path, A, W)):
+        assert list(inst.wa_rows.group_of) == [0, 0, 1]
+        _assert_instance_matches_oracle(inst, A, W)
+
+
+@pytest.mark.parametrize("fake", ["real", *sorted(_FAKE_HASHES)])
+@pytest.mark.parametrize("matrix, j, value", [
+    ("A", 0, np.nan),  # where W is 1
+    ("A", 1, np.nan),  # where W is 0
+    ("W", 2, np.inf),  # where A is 0
+])
+def test_non_finite_entry_mid_band_rejected(monkeypatch, tmp_path, fake, matrix, j, value):
+    _one_row_blocks(monkeypatch, fake)
+    A, W = _banded()
+    {"A": A, "W": W}[matrix][6, j] = value  # inside the band of rows 4..7
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match="non-finite"):
+            build_instance(A, W)
+        with pytest.raises(cli._Exit, match="non-finite"):
+            _streamed(tmp_path, A, W)
+
+
+@pytest.mark.parametrize("fake", ["real", *sorted(_FAKE_HASHES)])
+def test_negative_zero_mid_band_joins_the_band(monkeypatch, tmp_path, fake):
+    _one_row_blocks(monkeypatch, fake)
+    A, W = _banded()
+    A[5, 2] = -0.0  # W*A is -0.0 where the band's first row has +0.0
+    W[6, 1] = -0.0
+    for inst in (build_instance(A, W), _streamed(tmp_path, A, W)):
+        assert inst.w_rows.group_of[4] == inst.w_rows.group_of[5] == inst.w_rows.group_of[6]
+        assert inst.wa_rows.group_of[4] == inst.wa_rows.group_of[5] == inst.wa_rows.group_of[6]
+        _assert_instance_matches_oracle(inst, A, W)
+
+
+def test_only_blocks_that_leave_the_previous_class_are_hashed_or_checked(monkeypatch, tmp_path):
+    # A block equal row for row to the class of the row before it is
+    # grouped by one compare: on a banded file, only the blocks where a
+    # band starts are hashed or checked for non-finite entries.
+    visited = {"_row_hashes": set(), "_check_finite": set()}
+    current = [None]
+    group = pattern_index.BlockDetector._group
+
+    def group_spy(self, mat, block, lo, *args):
+        current[0] = (mat, lo)
+        return group(self, mat, block, lo, *args)
+
+    def spy(name):
+        original = getattr(pattern_index, name)
+
+        def counted(*args, **kwargs):
+            visited[name].add(current[0])
+            return original(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(pattern_index.BlockDetector, "_group", group_spy)
+    for name in visited:
+        monkeypatch.setattr(pattern_index, name, spy(name))
+    n = 512
+    A, W = _attention(n, r=2, p=2)
+    block_feeds = 2 * -(-n // pattern_index._block_rows(n, n))
+    for detect in (lambda: build_instance(A, W), lambda: _streamed(tmp_path, A, W)):
+        for blocks in visited.values():
+            blocks.clear()
+        inst = detect()
+        _assert_instance_matches_oracle(inst, A, W)
+        bound = inst.w_rows.num_groups + inst.wa_rows.num_groups
+        assert bound < block_feeds
+        for blocks in visited.values():
+            assert 0 < len(blocks) <= bound
+
+
+def test_stored_rows_that_grow_are_freed_at_once(tmp_path):
+    # The peak comes when the 64 stored rows of W*A's classes grow to 128:
+    # both copies are live then, beside two block buffers, the comparison
+    # mask, W's 32 stored rows and about a dozen n-wide label arrays.  A
+    # view of the old copy held past the growth keeps it live through the
+    # column pass of the new classes, which takes about 8 rows more.
+    n, r, p = 1024, 32, 4
+    A, W = generate(GenSpec(n=n, r=r, p=p, k_true=3, noise_sigma=0.1,
+                            weight_style="attention_block", seed=3))
+    path = tmp_path / "inst.wlra"
+    write_instance(path, A, W)
+    inst, _, _ = cli._load(path)
+    assert (inst.w_rows.num_groups, inst.wa_rows.num_groups) == (32, 128)
+    tracemalloc.start()
+    try:
+        cli._load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = pattern_index._block_rows(n, n)
+    rows = 2 * block + block / 8 + 32 + 64 + 128 + 12
+    assert peak <= rows * 8 * n
