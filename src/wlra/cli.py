@@ -238,12 +238,20 @@ def _check_writable(path) -> None:
 
     Run before the work, so a run that cannot write its output fails first;
     opening early would truncate an earlier output if the work then failed.
+    A missing directory is ENOENT and a file in its place ENOTDIR, as the
+    first ancestor that exists decides; any refused write, a read-only
+    filesystem too, is reported as EACCES.
     """
     path = Path(path)
+    ancestor = path.parent
+    while not ancestor.exists():  # exists() is False under a file too
+        ancestor = ancestor.parent
     if path.is_dir():
         code = errno.EISDIR
-    elif not path.parent.is_dir():
-        code = errno.ENOTDIR if path.parent.exists() else errno.ENOENT
+    elif not ancestor.is_dir():
+        code = errno.ENOTDIR
+    elif ancestor != path.parent:
+        code = errno.ENOENT
     elif not os.access(path if path.exists() else path.parent, os.W_OK):
         code = errno.EACCES
     else:

@@ -272,13 +272,9 @@ class _RowClasses:
 
         A label -1 never matches.  scratch and same are block-shaped buffers.
         """
-        listed = labels.tolist()  # cheaper to test than the array
-        if listed[0] >= 0 and listed.count(listed[0]) == len(listed):  # one class: broadcast it
-            ok = np.equal(block, self.rows[listed[0]], out=same).all(axis=1)
-        else:
-            stored = np.take(self.rows, labels, axis=0, out=scratch, mode="clip")
-            ok = np.equal(block, stored, out=same).all(axis=1)
-            ok &= labels >= 0
+        stored = np.take(self.rows, labels, axis=0, out=scratch, mode="clip")
+        ok = np.equal(block, stored, out=same).all(axis=1)
+        ok &= labels >= 0
         if parents is not None:
             ok &= self.parents[labels] == parents
         return ok

@@ -161,13 +161,15 @@ def test_solve_missing_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag", ["--out-factors", "--out-report"])
-@pytest.mark.parametrize("where", ["missing_dir", "a_directory", "under_a_file"])
+@pytest.mark.parametrize("where", ["missing_dir", "a_directory", "under_a_file",
+                                   "missing_dir_under_a_file"])
 def test_solve_unwritable_output_exits_2_before_reading(tmp_path, capsys, monkeypatch,
                                                          flag, where):
     path = _gen(tmp_path, n=8)
     (tmp_path / "a_file").write_text("")
     out = {"missing_dir": tmp_path / "missing_dir" / "out", "a_directory": tmp_path,
-           "under_a_file": tmp_path / "a_file" / "out"}[where]
+           "under_a_file": tmp_path / "a_file" / "out",
+           "missing_dir_under_a_file": tmp_path / "a_file" / "x" / "out"}[where]
     try:
         open(out, "wb")
     except OSError as e:
