@@ -12,6 +12,7 @@ import argparse
 import errno
 import math
 import os
+import stat
 import struct
 import sys
 from dataclasses import replace
@@ -56,23 +57,36 @@ def write_instance(path, A, W, sidecar=None) -> None:
     Each matrix goes to the file in C order a block of rows at a time, so
     no whole-matrix copy is made whatever the layout of A and W; they may
     also be TiledMatrix objects, which are never expanded whole.
+
+    A regular file is rewritten in place, not truncated first: truncating
+    frees the old payload's blocks only for the write to allocate them
+    again.  Its header is zeroed until the payload and the new length are
+    in place, so a write that fails leaves bad magic bytes, which readers
+    reject.  Other outputs (a FIFO, /dev/null) cannot be truncated or
+    seeked and get the header first.
     """
     A, W = (M if isinstance(M, TiledMatrix) else np.asarray(M, dtype="<f8") for M in (A, W))
     n = A.shape[0]
     flags = _FLAG_W_DENSE | (_FLAG_SIDECAR if sidecar is not None else 0)
-    with open(path, "wb") as f:
-        f.write(_HEADER.pack(_MAGIC, _VERSION, n, flags))
+    header = _HEADER.pack(_MAGIC, _VERSION, n, flags)
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+        in_place = stat.S_ISREG(os.fstat(f.fileno()).st_mode)
+        f.write(bytes(len(header)) if in_place else header)
         _write_rows(f, A)
         _write_rows(f, W)
         for arr in sidecar if sidecar is not None else ():
             f.write(np.ascontiguousarray(arr, dtype="<u4"))
+        if in_place:
+            f.truncate()
+            f.seek(0)
+            f.write(header)
 
 
 def _read_header(f):
     """(n, flags) from the header of an open instance file.
 
-    Raises ValueError on a short header, bad magic bytes or an unknown
-    version.
+    Raises ValueError on a short header, bad magic bytes, an unknown
+    version or a flag bit other than those of W and the side-car.
     """
     head = f.read(_HEADER.size)
     if len(head) < _HEADER.size:
@@ -82,6 +96,8 @@ def _read_header(f):
         raise ValueError("bad magic bytes")
     if version != _VERSION:
         raise ValueError(f"unsupported version {version}")
+    if flags & ~(_FLAG_W_DENSE | _FLAG_SIDECAR):
+        raise ValueError("unknown header flags")
     return n, flags
 
 
@@ -237,7 +253,7 @@ def _check_writable(path) -> None:
     """Raise the OSError that opening path for writing would, without opening it.
 
     Run before the work, so a run that cannot write its output fails first;
-    opening early would truncate an earlier output if the work then failed.
+    opening early would spoil an earlier output if the work then failed.
     A missing directory is ENOENT and a file in its place ENOTDIR, as the
     first ancestor that exists decides; any refused write, a read-only
     filesystem too, is reported as EACCES.
@@ -277,6 +293,7 @@ def cmd_gen(args) -> int:
                        seed=args.seed)
     except ValueError as e:
         raise _Exit(1, str(e)) from None
+    _check_writable(args.out)
     try:
         # A and W expand a row block at a time while writing; inst's
         # partitions form the side-car.  The grids are drawn and checked once.

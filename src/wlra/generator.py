@@ -150,7 +150,10 @@ class TiledMatrix:
         return self.row_ids.shape[0], self.col_ids.shape[0]
 
     def __getitem__(self, rows: slice) -> np.ndarray:
-        return np.take(self.grid[self.row_ids[rows]], self.col_ids, axis=1)
+        ids = self.row_ids[rows]
+        if ids.size and (ids == ids[0]).all():  # a block inside one band: expand its row once
+            return np.repeat(np.take(self.grid[ids[0]], self.col_ids)[None], ids.size, axis=0)
+        return np.take(self.grid[ids], self.col_ids, axis=1)
 
 
 def _planted(spec: GenSpec):

@@ -1,7 +1,10 @@
 import ast
+import errno
 import inspect
+import os
 import re
 import struct
+import threading
 import tracemalloc
 import warnings
 
@@ -77,6 +80,90 @@ def test_gen_unwritable_path(tmp_path):
     assert code == 2
 
 
+def test_gen_unwritable_out_exits_2_before_generating(tmp_path, capsys, monkeypatch):
+    draws = []
+    monkeypatch.setattr(cli, "generate_tiled", lambda spec: draws.append(spec))
+    capsys.readouterr()
+    assert run(["gen", "--n", 8, "--out", tmp_path / "missing_dir" / "x.wlra"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and draws == []
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("before", [64, 8])  # n of the file already at the path
+def test_gen_over_an_existing_file_writes_the_bytes_of_a_fresh_one(tmp_path, before):
+    fresh = _gen(tmp_path, "fresh.wlra", n=32, seed=3, extra=("--style", "block_mask01"))
+    path = _gen(tmp_path, "over.wlra", n=before, seed=1)
+    _gen(tmp_path, "over.wlra", n=32, seed=3, extra=("--style", "block_mask01"))
+    assert path.read_bytes() == fresh.read_bytes()
+
+
+def test_gen_rewrites_an_existing_file_in_place(tmp_path, monkeypatch):
+    # The old file keeps its inode and length while the payload is written:
+    # it is never truncated to zero, only cut to the new length at the end.
+    path = _gen(tmp_path, n=64, seed=1)
+    old = path.stat()
+    seen = []
+    write_rows = cli._write_rows
+
+    def spy(f, M):
+        seen.append((path.stat().st_ino, path.stat().st_size))
+        write_rows(f, M)
+
+    monkeypatch.setattr(cli, "_write_rows", spy)
+    _gen(tmp_path, n=32, seed=3)
+    assert seen == [(old.st_ino, old.st_size)] * 2
+    assert path.stat().st_ino == old.st_ino
+    assert path.stat().st_size == 16 + 2 * 8 * 32 * 32 + 4 * 4 * 32
+
+
+@pytest.mark.parametrize("before", [64, 8, None])  # n of the file already at the path
+def test_gen_that_fails_mid_payload_leaves_a_file_readers_reject(tmp_path, capsys, monkeypatch,
+                                                                   before):
+    path = tmp_path / "inst.wlra"
+    if before is not None:
+        _gen(tmp_path, n=before, seed=1)
+    calls = []
+    write_rows = cli._write_rows
+
+    def failing(f, M):
+        calls.append(M)
+        if len(calls) == 2:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        write_rows(f, M)
+
+    monkeypatch.setattr(cli, "_write_rows", failing)
+    capsys.readouterr()
+    assert run(["gen", "--n", 32, "--r", 2, "--p", 2, "--seed", 3, "--out", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    for command in FILE_COMMANDS:
+        assert run([command, "--in", path, "--k", 1]) == 2
+        assert capsys.readouterr().err == "error: bad magic bytes\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+def test_gen_into_a_fifo_writes_the_bytes_of_a_file(tmp_path):
+    fresh = _gen(tmp_path, "fresh.wlra", n=40, r=3, p=2, seed=5)
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        _gen(tmp_path, "pipe", n=40, r=3, p=2, seed=5)
+    finally:
+        reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert got == [fresh.read_bytes()]
+
+
+@pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+def test_gen_to_the_null_device(tmp_path, capsys):
+    assert run(["gen", "--n", 16, "--r", 2, "--p", 2, "--out", os.devnull]) == 0
+    assert capsys.readouterr().out.startswith(f"wrote {os.devnull} ")
+
+
 def test_instance_file_round_trip(tmp_path):
     want_a, want_w = generate(GenSpec(n=16, r=2, p=2, k_true=2, noise_sigma=0.3, seed=5))
     inst = build_instance(want_a, want_w)
@@ -109,6 +196,15 @@ def test_read_without_dense_weight_flag_gives_all_ones(tmp_path):
     assert np.array_equal(got_a, A)
     assert np.array_equal(got_w, np.ones((3, 3)))
     assert side is None
+
+
+def test_read_rejects_unknown_header_flags(tmp_path):
+    path = _gen(tmp_path)
+    data = bytearray(path.read_bytes())
+    data[14:16] = struct.pack("<H", 1 | 2 | 4)
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match="unknown header flags"):
+        read_instance(path)
 
 
 def test_read_rejects_corrupt_files(tmp_path):
@@ -363,6 +459,12 @@ def _bad_version(data):
     data[4:6] = struct.pack("<H", 2)
 
 
+def _set_flags(flags):
+    def edit(data):
+        data[14:16] = struct.pack("<H", flags)
+    return edit
+
+
 def _unchanged(data):
     pass
 
@@ -387,6 +489,7 @@ BAD_INPUTS = [
     ("k_over_header_n_truncated_payload", _truncate, ("--k", N_BAD + 1), 1, ("solve",)),
     ("bad_magic", _bad_magic, (), 2, FILE_COMMANDS),
     ("bad_version", _bad_version, (), 2, FILE_COMMANDS),
+    ("unknown_header_flag_bit", _set_flags(1 | 4), (), 2, FILE_COMMANDS),
     ("unknown_flag", _unchanged, ("--bogus",), 1, FILE_COMMANDS),
     ("threads_flag", _unchanged, ("--threads", 2), 1, FILE_COMMANDS),
     ("k_zero", _unchanged, ("--k", 0), 1, FILE_COMMANDS),
@@ -411,6 +514,7 @@ BAD_INPUTS = [
     # checked before the file is read: nothing is printed first
     ("unwritable_factors", _unchanged, ("--out-factors", UNWRITABLE), 2, ("solve",)),
     ("unwritable_report", _unchanged, ("--out-report", UNWRITABLE), 2, ("solve",)),
+    ("unwritable_out", None, ("--out", UNWRITABLE), 2, ("gen",)),
 ]
 PARSER_ERRORS = ("unknown_flag", "threads_flag")  # argparse prints its usage line first
 # checked before the file is read (gen: before generating)

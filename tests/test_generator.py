@@ -3,7 +3,7 @@ import pytest
 
 from wlra import (GenSpec, build_instance, cost_dense, detect_groups, generate,
                   generate_attention_mask, generate_compressed, generate_with_factors)
-from wlra.generator import generate_tiled
+from wlra.generator import TiledMatrix, generate_tiled
 
 
 def test_trivial_spec_single_pattern():
@@ -87,10 +87,22 @@ def test_tiled_rows_and_instance_match_the_dense_and_compressed_paths(style):
     spec = GenSpec(n=40, r=3, p=2, k_true=2, noise_sigma=0.1, weight_style=style, seed=8)
     tiled_a, tiled_w, inst = generate_tiled(spec)
     A, W = generate(spec)
-    for tiled, dense in ((tiled_a, A), (tiled_w, W)):
+    # Hand-built: unsorted and repeated row ids, a run of eight equal ones,
+    # and repeated column ids.
+    rng = np.random.default_rng(8)
+    grid = rng.standard_normal((5, 6))
+    row_ids = np.array([3, 3, 0, 4, 4, 4, 1, 3, 2, 2, 2, 2, 2, 2, 2, 2, 0, 1])
+    col_ids = np.array([5, 0, 0, 2, 5, 1, 3])
+    hand = TiledMatrix(grid, row_ids, col_ids)
+    pairs = ((tiled_a, A, (7,)), (tiled_w, W, (7,)),
+             (hand, grid[row_ids][:, col_ids], (1, 3, 8)))
+    for tiled, dense, steps in pairs:
         assert tiled.shape == dense.shape
-        for lo in range(0, 40, 7):
-            assert tiled[lo:lo + 7].tobytes() == dense[lo:lo + 7].tobytes()
+        for step in steps:
+            for lo in range(0, dense.shape[0] + step, step):  # the last slice is empty
+                got = tiled[lo:lo + step]
+                assert got.flags.c_contiguous and got.shape == dense[lo:lo + step].shape
+                assert got.tobytes() == dense[lo:lo + step].tobytes()
     comp = generate_compressed(spec)
     assert inst.weights.tobytes() == comp.weights.tobytes()
     assert inst.targets.tobytes() == comp.targets.tobytes()
