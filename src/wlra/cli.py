@@ -372,6 +372,8 @@ def cmd_bench(args) -> int:
                 inst = generate_compressed(replace(spec, seed=run_seed))
             except RuntimeError as e:
                 raise _Exit(1, str(e)) from None
+            except MemoryError as e:
+                raise _Exit(2, str(e)) from None
             opts = SolveOptions(k=args.k, eps=args.eps, max_sweeps=args.sweeps,
                                 rel_tol=0.0, seed=run_seed, restarts=1)
             _, report = solve(inst, opts)

@@ -157,9 +157,17 @@ class TiledMatrix:
 
 
 def _planted(spec: GenSpec):
-    """The accepted grids (gw, ga) and the weight and target band ids of spec."""
+    """The accepted grids (gw, ga) and the weight and target band ids of spec.
+
+    Raises MemoryError if no array can hold the n-long band ids; numpy
+    refuses a size past its limit with a ValueError, which a grid that
+    overflows raises too.
+    """
     gw, ga, _, _ = _accepted_grids(spec)
-    return gw, ga, _band_ids(spec.n, spec.r), _sub_band_ids(spec.n, spec.r, spec.p)
+    try:
+        return gw, ga, _band_ids(spec.n, spec.r), _sub_band_ids(spec.n, spec.r, spec.p)
+    except (ValueError, MemoryError) as e:
+        raise MemoryError(f"n={spec.n} is too large for its band maps: {e}") from None
 
 
 def _instance(spec: GenSpec, gw, ga, wband, aband) -> StructuredInstance:

@@ -108,39 +108,22 @@ def min_norm_solve(design: np.ndarray, target: np.ndarray) -> np.ndarray:
     return _svd_apply(np.linalg.svd(design, full_matrices=False), target)
 
 
-def _grid_system(inst, gv: GroupedFactor):
-    """Exact grid designs per weight-row group and targets per refined row group.
-
-    Row g's regression over the n columns has size_h identical equations
-    per refined column group h; scaling column h by sqrt(size_h) gives
-    the same normal equations, so the grid system has the same solutions
-    and the same singular values.
-    """
-    gv.check_groups(inst.wa_cols, "column")
-    root = np.sqrt(inst.wa_cols.sizes)
-    Z = np.ascontiguousarray(gv.rows.T)  # k x Gc
-    weights = inst.weights[:, inst.col_parents()] * root
-    return Z, weights, inst.targets * root
-
-
-def update_rows(inst, gv: GroupedFactor, S: np.ndarray | None,
-                opts: SolveOptions) -> GroupedFactor:
+def update_rows(inst, gv: GroupedFactor, S: np.ndarray | None = None) -> GroupedFactor:
     """One row half-sweep: the optimal grouped row factor for fixed V.
 
-    gv is V as a GroupedFactor on inst.wa_cols.  Solves one (sketched)
-    weighted regression per refined row group using the design shared by
-    its weight group, all on the group grid.  S, if given, is a t x Gc
-    sketch: a standard Gaussian sketch times diag(sqrt(size_h)) has the law
-    of an n-wide sketch summed over each column group.
+    gv is V as a GroupedFactor on inst.wa_cols.  Solves one weighted
+    regression per refined row group on inst.row_system(), with the design
+    shared by its weight group.  Without S the regressions are exact; S, if
+    given, is a t x Gc sketch: a standard Gaussian sketch times
+    diag(sqrt(size_h)) has the law of an n-wide sketch summed over each
+    column group.  A column half-sweep is update_rows(inst.transposed(), gu, S).
     """
-    Z, weights, targets = _grid_system(inst, gv)
-    if opts.sketchless:
-        if S is not None:
-            raise ValueError("sketchless updates take no sketch")
+    gv.check_groups(inst.wa_cols, "column")
+    Z = np.ascontiguousarray(gv.rows.T)  # k x Gc
+    weights, targets = inst.row_system()
+    if S is None:
         designs = [Z * w for w in weights]
     else:
-        if S is None:
-            raise ValueError("a sketch is required unless sketchless is set")
         if S.shape[1] != inst.wa_cols.num_groups:
             raise ValueError("sketch width does not match the column group count")
         designs = [sketched_design(Z, w, S) for w in weights]
@@ -153,21 +136,18 @@ def update_rows(inst, gv: GroupedFactor, S: np.ndarray | None,
     return GroupedFactor(index=inst.wa_rows, rows=rows)
 
 
-def update_cols(inst, gu: GroupedFactor, S: np.ndarray | None,
-                opts: SolveOptions) -> GroupedFactor:
-    """One column half-sweep; the row update applied to the transposed instance."""
-    return update_rows(inst.transposed(), gu, S, opts)
-
-
 def row_certificates(inst, grouped_u: GroupedFactor, gv: GroupedFactor) -> np.ndarray:
-    """Per-group optimality certificates for a sketchless row half-sweep.
+    """Per-group optimality certificates for an exact row half-sweep.
 
     Normal-equations residuals || D (D^T x - b) ||_inf, normalized by
     design scale (Frobenius) times target scale (2-norm), one per group.
-    Computed on the exact grid system, whose D D^T, D b and norms equal
-    those of the n-wide regression.
+    Computed on inst.row_system(), whose D D^T, D b and norms equal those
+    of the n-wide regression; the column side is
+    row_certificates(inst.transposed(), grouped_v, gu).
     """
-    Z, weights, targets = _grid_system(inst, gv)
+    gv.check_groups(inst.wa_cols, "column")
+    Z = np.ascontiguousarray(gv.rows.T)
+    weights, targets = inst.row_system()
     parents = inst.row_parents()
     out = np.empty(grouped_u.rows.shape[0])
     for g in range(out.shape[0]):
@@ -181,10 +161,6 @@ def row_certificates(inst, grouped_u: GroupedFactor, gv: GroupedFactor) -> np.nd
         else:
             out[g] = resid / denom
     return out
-
-
-def col_certificates(inst, grouped_v: GroupedFactor, gu: GroupedFactor) -> np.ndarray:
-    return row_certificates(inst.transposed(), grouped_v, gu)
 
 
 def _init_factor(inst, run_seed: int, k: int) -> GroupedFactor:
@@ -248,7 +224,7 @@ def _solve_single(inst, opts: SolveOptions, run_seed: int, t: int | None):
                 report.sketch_seeds.append(seed)
                 S = gaussian_sketch(seed, t, oriented.wa_cols.num_groups)
             fixed = factors[1 - side]
-            factors[side] = update_rows(oriented, fixed, S, opts)
+            factors[side] = update_rows(oriented, fixed, S)
             cost = cost_grouped(oriented, factors[side], fixed)
             report.sweep_wall_times.append(time.perf_counter() - tic)
             report.cost_per_sweep.append(cost)

@@ -608,9 +608,18 @@ class StructuredInstance:
         """Weight-column group id of each refined column group."""
         return self.w_cols.group_of[self.wa_cols.representatives]
 
-    def refined_weights(self) -> np.ndarray:
-        """W on the refined grid, shape (wa_rows.num_groups, wa_cols.num_groups)."""
-        return self.weights[np.ix_(self.row_parents(), self.col_parents())]
+    def row_system(self) -> tuple[np.ndarray, np.ndarray]:
+        """(weights, targets): the rows' regressions on the grid, both C-ordered.
+
+        weights holds W per weight-row group and targets W*A per refined row
+        group, both over the refined column groups, with column h scaled by
+        sqrt(wa_cols.sizes[h]).  A row's n-wide regression repeats each grid
+        column's equation size_h times, so the scaled system has the same
+        normal equations, singular values and squared residuals.
+        """
+        root = np.sqrt(self.wa_cols.sizes)
+        return (np.multiply(self.weights[:, self.col_parents()], root, order="C"),
+                np.multiply(self.targets, root, order="C"))
 
     def transposed(self) -> "StructuredInstance":
         """The same problem with rows and columns exchanged: the same partitions, grid views."""

@@ -58,14 +58,14 @@ def compress_factor(X: np.ndarray, index: PatternIndex) -> GroupedFactor:
 
 
 def _row_residual_sq(V: np.ndarray, u_row: np.ndarray, w_row: np.ndarray,
-                     wa_row: np.ndarray, counts: np.ndarray | None, out: np.ndarray) -> float:
-    # Single audited kernel: sum_j counts_j (w * (V @ u) - (w * a))_j^2 for
-    # one row.  counts are the column-group sizes on the grid, None (all 1)
-    # on n columns.  The residual is formed in out, a buffer of V's height.
+                     wa_row: np.ndarray, out: np.ndarray) -> float:
+    # Single audited kernel: sum_j (w * (V @ u) - (w * a))_j^2 for one row,
+    # over n columns or over the scaled grid columns of row_system().  The
+    # residual is formed in out, a buffer of V's height.
     d = np.matmul(V, u_row, out=out)
     d *= w_row
     d -= wa_row
-    return float(np.dot(d if counts is None else d * counts, d))
+    return float(np.dot(d, d))
 
 
 def cost_dense(A: np.ndarray, W: np.ndarray, U: np.ndarray, V: np.ndarray) -> float:
@@ -86,7 +86,7 @@ def cost_dense(A: np.ndarray, W: np.ndarray, U: np.ndarray, V: np.ndarray) -> fl
         raise ValueError("factor heights must match A")
 
     wa, d = np.empty(A.shape[1]), np.empty(A.shape[1])
-    return math.fsum(_row_residual_sq(V, U[i], W[i], np.multiply(W[i], A[i], out=wa), None, d)
+    return math.fsum(_row_residual_sq(V, U[i], W[i], np.multiply(W[i], A[i], out=wa), d)
                      for i in range(A.shape[0]))
 
 
@@ -95,20 +95,22 @@ def cost_grouped(inst, grouped_u: GroupedFactor, V) -> float:
 
     grouped_u must be constant on the refined row groups (its index must
     match inst.wa_rows).  A GroupedFactor V on inst.wa_cols is evaluated
-    on the group grid: one residual row per refined row group over the Gc
-    column groups, weighted by the column group sizes, in O(Gr * Gc * k).
-    An (n, k) array V is evaluated exactly over all n columns, in
-    O(Gr * n * k).  Each row term is multiplied by its row group size.
+    on inst.row_system(), whose columns carry sqrt of their group sizes:
+    one residual row per refined row group over the Gc column groups, in
+    O(Gr * Gc * k).  An (n, k) array V is evaluated exactly over all n
+    columns, in O(Gr * n * k).  Each row term is multiplied by its row
+    group size.
     """
     grouped_u.check_groups(inst.wa_rows, "row")
     sizes = inst.wa_rows.sizes
     if isinstance(V, GroupedFactor):
         V.check_groups(inst.wa_cols, "column")
+        weights, targets = inst.row_system()
         d = np.empty(V.rows.shape[0])
         return math.fsum(
-            float(size) * _row_residual_sq(V.rows, u, w, t, inst.wa_cols.sizes, d)
-            for size, u, w, t in zip(sizes, grouped_u.rows, inst.refined_weights(),
-                                     inst.targets))
+            float(size) * _row_residual_sq(V.rows, u, weights[g], t, d)
+            for size, u, g, t in zip(sizes, grouped_u.rows, inst.row_parents().tolist(),
+                                     targets))
     V = np.ascontiguousarray(V, dtype=np.float64)
     if V.ndim != 2 or V.shape[0] != inst.n or V.shape[1] != grouped_u.k:
         raise ValueError("V shape does not conform to the instance and factor")
@@ -124,7 +126,7 @@ def cost_grouped(inst, grouped_u: GroupedFactor, V) -> float:
             np.take(weights[g], cols, out=w, mode="clip")
             gathered = g
         np.take(inst.targets[i], cols, out=t, mode="clip")
-        terms[i] = float(sizes[i]) * _row_residual_sq(V, grouped_u.rows[i], w, t, None, d)
+        terms[i] = float(sizes[i]) * _row_residual_sq(V, grouped_u.rows[i], w, t, d)
     return math.fsum(terms)
 
 

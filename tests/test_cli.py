@@ -504,6 +504,9 @@ BAD_INPUTS = [
     ("noise_inf", None, ("--noise", "inf"), 1, ("gen",)),
     ("noise_nan", None, ("--noise", "nan"), 1, ("gen",)),
     ("noise_overflowing_grid", None, ("--noise", "1e308"), 1, ("gen",)),
+    # no array can hold the n-long band maps; numpy refuses before allocating
+    ("n_unholdable", None, ("--n", 2 ** 62), 2, ("gen",)),
+    ("size_unholdable", None, ("--sizes", 2 ** 62), 2, ("bench",)),
     ("rp_over_n", None, ("--sizes", 8, 16, "--r", 4, "--p", 4), 1, ("bench",)),
     ("size_zero", None, ("--sizes", 0), 1, ("bench",)),
     ("r_zero", None, ("--sizes", 8, "--r", 0), 1, ("bench",)),
@@ -551,6 +554,8 @@ def test_bad_input_exit_codes(tmp_path, capsys, name, edit, extra, code, command
         assert err.startswith("error: ") and err.count("\n") == 1
     if name.startswith(FLAG_ERRORS):  # names the bad flag and nothing else
         assert extra[0].lstrip("-") in err and re.search(r"\br\b", err) is None
+    if name.endswith("_unholdable"):  # the size is at fault, not the planted grids
+        assert "grid" not in err
     if command == "gen":
         assert not (tmp_path / "gen.wlra").exists()
 

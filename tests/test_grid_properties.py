@@ -17,10 +17,9 @@ import pytest
 
 from wlra import cli, pattern_index
 from wlra.cli import read_instance, write_instance
-from wlra import (WEIGHT_STYLES, GenSpec, GroupedFactor, SolveOptions, build_instance,
-                  compress_factor, cost_dense, cost_grouped, cost_grouped_cols, detect_groups,
-                  gaussian_sketch, generate, generate_compressed, refine, update_cols,
-                  update_rows)
+from wlra import (WEIGHT_STYLES, GenSpec, GroupedFactor, build_instance, compress_factor,
+                  cost_dense, cost_grouped, cost_grouped_cols, detect_groups, gaussian_sketch,
+                  generate, generate_compressed, refine, row_certificates, update_rows)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -95,20 +94,19 @@ def test_updates_and_cost_equivariant_under_permutations(problem, data):
     Q = np.array(data.draw(st.permutations(range(n))))
     inst = build_instance(A, W)
     perm = build_instance(A[P][:, Q], W[P][:, Q])
-    opts = SolveOptions(k=k, sketchless=True)
 
     gv = _factor(inst.wa_cols, k, rng)
     gv_p = compress_factor(gv.expand()[Q], perm.wa_cols)
-    gu = update_rows(inst, gv, None, opts)
-    gu_p = update_rows(perm, gv_p, None, opts)
+    gu = update_rows(inst, gv)
+    gu_p = update_rows(perm, gv_p)
     assert _close(gu_p.expand(), gu.expand()[P])
     assert cost_grouped(perm, gu_p, gv_p) == pytest.approx(cost_grouped(inst, gu, gv),
                                                            rel=1e-9, abs=1e-9)
 
     gu = _factor(inst.wa_rows, k, rng)
     gu_p = compress_factor(gu.expand()[P], perm.wa_rows)
-    assert _close(update_cols(perm, gu_p, None, opts).expand(),
-                  update_cols(inst, gu, None, opts).expand()[Q])
+    assert _close(update_rows(perm.transposed(), gu_p).expand(),
+                  update_rows(inst.transposed(), gu).expand()[Q])
 
 
 @SETTINGS
@@ -127,15 +125,21 @@ def test_transposing_swaps_u_and_v(problem, t, seed):
     A, W, k, rng = problem
     inst = build_instance(A, W)
     flipped = inst.transposed()
-    _assert_same_instance(flipped, build_instance(A.T, W.T))
+    built = build_instance(A.T, W.T)
+    _assert_same_instance(flipped, built)
+    for grid in flipped.row_system():
+        assert grid.flags.c_contiguous
 
     gu, gv = _factor(inst.wa_rows, k, rng), _factor(inst.wa_cols, k, rng)
+    gu_built = GroupedFactor(index=built.wa_cols, rows=gu.rows)
     for S in (None, gaussian_sketch(seed, t, inst.wa_rows.num_groups)):
-        opts = SolveOptions(k=k, sketchless=S is None)
-        got = update_cols(inst, gu, S, opts)
-        want = update_rows(flipped, gu, S, opts)
+        got = update_rows(flipped, gu, S)
+        want = update_rows(built, gu_built, S)
         assert got.index is inst.wa_cols
         assert got.rows.tobytes() == want.rows.tobytes()
+        got_cert = row_certificates(flipped, got, gu)
+        want_cert = row_certificates(built, want, gu_built)
+        assert got_cert.tobytes() == want_cert.tobytes()
 
     swapped = cost_grouped_cols(inst, gv, gu)
     assert swapped == cost_grouped(flipped, gv, gu)

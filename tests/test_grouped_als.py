@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from wlra import (GenSpec, GroupedFactor, SolveOptions, build_instance, col_certificates,
-                  compress_factor, cost_dense, cost_grouped, gaussian_sketch, generate,
-                  generate_compressed, generate_with_factors, grouped_als, min_norm_solve,
-                  row_certificates, sketch_dim, solve, update_cols, update_rows)
+from wlra import (GenSpec, GroupedFactor, SolveOptions, build_instance, compress_factor,
+                  cost_dense, cost_grouped, gaussian_sketch, generate, generate_compressed,
+                  generate_with_factors, grouped_als, min_norm_solve, row_certificates,
+                  sketch_dim, solve, update_rows)
 from wlra.grouped_als import _init_factor
 
 from oracles import cramer_inverse_3x3, power_iteration_rank_k_residual, rowwise_weighted_lstsq
@@ -92,7 +92,7 @@ def test_options_reject_nan(field):
 
 
 # ---------------------------------------------------------------------------
-# update_rows / update_cols
+# update_rows, on the instance and on its transpose
 
 
 def test_update_rows_unweighted_projection():
@@ -101,7 +101,7 @@ def test_update_rows_unweighted_projection():
     A = rng.standard_normal((n, n))
     inst = build_instance(A, np.ones((n, n)))
     V = np.linalg.qr(rng.standard_normal((n, k)))[0]
-    gu = update_rows(inst, compress_factor(V, inst.wa_cols), None, _opts(sketchless=True))
+    gu = update_rows(inst, compress_factor(V, inst.wa_cols))
     reps = inst.wa_rows.representatives
     assert gu.rows == pytest.approx(A[reps] @ V, rel=1e-10, abs=1e-12)
 
@@ -113,7 +113,7 @@ def test_update_rows_zero_weight_group():
     A = rng.standard_normal((n, n))
     inst = build_instance(A, W)
     gv = _random_factor(inst.wa_cols, 2, rng)
-    gu = update_rows(inst, gv, None, _opts(k=2, sketchless=True))
+    gu = update_rows(inst, gv)
     U = gu.expand()
     assert np.all(U[3:] == 0.0)
 
@@ -122,7 +122,7 @@ def test_update_rows_matches_rowwise_oracle():
     inst, A, W = _planted(n=32, r=2, p=2, k_true=4, noise_sigma=0.3, seed=7)
     rng = np.random.default_rng(8)
     gv = _random_factor(inst.wa_cols, 3, rng)
-    gu = update_rows(inst, gv, None, _opts(sketchless=True))
+    gu = update_rows(inst, gv)
     want = rowwise_weighted_lstsq(A, W, gv.expand())
     got = gu.expand()
     scale = np.abs(want).max()
@@ -134,8 +134,8 @@ def test_update_rows_identity_embedding_equals_sketchless():
     rng = np.random.default_rng(4)
     gv = _random_factor(inst.wa_cols, 3, rng)
     width = inst.wa_cols.num_groups
-    exact = update_rows(inst, gv, None, _opts(sketchless=True))
-    via_identity = update_rows(inst, gv, np.eye(width), _opts())
+    exact = update_rows(inst, gv)
+    via_identity = update_rows(inst, gv, np.eye(width))
     assert np.array_equal(exact.rows, via_identity.rows)
 
 
@@ -144,14 +144,9 @@ def test_update_rows_requires_sketch_when_not_sketchless():
     gv = GroupedFactor(index=inst.wa_cols, rows=np.ones((inst.wa_cols.num_groups, 2)))
     width = inst.wa_cols.num_groups
     with pytest.raises(ValueError):
-        update_rows(inst, gv, None, _opts(k=2))
-    with pytest.raises(ValueError):
-        update_rows(inst, gv, gaussian_sketch(0, 9, width - 1), _opts(k=2))
-    with pytest.raises(ValueError):
-        update_rows(inst, gv, gaussian_sketch(0, 9, width), _opts(k=2, sketchless=True))
+        update_rows(inst, gv, gaussian_sketch(0, 9, width - 1))
     with pytest.raises(ValueError):  # V on the weight groups, not the refined ones
-        update_rows(inst, GroupedFactor(index=inst.w_cols, rows=np.ones((2, 2))), None,
-                    _opts(k=2, sketchless=True))
+        update_rows(inst, GroupedFactor(index=inst.w_cols, rows=np.ones((2, 2))))
 
 
 def test_update_rows_assembles_one_design_per_weight_pattern(monkeypatch):
@@ -161,19 +156,9 @@ def test_update_rows_assembles_one_design_per_weight_pattern(monkeypatch):
     S = gaussian_sketch(5, 48, inst.wa_cols.num_groups)
     designs = _count_calls(monkeypatch, "sketched_design")
     regressions = _count_calls(monkeypatch, "_svd_apply")
-    update_rows(inst, gv, S, _opts())
+    update_rows(inst, gv, S)
     assert len(designs) == inst.w_rows.num_groups == 4
     assert len(regressions) == inst.wa_rows.num_groups == 8
-
-
-def test_update_cols_transpose_consistency():
-    inst, _, _ = _planted(n=24, r=2, p=2, k_true=2, noise_sigma=0.1, seed=9)
-    rng = np.random.default_rng(10)
-    gu = _random_factor(inst.wa_rows, 3, rng)
-    S = gaussian_sketch(21, 48, inst.wa_rows.num_groups)
-    a = update_cols(inst, gu, S, _opts())
-    b = update_rows(inst.transposed(), gu, S, _opts())
-    assert np.array_equal(a.rows, b.rows)
 
 
 def test_update_cols_unweighted_projection():
@@ -182,7 +167,7 @@ def test_update_cols_unweighted_projection():
     A = rng.standard_normal((n, n))
     inst = build_instance(A, np.ones((n, n)))
     U = np.linalg.qr(rng.standard_normal((n, 3)))[0]
-    gv = update_cols(inst, compress_factor(U, inst.wa_rows), None, _opts(sketchless=True))
+    gv = update_rows(inst.transposed(), compress_factor(U, inst.wa_rows))
     reps = inst.wa_cols.representatives
     assert gv.rows == pytest.approx(A[:, reps].T @ U, rel=1e-10, abs=1e-12)
 
@@ -191,10 +176,10 @@ def test_certificates_small_after_sketchless_half_sweeps():
     inst, _, _ = _planted(n=48, r=3, p=2, k_true=4, noise_sigma=0.2, seed=12)
     rng = np.random.default_rng(13)
     gv = _random_factor(inst.wa_cols, 3, rng)
-    gu = update_rows(inst, gv, None, _opts(sketchless=True))
+    gu = update_rows(inst, gv)
     assert row_certificates(inst, gu, gv).max() <= 1e-8
-    gv = update_cols(inst, gu, None, _opts(sketchless=True))
-    assert col_certificates(inst, gv, gu).max() <= 1e-8
+    gv = update_rows(inst.transposed(), gu)
+    assert row_certificates(inst.transposed(), gv, gu).max() <= 1e-8
 
 
 # ---------------------------------------------------------------------------

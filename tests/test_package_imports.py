@@ -1,7 +1,10 @@
-"""The package's modules import no private name from one another."""
+"""The package's modules import no private name from one another, and its
+export list names only what the package holds."""
 
 import ast
 from pathlib import Path
+
+import wlra
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "wlra"
 
@@ -21,3 +24,8 @@ def test_no_module_imports_a_private_name_of_another():
     assert modules, f"no modules under {SRC}"
     found = [line for path in modules for line in _private_imports(path)]
     assert found == []
+
+
+def test_every_exported_name_resolves_once():
+    assert len(wlra.__all__) == len(set(wlra.__all__))
+    assert [name for name in wlra.__all__ if not hasattr(wlra, name)] == []
