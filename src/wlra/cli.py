@@ -300,7 +300,9 @@ def cmd_gen(args) -> int:
         A, W, inst = generate_tiled(spec)
     except ValueError as e:  # a grid that overflows
         raise _Exit(1, f"the planted grids overflow: {e}") from None
-    except (RuntimeError, MemoryError) as e:
+    except RuntimeError as e:  # no valid grids within the generator's attempts
+        raise _Exit(1, str(e)) from None
+    except MemoryError as e:
         raise _Exit(2, str(e) or "out of memory for a dense instance of this size") from None
     write_instance(args.out, A, W, _sidecar_of(inst))
     print(f"wrote {args.out} n={inst.n} r={inst.r} p={inst.p}")

@@ -81,13 +81,17 @@ class SolveReport:
     run_seed: int = 0
 
 
-def _svd_apply(svd_parts, target: np.ndarray) -> np.ndarray:
-    u, s, vt = svd_parts
+def _svd_apply(u: np.ndarray, s: np.ndarray, vt: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Minimum-norm solutions for every row of targets under one factored design.
+
+    (u, s, vt) is the thin SVD of a k x t design and targets is m x t; row i
+    of the m x k result minimizes || design^T x - targets[i] ||_2.
+    """
     if s.size == 0 or s[0] <= 0.0:
-        return np.zeros(u.shape[0])
+        return np.zeros((targets.shape[0], u.shape[0]))
     keep = s > _RANK_TOLERANCE * s[0]  # never empty: s[0] > 0 is kept
-    coeff = (vt[keep] @ target) / s[keep]
-    return u[:, keep] @ coeff
+    coeff = targets @ vt[keep].T / s[keep]
+    return coeff @ u[:, keep].T
 
 
 def min_norm_solve(design: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -105,34 +109,38 @@ def min_norm_solve(design: np.ndarray, target: np.ndarray) -> np.ndarray:
         raise ValueError("design must be k x t and target of length t")
     if not (np.all(np.isfinite(design)) and np.all(np.isfinite(target))):
         raise ValueError("non-finite input")
-    return _svd_apply(np.linalg.svd(design, full_matrices=False), target)
+    return _svd_apply(*np.linalg.svd(design, full_matrices=False), target[None])[0]
 
 
 def update_rows(inst, gv: GroupedFactor, S: np.ndarray | None = None) -> GroupedFactor:
     """One row half-sweep: the optimal grouped row factor for fixed V.
 
     gv is V as a GroupedFactor on inst.wa_cols.  Solves one weighted
-    regression per refined row group on inst.row_system(), with the design
-    shared by its weight group.  Without S the regressions are exact; S, if
-    given, is a t x Gc sketch: a standard Gaussian sketch times
-    diag(sqrt(size_h)) has the law of an n-wide sketch summed over each
-    column group.  A column half-sweep is update_rows(inst.transposed(), gu, S).
+    regression per refined row group on inst.row_system(): one stacked SVD
+    factors the designs of all weight groups, and each weight group's SVD
+    solves all of its refined rows in one block apply.  Without S the
+    regressions are exact; S, if given, is a t x Gc sketch: a standard
+    Gaussian sketch times diag(sqrt(size_h)) has the law of an n-wide sketch
+    summed over each column group.  A column half-sweep is
+    update_rows(inst.transposed(), gu, S).
     """
     gv.check_groups(inst.wa_cols, "column")
     Z = np.ascontiguousarray(gv.rows.T)  # k x Gc
     weights, targets = inst.row_system()
     if S is None:
-        designs = [Z * w for w in weights]
+        designs = Z * weights[:, None, :]  # w_rows groups x k x Gc
     else:
         if S.shape[1] != inst.wa_cols.num_groups:
             raise ValueError("sketch width does not match the column group count")
-        designs = [sketched_design(Z, w, S) for w in weights]
+        designs = np.stack([sketched_design(Z, w, S) for w in weights])
         targets = targets @ S.T
+    u, s, vt = np.linalg.svd(designs, full_matrices=False)
     parents = inst.row_parents()
-    factored = [np.linalg.svd(d, full_matrices=False) for d in designs]
+    # The refined row groups of each weight group, in weight-group order.
+    members = np.split(np.argsort(parents, kind="stable"), np.cumsum(np.bincount(parents))[:-1])
     rows = np.empty((inst.wa_rows.num_groups, Z.shape[0]))
-    for g in range(rows.shape[0]):
-        rows[g] = _svd_apply(factored[parents[g]], targets[g])
+    for g, rows_of_g in enumerate(members):
+        rows[rows_of_g] = _svd_apply(u[g], s[g], vt[g], targets[rows_of_g])
     return GroupedFactor(index=inst.wa_rows, rows=rows)
 
 

@@ -75,6 +75,21 @@ def test_gen_draws_and_checks_the_planted_grids_once(tmp_path, monkeypatch):
     assert len(draws) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "--n", 32, "--r", 2, "--p", 2, "--k-true", 2],
+    ["bench", "--sizes", 32, "--r", 2, "--p", 2, "--k", 2, "--sweeps", 1, "--trials", 1],
+])
+def test_generation_that_finds_no_valid_grids_exits_1(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr(generator, "_MAX_ATTEMPTS", 0)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([*argv, "--out", out]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[-1] == "error: instance generation failed after 0 attempts"
+    assert [line for line in lines if line.startswith("error:")] == lines[-1:]
+    assert not out.exists()
+
+
 def test_gen_unwritable_path(tmp_path):
     code = run(["gen", "--n", 8, "--out", tmp_path / "missing_dir" / "x.wlra"])
     assert code == 2

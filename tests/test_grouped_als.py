@@ -27,16 +27,16 @@ def _random_factor(index, k, rng):
     return GroupedFactor(index=index, rows=rng.standard_normal((index.num_groups, k)))
 
 
-def _count_calls(monkeypatch, name):
-    """Record the arguments of every call to grouped_als.<name>."""
+def _count_calls(monkeypatch, name, owner=grouped_als):
+    """Record the positional arguments of every call to owner.<name>."""
     calls = []
-    fn = getattr(grouped_als, name)
+    fn = getattr(owner, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return fn(*args)
+        return fn(*args, **kwargs)
 
-    monkeypatch.setattr(grouped_als, name, counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -155,10 +155,62 @@ def test_update_rows_assembles_one_design_per_weight_pattern(monkeypatch):
     gv = _random_factor(inst.wa_cols, 3, rng)
     S = gaussian_sketch(5, 48, inst.wa_cols.num_groups)
     designs = _count_calls(monkeypatch, "sketched_design")
-    regressions = _count_calls(monkeypatch, "_svd_apply")
+    applies = _count_calls(monkeypatch, "_svd_apply")
+    svds = _count_calls(monkeypatch, "svd", owner=np.linalg)
     update_rows(inst, gv, S)
     assert len(designs) == inst.w_rows.num_groups == 4
-    assert len(regressions) == inst.wa_rows.num_groups == 8
+    assert len(applies) == inst.w_rows.num_groups
+    assert sum(targets.shape[0] for *_, targets in applies) == inst.wa_rows.num_groups == 8
+    assert len(svds) == 1
+
+
+def _mixed_instance():
+    """(inst, k): weight groups that are zero, rank-deficient, single- and many-row.
+
+    The same four weight classes index rows and columns.  Class 1 has zero
+    weight.  Class 0 is weighted only on class 2, whose two columns are one
+    refined group, so its design has rank 1 < k, shared by four distinct
+    rows.  Class 2's two rows are one refined row; class 3's four are four.
+    A is not symmetric, so the transposed instance is a different problem
+    with the same shape of groups.
+    """
+    rng = np.random.default_rng(31)
+    classes = np.array([0, 0, 0, 0, 1, 1, 2, 2, 3, 3, 3, 3])
+    grid = np.array([[0.0, 0.0, 0.7, 0.0],
+                     [0.0, 0.0, 0.0, 0.0],
+                     [0.7, 0.0, 1.3, 0.4],
+                     [0.0, 0.0, 0.4, 2.1]])
+    W = grid[np.ix_(classes, classes)]
+    A = rng.standard_normal(W.shape)
+    A[7] = A[6]
+    A[:, 7] = A[:, 6]
+    return build_instance(A, W), 3
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+@pytest.mark.parametrize("sketched", [False, True])
+def test_update_rows_matches_min_norm_solve_per_row(transposed, sketched):
+    inst, k = _mixed_instance()
+    if transposed:
+        inst = inst.transposed()
+    gv = _random_factor(inst.wa_cols, k, np.random.default_rng(32))
+    Z = gv.rows.T
+    weights, targets = inst.row_system()
+    parents = inst.row_parents()
+    members = np.bincount(parents)
+    designs = [Z * w for w in weights]
+    assert np.any(weights.max(axis=1) == 0.0)
+    assert any(np.linalg.matrix_rank(d) < k and members[g] > 1 for g, d in enumerate(designs))
+    assert members.min() == 1 and members.max() > 1
+    S = None
+    if sketched:
+        S = gaussian_sketch(33, sketch_dim(k, 0.25), inst.wa_cols.num_groups)
+        designs = [d @ S.T for d in designs]
+        targets = targets @ S.T
+    got = update_rows(inst, gv, S).rows
+    want = np.array([min_norm_solve(designs[parents[g]], targets[g])
+                     for g in range(inst.wa_rows.num_groups)])
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_update_cols_unweighted_projection():
