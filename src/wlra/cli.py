@@ -227,12 +227,13 @@ class _Exit(Exception):
 
 
 def _load(path, k: int | None = None):
-    """(instance, side-car or None, upper bound) of an instance file, detected while reading.
+    """(instance, side-car or None) of an instance file, detected while reading.
 
     The header is checked first, then k (a flag error, exit 1, if above the
     header's n), then the file length, all before any block is read.  A
-    non-finite entry, or a weighted target whose squared norm overflows,
-    makes the instance invalid (exit 2).
+    non-finite entry makes the instance invalid (exit 2); so does a weighted
+    target whose squared norm overflows, which the callers find through
+    upper_bound.
     """
     try:
         with open(path, "rb", buffering=0) as f:
@@ -241,9 +242,8 @@ def _load(path, k: int | None = None):
                 raise _Exit(1, f"k={k} exceeds n={n}")
             _check_length(f, n, flags)
             try:
-                inst, sidecar = _stream_instance(f, n, flags)
-                return inst, sidecar, upper_bound(inst)
-            except ValueError as e:  # a non-finite entry or an overflowing norm
+                return _stream_instance(f, n, flags)
+            except ValueError as e:  # a non-finite entry
                 raise _Exit(2, f"invalid instance: {e}") from None
     except ValueError as e:  # a corrupt header or payload length
         raise _Exit(2, str(e)) from None
@@ -319,9 +319,12 @@ def cmd_solve(args) -> int:
     for out in (args.out_factors, args.out_report):
         if out:
             _check_writable(out)
-    inst, _, _ = _load(args.infile, args.k)
+    inst, _ = _load(args.infile, args.k)
     _check_assumed(inst, args)
-    fact, report = solve(inst, opts)
+    try:
+        fact, report = solve(inst, opts)
+    except ValueError as e:  # the squared norm of W*A overflows; k <= n was checked
+        raise _Exit(2, f"invalid instance: {e}") from None
     lower_log2, upper = report.bracket
     print(f"lambda {_fmt(report.final_cost)}")
     print(f"bracket [2^{_fmt(lower_log2)}, {_fmt(upper)}]")
@@ -398,7 +401,11 @@ def cmd_verify(args) -> int:
         BoundParams(n=1, gamma=args.gamma or 0.0, k=args.k, r=1, eps=args.eps)
     except ValueError as e:
         raise _Exit(1, str(e)) from None
-    inst, sidecar, bound = _load(args.infile)
+    inst, sidecar = _load(args.infile)
+    try:
+        bound = upper_bound(inst)
+    except ValueError as e:  # the squared norm of W*A overflows
+        raise _Exit(2, f"invalid instance: {e}") from None
     _check_assumed(inst, args)
     gamma = default_gamma(inst.n) if args.gamma is None else args.gamma
     params = BoundParams(n=inst.n, gamma=gamma, k=args.k, r=inst.r, eps=args.eps)

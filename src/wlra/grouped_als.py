@@ -75,7 +75,6 @@ class SolveReport:
     sweep_wall_times: list[float] = field(default_factory=list)
     sketch_seeds: list[int] = field(default_factory=list)
     final_cost: float = math.inf
-    regressions_solved: int = 0
     bracket: tuple[float, float] = (0.0, 0.0)
     regressions_per_half_sweep: list[int] = field(default_factory=list)
     run_seed: int = 0
@@ -126,7 +125,7 @@ def update_rows(inst, gv: GroupedFactor, S: np.ndarray | None = None) -> Grouped
     """
     gv.check_groups(inst.wa_cols, "column")
     Z = np.ascontiguousarray(gv.rows.T)  # k x Gc
-    weights, targets = inst.row_system()
+    weights, targets, members = inst.row_system()
     if S is None:
         designs = Z * weights[:, None, :]  # w_rows groups x k x Gc
     else:
@@ -135,9 +134,6 @@ def update_rows(inst, gv: GroupedFactor, S: np.ndarray | None = None) -> Grouped
         designs = np.stack([sketched_design(Z, w, S) for w in weights])
         targets = targets @ S.T
     u, s, vt = np.linalg.svd(designs, full_matrices=False)
-    parents = inst.row_parents()
-    # The refined row groups of each weight group, in weight-group order.
-    members = np.split(np.argsort(parents, kind="stable"), np.cumsum(np.bincount(parents))[:-1])
     rows = np.empty((inst.wa_rows.num_groups, Z.shape[0]))
     for g, rows_of_g in enumerate(members):
         rows[rows_of_g] = _svd_apply(u[g], s[g], vt[g], targets[rows_of_g])
@@ -148,26 +144,24 @@ def row_certificates(inst, grouped_u: GroupedFactor, gv: GroupedFactor) -> np.nd
     """Per-group optimality certificates for an exact row half-sweep.
 
     Normal-equations residuals || D (D^T x - b) ||_inf, normalized by
-    design scale (Frobenius) times target scale (2-norm), one per group.
-    Computed on inst.row_system(), whose D D^T, D b and norms equal those
-    of the n-wide regression; the column side is
+    design scale (Frobenius) times target scale (2-norm), one per group;
+    a zero scale gives 0 for a zero residual and inf otherwise.  Computed
+    on inst.row_system(), whose D D^T, D b and norms equal those of the
+    n-wide regression, one block per weight-row group; the column side is
     row_certificates(inst.transposed(), grouped_v, gu).
     """
+    grouped_u.check_groups(inst.wa_rows, "row")
     gv.check_groups(inst.wa_cols, "column")
     Z = np.ascontiguousarray(gv.rows.T)
-    weights, targets = inst.row_system()
-    parents = inst.row_parents()
-    out = np.empty(grouped_u.rows.shape[0])
-    for g in range(out.shape[0]):
-        D = Z * weights[parents[g]]
-        b = targets[g]
-        x = grouped_u.rows[g]
-        resid = np.abs(D @ (D.T @ x - b)).max(initial=0.0)
-        denom = np.linalg.norm(D) * np.linalg.norm(b)
-        if denom == 0.0:
-            out[g] = 0.0 if resid == 0.0 else math.inf
-        else:
-            out[g] = resid / denom
+    weights, targets, members = inst.row_system()
+    out = np.empty(inst.wa_rows.num_groups)
+    for w, rows in zip(weights, members):
+        D = Z * w
+        B = targets[rows]
+        resid = np.abs((grouped_u.rows[rows] @ D - B) @ D.T).max(axis=1)
+        denom = np.linalg.norm(D) * np.linalg.norm(B, axis=1)
+        out[rows] = np.divide(resid, denom, out=np.where(resid == 0.0, 0.0, math.inf),
+                              where=denom != 0.0)
     return out
 
 
@@ -247,5 +241,4 @@ def _solve_single(inst, opts: SolveOptions, run_seed: int, t: int | None):
         prev = cost
 
     report.final_cost, gu, gv = best
-    report.regressions_solved = sum(report.regressions_per_half_sweep)
     return gu, gv, report

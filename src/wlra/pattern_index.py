@@ -600,26 +600,25 @@ class StructuredInstance:
         """Refined groups per weight pattern, rounded up, so r * p bounds both refined counts."""
         return max(1, math.ceil(max(self.wa_rows.num_groups, self.wa_cols.num_groups) / self.r))
 
-    def row_parents(self) -> np.ndarray:
-        """Weight-row group id of each refined row group."""
-        return self.w_rows.group_of[self.wa_rows.representatives]
-
-    def col_parents(self) -> np.ndarray:
-        """Weight-column group id of each refined column group."""
-        return self.w_cols.group_of[self.wa_cols.representatives]
-
-    def row_system(self) -> tuple[np.ndarray, np.ndarray]:
-        """(weights, targets): the rows' regressions on the grid, both C-ordered.
+    def row_system(self) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        """(weights, targets, members): the rows' regressions on the grid.
 
         weights holds W per weight-row group and targets W*A per refined row
-        group, both over the refined column groups, with column h scaled by
-        sqrt(wa_cols.sizes[h]).  A row's n-wide regression repeats each grid
-        column's equation size_h times, so the scaled system has the same
-        normal equations, singular values and squared residuals.
+        group, both C-ordered over the refined column groups, with column h
+        scaled by sqrt(wa_cols.sizes[h]).  A row's n-wide regression repeats
+        each grid column's equation size_h times, so the scaled system has
+        the same normal equations, singular values and squared residuals.
+        members[p] lists, in ascending order, the refined row groups of
+        weight-row group p; together they partition the refined row groups.
         """
         root = np.sqrt(self.wa_cols.sizes)
-        return (np.multiply(self.weights[:, self.col_parents()], root, order="C"),
-                np.multiply(self.targets, root, order="C"))
+        col_parents = self.w_cols.group_of[self.wa_cols.representatives]
+        parents = self.w_rows.group_of[self.wa_rows.representatives]
+        order = np.argsort(parents, kind="stable")
+        ends = np.cumsum(np.bincount(parents, minlength=self.w_rows.num_groups)).tolist()
+        return (np.multiply(self.weights[:, col_parents], root, order="C"),
+                np.multiply(self.targets, root, order="C"),
+                [order[lo:hi] for lo, hi in zip([0, *ends], ends)])
 
     def transposed(self) -> "StructuredInstance":
         """The same problem with rows and columns exchanged: the same partitions, grid views."""

@@ -105,28 +105,23 @@ def cost_grouped(inst, grouped_u: GroupedFactor, V) -> float:
     sizes = inst.wa_rows.sizes
     if isinstance(V, GroupedFactor):
         V.check_groups(inst.wa_cols, "column")
-        weights, targets = inst.row_system()
+        weights, targets, members = inst.row_system()
         d = np.empty(V.rows.shape[0])
         return math.fsum(
-            float(size) * _row_residual_sq(V.rows, u, weights[g], t, d)
-            for size, u, g, t in zip(sizes, grouped_u.rows, inst.row_parents().tolist(),
-                                     targets))
+            float(sizes[i]) * _row_residual_sq(V.rows, grouped_u.rows[i], w, targets[i], d)
+            for w, rows in zip(weights, members) for i in rows.tolist())
     V = np.ascontiguousarray(V, dtype=np.float64)
     if V.ndim != 2 or V.shape[0] != inst.n or V.shape[1] != grouped_u.k:
         raise ValueError("V shape does not conform to the instance and factor")
-    # Refined rows in order of their weight-row group, so each weight row is
-    # gathered to n width once; the terms keep their order for fsum.
-    cols, parents = inst.wa_cols.group_of, inst.row_parents()
-    weights = inst.weights[:, inst.col_parents()]
+    # Each weight row is gathered to n width once, for all its refined rows.
+    cols = inst.wa_cols.group_of
     w, t, d = np.empty(inst.n), np.empty(inst.n), np.empty(inst.n)
-    terms, gathered = [0.0] * sizes.shape[0], -1
-    order = np.argsort(parents, kind="stable")
-    for i, g in zip(order.tolist(), parents[order].tolist()):
-        if g != gathered:
-            np.take(weights[g], cols, out=w, mode="clip")
-            gathered = g
-        np.take(inst.targets[i], cols, out=t, mode="clip")
-        terms[i] = float(sizes[i]) * _row_residual_sq(V, grouped_u.rows[i], w, t, d)
+    terms = []
+    for p, rows in enumerate(inst.row_system()[2]):
+        np.take(inst.weights[p], inst.w_cols.group_of, out=w, mode="clip")
+        for i in rows.tolist():
+            np.take(inst.targets[i], cols, out=t, mode="clip")
+            terms.append(float(sizes[i]) * _row_residual_sq(V, grouped_u.rows[i], w, t, d))
     return math.fsum(terms)
 
 

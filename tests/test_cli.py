@@ -11,7 +11,8 @@ import warnings
 import numpy as np
 import pytest
 
-from wlra import GenSpec, SolveOptions, build_instance, generate, generate_compressed, solve
+from wlra import (GenSpec, SolveOptions, build_instance, generate, generate_compressed, solve,
+                  upper_bound)
 from wlra import cli, generator, pattern_index
 from wlra.cli import CSV_HEADER, main, read_instance, write_instance
 from wlra.pattern_index import BlockDetector
@@ -655,7 +656,7 @@ def test_payload_off_by_one_byte_exits_2_before_any_block(tmp_path, capsys, monk
 def test_streamed_instance_equals_build_instance_of_the_read_file(tmp_path):
     path = _multi_block_file(tmp_path)
     A, W, sidecar = read_instance(path)
-    got, got_sidecar, bound = cli._load(path)
+    got, got_sidecar = cli._load(path)
     want = build_instance(A, W)
     for name in ("w_rows", "w_cols", "wa_rows", "wa_cols"):
         for field in ("group_of", "representatives", "sizes"):
@@ -664,7 +665,7 @@ def test_streamed_instance_equals_build_instance_of_the_read_file(tmp_path):
     assert got.weights.tobytes() == want.weights.tobytes()
     assert got.targets.tobytes() == want.targets.tobytes()
     assert got_sidecar is None and sidecar is None
-    assert bound == pytest.approx(float(np.sum((W * A) ** 2)), rel=1e-12)
+    assert upper_bound(got) == pytest.approx(float(np.sum((W * A) ** 2)), rel=1e-12)
 
 
 def test_solve_holds_less_than_a_quarter_of_the_file(tmp_path, capsys):
@@ -687,7 +688,7 @@ def test_factor_file_is_u_then_v_as_little_endian_rows(tmp_path, monkeypatch):
     path = _gen(tmp_path, n=40, r=2, p=2, k_true=3, seed=12)
     factors = tmp_path / "factors.bin"
     assert run(["solve", "--in", path, "--k", 3, "--seed", 5, "--out-factors", factors]) == 0
-    inst, _, _ = cli._load(path)
+    inst, _ = cli._load(path)
     fact, _ = solve(inst, SolveOptions(k=3, seed=5))
     want = (np.ascontiguousarray(fact.U).astype("<f8").tobytes()
             + np.ascontiguousarray(fact.V).astype("<f8").tobytes())

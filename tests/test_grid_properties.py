@@ -127,7 +127,7 @@ def test_transposing_swaps_u_and_v(problem, t, seed):
     flipped = inst.transposed()
     built = build_instance(A.T, W.T)
     _assert_same_instance(flipped, built)
-    for grid in flipped.row_system():
+    for grid in flipped.row_system()[:2]:
         assert grid.flags.c_contiguous
 
     gu, gv = _factor(inst.wa_rows, k, rng), _factor(inst.wa_cols, k, rng)
@@ -144,6 +144,25 @@ def test_transposing_swaps_u_and_v(problem, t, seed):
     swapped = cost_grouped_cols(inst, gv, gu)
     assert swapped == cost_grouped(flipped, gv, gu)
     assert swapped == pytest.approx(cost_grouped(inst, gu, gv), rel=1e-12, abs=1e-12)
+
+
+@SETTINGS
+@hypothesis.given(_problem(), st.integers(1, 4), st.integers(1, 3),
+                  st.sampled_from(WEIGHT_STYLES), st.integers(0, 2 ** 32 - 1))
+def test_row_system_members_split_refined_rows_by_weight_row(problem, r, p, style, seed):
+    A, W, _, _ = problem
+    built = build_instance(A, W)
+    planted = generate_compressed(GenSpec(n=r * p + 2, r=r, p=p, k_true=1,
+                                          weight_style=style, seed=seed))
+    for inst in (built, built.transposed(), planted, planted.transposed()):
+        members = inst.row_system()[2]
+        parents = inst.w_rows.group_of[inst.wa_rows.representatives]
+        assert len(members) == inst.w_rows.num_groups
+        assert np.array_equal(np.sort(np.concatenate(members)),
+                              np.arange(inst.wa_rows.num_groups))
+        for group, rows in enumerate(members):
+            assert rows.size > 0 and np.all(np.diff(rows) > 0)
+            assert np.all(parents[rows] == group)
 
 
 def _laid_out(M, layout, flips):
@@ -207,5 +226,5 @@ def test_file_streamed_instance_equals_build_instance_of_read(n, with_weights, b
         _instance_file(path, A, W)
         want = build_instance(*read_instance(path)[:2])
         with mock.patch.object(pattern_index, "_BLOCK_BYTES", block_bytes):
-            got, _, _ = cli._load(path)
+            got, _ = cli._load(path)
     _assert_same_instance(got, want)

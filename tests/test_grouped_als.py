@@ -195,8 +195,8 @@ def test_update_rows_matches_min_norm_solve_per_row(transposed, sketched):
         inst = inst.transposed()
     gv = _random_factor(inst.wa_cols, k, np.random.default_rng(32))
     Z = gv.rows.T
-    weights, targets = inst.row_system()
-    parents = inst.row_parents()
+    weights, targets, _ = inst.row_system()
+    parents = inst.w_rows.group_of[inst.wa_rows.representatives]
     members = np.bincount(parents)
     designs = [Z * w for w in weights]
     assert np.any(weights.max(axis=1) == 0.0)
@@ -222,6 +222,38 @@ def test_update_cols_unweighted_projection():
     gv = update_rows(inst.transposed(), compress_factor(U, inst.wa_rows))
     reps = inst.wa_cols.representatives
     assert gv.rows == pytest.approx(A[:, reps].T @ U, rel=1e-10, abs=1e-12)
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+def test_row_certificates_match_per_row_reference(transposed):
+    inst, k = _mixed_instance()
+    if transposed:
+        inst = inst.transposed()
+    rng = np.random.default_rng(34)
+    gv, gu = _random_factor(inst.wa_cols, k, rng), _random_factor(inst.wa_rows, k, rng)
+    Z = gv.rows.T
+    weights, targets, members = inst.row_system()
+    want = np.empty(inst.wa_rows.num_groups)
+    for w, rows in zip(weights, members):
+        D = Z * w
+        for g in rows:
+            resid = np.abs(D @ (D.T @ gu.rows[g] - targets[g])).max()
+            denom = np.linalg.norm(D) * np.linalg.norm(targets[g])
+            want[g] = resid / denom if denom != 0.0 else (0.0 if resid == 0.0 else np.inf)
+    (zero,) = np.nonzero(weights.max(axis=1) == 0.0)[0]
+    got = row_certificates(inst, gu, gv)
+    assert np.all(got[members[zero]] == 0.0)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    assert row_certificates(inst, update_rows(inst, gv), gv).max() <= 1e-8
+
+
+def test_row_certificates_reject_a_factor_on_other_row_groups():
+    inst, _, _ = _planted(n=48, r=3, p=2, k_true=4, noise_sigma=0.2, seed=12)
+    assert (inst.w_rows.num_groups, inst.wa_rows.num_groups) == (3, 6)
+    rng = np.random.default_rng(35)
+    gv, on_weights = _random_factor(inst.wa_cols, 3, rng), _random_factor(inst.w_rows, 3, rng)
+    with pytest.raises(ValueError, match="row groups"):
+        row_certificates(inst, on_weights, gv)
 
 
 def test_certificates_small_after_sketchless_half_sweeps():
@@ -288,7 +320,7 @@ def test_solve_broadcast_consistency_and_counts():
     assert all(c == inst.wa_rows.num_groups for c in rep.regressions_per_half_sweep[0::2])
     assert all(c == inst.wa_cols.num_groups for c in rep.regressions_per_half_sweep[1::2])
     sweeps = len(rep.cost_per_sweep) // 2
-    assert rep.regressions_solved <= 2 * sweeps * inst.r * inst.p
+    assert sum(rep.regressions_per_half_sweep) <= 2 * sweeps * inst.r * inst.p
 
 
 def test_solve_final_cost_is_exact_and_bracketed():
@@ -347,7 +379,7 @@ def test_solve_half_sweep_schedule(monkeypatch):
         halves = len(rep.cost_per_sweep)
         assert halves == 8
         assert rep.regressions_per_half_sweep == [gr, gc] * 4
-        assert rep.regressions_solved == 4 * (gr + gc)
+        assert sum(rep.regressions_per_half_sweep) == 4 * (gr + gc)
         assert fact.grouped_u.index is inst.wa_rows
         assert fact.grouped_v.index is inst.wa_cols
         if sketchless:

@@ -351,7 +351,7 @@ def _streamed(tmp_path, A, W):
     """The instance that solve and verify detect while reading a file of (A, W)."""
     path = tmp_path / "streamed.wlra"
     write_instance(path, A, W)
-    inst, _, _ = cli._load(path)
+    inst, _ = cli._load(path)
     return inst
 
 
@@ -708,7 +708,7 @@ def test_stored_rows_that_grow_are_freed_at_once(tmp_path):
                             weight_style="attention_block", seed=3))
     path = tmp_path / "inst.wlra"
     write_instance(path, A, W)
-    inst, _, _ = cli._load(path)
+    inst, _ = cli._load(path)
     assert (inst.w_rows.num_groups, inst.wa_rows.num_groups) == (32, 128)
     tracemalloc.start()
     try:
