@@ -1,8 +1,9 @@
 """Grouped cost evaluation: same value as the dense objective, r*p work.
 
-The dense evaluator walks all n rows; the grouped one touches one
-representative per distinct masked-target row and multiplies by the group
-size, so it evaluates one residual row per group instead of n.
+The dense evaluator forms all n x n residual entries, a row block at a
+time; the grouped one touches one representative per distinct masked-target
+row and multiplies by the group size, so it forms one residual row per
+group instead of n.
 """
 
 import time

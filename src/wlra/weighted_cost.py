@@ -4,8 +4,10 @@ The objective is sum_ij W_ij^2 (U V^T - A)_ij^2.  The grouped evaluator
 works on the group grid of a StructuredInstance: with both factors
 constant on the refined groups, each (row group, column group) block of
 the residual is one number counted size_g * size_h times, so the work
-does not grow with n.  Every evaluator adds its per-row or per-group terms
-with math.fsum, which rounds the sum exactly.
+does not grow with n.  Every evaluator forms its residual explicitly, a
+block of about 2^16 entries at a time, in one kernel; a row's term adds
+its blocks in column order, and the row terms are added with math.fsum,
+which rounds their sum exactly.
 """
 
 from __future__ import annotations
@@ -57,22 +59,64 @@ def compress_factor(X: np.ndarray, index: PatternIndex) -> GroupedFactor:
     return gf
 
 
-def _row_residual_sq(V: np.ndarray, u_row: np.ndarray, w_row: np.ndarray,
-                     wa_row: np.ndarray, out: np.ndarray) -> float:
-    # Single audited kernel: sum_j (w * (V @ u) - (w * a))_j^2 for one row,
-    # over n columns or over the scaled grid columns of row_system().  The
-    # residual is formed in out, a buffer of V's height.
-    d = np.matmul(V, u_row, out=out)
-    d *= w_row
-    d -= wa_row
-    return float(np.dot(d, d))
+BLOCK_ENTRIES = 1 << 16  # residual entries one kernel call forms, at most
+
+
+def _block_shape(rows: int, cols: int) -> tuple[int, int]:
+    """(row count, column count) of the blocks that tile a rows x cols residual.
+
+    A residual with few rows (rows^2 <= BLOCK_ENTRIES) is cut into column
+    blocks that hold every row: a small grid is one block, and the n-wide
+    cost gathers whole rows of its transposed grids.  One with more rows is
+    cut into row blocks as wide as fit, so cost_dense reads A and W in row
+    order.  Both n-wide evaluators tile an n x n residual alike.
+    """
+    if rows * rows <= BLOCK_ENTRIES:
+        return rows, min(cols, max(1, BLOCK_ENTRIES // rows))
+    cb = min(cols, BLOCK_ENTRIES)
+    return min(rows, max(1, BLOCK_ENTRIES // cb)), cb
+
+
+def _block_residual_sq(V_blk: np.ndarray, Ut: np.ndarray, w: np.ndarray,
+                       wa: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # Single audited kernel: the residual block w * (V_blk @ Ut) - wa, one
+    # column per row of U, formed in out, a buffer of its shape; returns
+    # each column's sum of squares.
+    R = np.matmul(V_blk, Ut, out=out)
+    R *= w
+    R -= wa
+    return np.einsum("ij,ij->j", R, R)
+
+
+def _row_terms(V: np.ndarray, U: np.ndarray, block) -> np.ndarray:
+    """Each row of U's squared residual against V, over the blocks of _block_shape.
+
+    Walks row blocks in order and, within each, column blocks in order;
+    block(rows, cols, w_buf, wa_buf) returns the weight and target blocks,
+    each (columns x rows), and may form them in the buffers it is given.
+    A row's term adds its blocks' sums in column order.
+    """
+    m, n = U.shape[0], V.shape[0]
+    rb, cb = _block_shape(m, n)
+    bufs = np.empty((3, rb * cb))
+    terms = np.zeros(m)
+    for r0 in range(0, m, rb):
+        rows = slice(r0, min(m, r0 + rb))
+        Ut = U[rows].T
+        for c0 in range(0, n, cb):
+            cols = slice(c0, min(n, c0 + cb))
+            shape = (cols.stop - c0, rows.stop - r0)
+            R, w_buf, wa_buf = bufs[:, :shape[0] * shape[1]].reshape(3, *shape)
+            terms[rows] += _block_residual_sq(V[cols], Ut, *block(rows, cols, w_buf, wa_buf), R)
+    return terms
 
 
 def cost_dense(A: np.ndarray, W: np.ndarray, U: np.ndarray, V: np.ndarray) -> float:
-    """Exact weighted squared error, evaluated row by row over all n rows.
+    """Exact weighted squared error, evaluated in blocks over all n x n entries.
 
     This is the reference evaluator; use cost_grouped on structured
-    instances when n is large.
+    instances when n is large.  A and W are read one row block at a time,
+    in row order, so a memory-mapped file is read front to back.
     """
     A = np.asarray(A, dtype=np.float64)
     W = np.asarray(W, dtype=np.float64)
@@ -85,9 +129,13 @@ def cost_dense(A: np.ndarray, W: np.ndarray, U: np.ndarray, V: np.ndarray) -> fl
     if U.shape[0] != A.shape[0] or V.shape[0] != A.shape[1]:
         raise ValueError("factor heights must match A")
 
-    wa, d = np.empty(A.shape[1]), np.empty(A.shape[1])
-    return math.fsum(_row_residual_sq(V, U[i], W[i], np.multiply(W[i], A[i], out=wa), d)
-                     for i in range(A.shape[0]))
+    def block(rows, cols, w_buf, wa_buf):
+        # One transposing pass over each of W and A; the kernel's passes
+        # then run on contiguous buffers.
+        np.copyto(w_buf, W[rows, cols].T)
+        return w_buf, np.multiply(w_buf, A[rows, cols].T, out=wa_buf)
+
+    return math.fsum(_row_terms(V, U, block).tolist())
 
 
 def cost_grouped(inst, grouped_u: GroupedFactor, V) -> float:
@@ -98,31 +146,32 @@ def cost_grouped(inst, grouped_u: GroupedFactor, V) -> float:
     on inst.row_system(), whose columns carry sqrt of their group sizes:
     one residual row per refined row group over the Gc column groups, in
     O(Gr * Gc * k).  An (n, k) array V is evaluated exactly over all n
-    columns, in O(Gr * n * k).  Each row term is multiplied by its row
-    group size.
+    columns, in O(Gr * n * k), a column block at a time.  Each row term is
+    multiplied by its row group size.
     """
     grouped_u.check_groups(inst.wa_rows, "row")
-    sizes = inst.wa_rows.sizes
+    parents = inst.w_rows.group_of[inst.wa_rows.representatives]
     if isinstance(V, GroupedFactor):
         V.check_groups(inst.wa_cols, "column")
-        weights, targets, members = inst.row_system()
-        d = np.empty(V.rows.shape[0])
-        return math.fsum(
-            float(sizes[i]) * _row_residual_sq(V.rows, grouped_u.rows[i], w, targets[i], d)
-            for w, rows in zip(weights, members) for i in rows.tolist())
-    V = np.ascontiguousarray(V, dtype=np.float64)
-    if V.ndim != 2 or V.shape[0] != inst.n or V.shape[1] != grouped_u.k:
-        raise ValueError("V shape does not conform to the instance and factor")
-    # Each weight row is gathered to n width once, for all its refined rows.
-    cols = inst.wa_cols.group_of
-    w, t, d = np.empty(inst.n), np.empty(inst.n), np.empty(inst.n)
-    terms = []
-    for p, rows in enumerate(inst.row_system()[2]):
-        np.take(inst.weights[p], inst.w_cols.group_of, out=w, mode="clip")
-        for i in rows.tolist():
-            np.take(inst.targets[i], cols, out=t, mode="clip")
-            terms.append(float(sizes[i]) * _row_residual_sq(V, grouped_u.rows[i], w, t, d))
-    return math.fsum(terms)
+        weights, targets, _ = inst.row_system()
+        terms = _row_terms(V.rows, grouped_u.rows, lambda rows, cols, w_buf, wa_buf: (
+            weights[parents[rows], cols].T, targets[rows, cols].T))
+    else:
+        V = np.ascontiguousarray(V, dtype=np.float64)
+        if V.ndim != 2 or V.shape[0] != inst.n or V.shape[1] != grouped_u.k:
+            raise ValueError("V shape does not conform to the instance and factor")
+        # Each column block gathers whole rows of the transposed grids.
+        wT = np.ascontiguousarray(inst.weights[parents].T)
+        tT = np.ascontiguousarray(inst.targets.T)
+        w_cols, wa_cols = inst.w_cols.group_of, inst.wa_cols.group_of
+
+        def block(rows, cols, w_buf, wa_buf):
+            np.take(wT[:, rows], w_cols[cols], axis=0, out=w_buf, mode="clip")
+            np.take(tT[:, rows], wa_cols[cols], axis=0, out=wa_buf, mode="clip")
+            return w_buf, wa_buf
+
+        terms = _row_terms(V, grouped_u.rows, block)
+    return math.fsum((terms * inst.wa_rows.sizes).tolist())
 
 
 def cost_grouped_cols(inst, grouped_v: GroupedFactor, U) -> float:

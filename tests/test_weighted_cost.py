@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from wlra import (GenSpec, GroupedFactor, build_instance, compress_factor, cost_dense,
-                  cost_grouped, cost_grouped_cols, generate)
-from wlra import weighted_cost
+                  cost_grouped, cost_grouped_cols, generate, generate_compressed)
+from wlra import cli, weighted_cost
 
 from oracles import naive_weighted_cost
 
@@ -14,17 +16,17 @@ def _planted(**kw):
     return build_instance(A, W), A, W
 
 
-def _count_row_terms(monkeypatch):
-    """Count the residual row terms that the cost evaluators compute."""
-    calls = []
-    kernel = weighted_cost._row_residual_sq
+def _record_blocks(monkeypatch):
+    """Record the (rows, columns) of every residual block the kernel forms."""
+    shapes = []
+    kernel = weighted_cost._block_residual_sq
 
-    def counted(*args):
-        calls.append(1)
-        return kernel(*args)
+    def recorded(V_blk, Ut, *rest):
+        shapes.append((Ut.shape[1], V_blk.shape[0]))
+        return kernel(V_blk, Ut, *rest)
 
-    monkeypatch.setattr(weighted_cost, "_row_residual_sq", counted)
-    return calls
+    monkeypatch.setattr(weighted_cost, "_block_residual_sq", recorded)
+    return shapes
 
 
 def test_zero_factors_give_masked_norm():
@@ -80,9 +82,9 @@ def test_grouped_singletons_bitwise_equal_to_dense(monkeypatch):
     U = rng.standard_normal((n, k))
     V = rng.standard_normal((n, k))
     gu = compress_factor(U, inst.wa_rows)
-    calls = _count_row_terms(monkeypatch)
+    blocks = _record_blocks(monkeypatch)
     got = cost_grouped(inst, gu, V)
-    assert len(calls) == n
+    assert sum(rows for rows, _ in blocks) == n
     assert got == cost_dense(A, W, U, V)
 
 
@@ -141,9 +143,9 @@ def test_grouped_work_counter_is_group_count_not_n(monkeypatch):
     rng = np.random.default_rng(9)
     gu = GroupedFactor(index=inst.wa_rows,
                        rows=rng.standard_normal((inst.wa_rows.num_groups, 2)))
-    calls = _count_row_terms(monkeypatch)
+    blocks = _record_blocks(monkeypatch)
     cost_grouped(inst, gu, rng.standard_normal((256, 2)))
-    assert len(calls) == inst.wa_rows.num_groups == 8
+    assert blocks and {rows for rows, _ in blocks} == {inst.wa_rows.num_groups} == {8}
 
 
 def test_monotone_in_weight_magnitude():
@@ -189,3 +191,98 @@ def test_cost_dense_sums_rows_exactly_rounded():
     A = np.array([[1e8], [1.0], [1.0]])
     zeros = np.zeros((3, 1))
     assert cost_dense(A, np.ones((3, 1)), zeros, np.zeros((1, 1))) == 1e16 + 2.0
+
+
+def _generic(n, k):
+    rng = np.random.default_rng(n)
+    return rng.standard_normal((n, n)), rng.standard_normal((n, n)), k
+
+
+def _zero_weight_group(n, k):
+    """A planted instance whose second weight-row group has all-zero weights."""
+    A, W = generate(GenSpec(n=n, r=5, p=2, k_true=2, noise_sigma=0.1, seed=21))
+    W[build_instance(A, W).w_rows.group_of == 1] = 0.0
+    assert not build_instance(A, W).weights.any(axis=1).all()
+    return A, W, k
+
+
+BLOCK_CASES = {
+    "generic": lambda: _generic(13, 3),
+    "planted": lambda: (*generate(GenSpec(n=31, r=5, p=2, k_true=2, noise_sigma=0.1, seed=20)), 2),
+    "zero_weight_group_k1": lambda: _zero_weight_group(30, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+@pytest.mark.parametrize("size", ["1", "7", "n-1"])
+def test_evaluators_agree_across_block_boundaries(monkeypatch, case, size):
+    A, W, k = BLOCK_CASES[case]()
+    n = A.shape[0]
+    inst = build_instance(A, W)
+    rng = np.random.default_rng(30)
+    gu = GroupedFactor(index=inst.wa_rows, rows=rng.standard_normal((inst.wa_rows.num_groups, k)))
+    gv = GroupedFactor(index=inst.wa_cols, rows=rng.standard_normal((inst.wa_cols.num_groups, k)))
+    U, V = gu.expand(), gv.expand()
+    want = naive_weighted_cost(A, W, U, V)
+    block = {"1": 1, "7": 7, "n-1": n - 1}[size]
+    monkeypatch.setattr(weighted_cost, "BLOCK_ENTRIES", block)
+    shapes = _record_blocks(monkeypatch)
+    for evaluate in (lambda: cost_grouped(inst, gu, gv), lambda: cost_grouped(inst, gu, V),
+                     lambda: cost_dense(A, W, U, V)):
+        shapes.clear()
+        assert evaluate() == pytest.approx(want, rel=1e-12)
+        assert len(shapes) > 1 and all(r * c <= block for r, c in shapes)
+        if block > 1:  # a short last block in rows or columns
+            assert len(set(shapes)) > 1
+
+
+@pytest.mark.parametrize("n", [5, 13, 34])
+@pytest.mark.parametrize("size", ["1", "7", "n-1", "default"])
+def test_singletons_bitwise_equal_at_every_block_size(monkeypatch, n, size):
+    A, W, k = _generic(n, 2)
+    inst = build_instance(A, W)
+    assert inst.wa_rows.num_groups == n
+    rng = np.random.default_rng(n + 1)
+    U, V = rng.standard_normal((n, k)), rng.standard_normal((n, k))
+    if size != "default":
+        monkeypatch.setattr(weighted_cost, "BLOCK_ENTRIES", {"1": 1, "7": 7, "n-1": n - 1}[size])
+    assert cost_grouped(inst, compress_factor(U, inst.wa_rows), V) == cost_dense(A, W, U, V)
+
+
+def _peak_mb(evaluate) -> float:
+    tracemalloc.start()
+    try:
+        evaluate()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_n_wide_evaluators_hold_one_block_whatever_n():
+    # One n x n temporary would be 8 MB at n=1024; a block is 2^16 entries.
+    peaks = {}
+    for n in (1024, 2048):
+        rng = np.random.default_rng(n)
+        A, W = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+        U, V = rng.standard_normal((n, 3)), rng.standard_normal((n, 3))
+        inst = generate_compressed(GenSpec(n=n, r=16, p=8, k_true=3, seed=1))
+        gu = GroupedFactor(index=inst.wa_rows,
+                           rows=rng.standard_normal((inst.wa_rows.num_groups, 3)))
+        peaks[n] = (_peak_mb(lambda: cost_dense(A, W, U, V)),
+                    _peak_mb(lambda: cost_grouped(inst, gu, V)))
+    for small, large in zip(peaks[1024], peaks[2048]):
+        assert small <= 2.5 and large <= 2.5
+        assert large <= small + 0.1
+
+
+def test_cost_dense_on_memory_mapped_instance_file(tmp_path, monkeypatch):
+    n = 200
+    rng = np.random.default_rng(31)
+    A, W = rng.standard_normal((n, n)), rng.uniform(0.5, 1.5, (n, n))
+    U, V = rng.standard_normal((n, 2)), rng.standard_normal((n, 2))
+    path = tmp_path / "instance.wlra"
+    cli.write_instance(path, A, W)
+    mapped = np.memmap(path, dtype="<f8", mode="r", offset=cli._HEADER.size, shape=(2, n, n))
+    for block in (weighted_cost.BLOCK_ENTRIES, 1000):  # one block, then 40 row blocks
+        monkeypatch.setattr(weighted_cost, "BLOCK_ENTRIES", block)
+        assert cost_dense(mapped[0], mapped[1], U, V) == cost_dense(A, W, U, V)
