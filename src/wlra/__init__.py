@@ -12,23 +12,23 @@ from .grouped_als import (Factorization, SolveOptions, SolveReport, min_norm_sol
                           row_certificates, solve, update_rows)
 from .opt_bounds import (BoundParams, default_gamma, iteration_budget,
                          lower_bound_log2, upper_bound)
-from .pattern_index import (PatternIndex, StructuredInstance, build_instance,
+from .pattern_index import (PatternIndex, RowSystem, StructuredInstance, build_instance,
                             detect_groups, refine)
 from .sketch import (gaussian_sketch, keyed_generator, keyed_normals, sketch_dim,
                      sketched_design)
 from .weighted_cost import (GroupedFactor, compress_factor, cost_dense, cost_grouped,
-                            cost_grouped_cols)
+                            cost_grouped_cols, grid_cost)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BoundParams", "Factorization", "GenSpec",
-    "GroupedFactor", "PatternIndex", "SolveOptions",
+    "GroupedFactor", "PatternIndex", "RowSystem", "SolveOptions",
     "SolveReport", "StructuredInstance", "WEIGHT_STYLES",
     "build_instance", "compress_factor",
     "cost_dense", "cost_grouped", "cost_grouped_cols", "default_gamma",
     "detect_groups", "gaussian_sketch", "generate", "generate_attention_mask",
-    "generate_compressed", "generate_with_factors",
+    "generate_compressed", "generate_with_factors", "grid_cost",
     "iteration_budget", "keyed_generator", "keyed_normals",
     "lower_bound_log2", "min_norm_solve", "refine", "row_certificates",
     "sketch_dim", "sketched_design", "solve", "update_rows",

@@ -17,11 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .opt_bounds import BoundParams, default_gamma, lower_bound_log2, upper_bound
+from .pattern_index import RowSystem
 from .sketch import (MASK64, INIT_STREAM, gaussian_sketch, keyed_normals, sketch_dim,
                      sketched_design)
-from .weighted_cost import GroupedFactor, cost_grouped
-# Not called here: the benchmark's tracer wraps grouped_als.cost_grouped_cols.
-from .weighted_cost import cost_grouped_cols  # noqa: F401
+from .weighted_cost import GroupedFactor, grid_cost
+# Not called here: the benchmark's tracer wraps both names in this module.
+from .weighted_cost import cost_grouped, cost_grouped_cols  # noqa: F401
 
 _RESTART_STRIDE = 0x9E3779B97F4A7C15  # golden-ratio stride between restart seeds
 _RANK_TOLERANCE = 1e-10  # singular values at or below this times the largest are dropped
@@ -80,17 +81,21 @@ class SolveReport:
     run_seed: int = 0
 
 
-def _svd_apply(u: np.ndarray, s: np.ndarray, vt: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Minimum-norm solutions for every row of targets under one factored design.
+def _pseudo_inverses(designs: np.ndarray) -> np.ndarray:
+    """pinv(designs[g]) for every k x t design of a (G, k, t) stack, as (G, t, k).
 
-    (u, s, vt) is the thin SVD of a k x t design and targets is m x t; row i
-    of the m x k result minimizes || design^T x - targets[i] ||_2.
+    Singular values at or below _RANK_TOLERANCE times a design's largest
+    count as zero, so an all-zero design gets the zero pseudo-inverse.
+    Row x = b @ P[g] is then the minimum-norm solution of
+    min || designs[g]^T x - b ||_2.
     """
-    if s.size == 0 or s[0] <= 0.0:
-        return np.zeros((targets.shape[0], u.shape[0]))
-    keep = s > _RANK_TOLERANCE * s[0]  # never empty: s[0] > 0 is kept
-    coeff = targets @ vt[keep].T / s[keep]
-    return coeff @ u[:, keep].T
+    # designs[g]^T = u diag(s) vt; the transposed view is a stack of
+    # column-major matrices, which the stacked SVD factors about twice as
+    # fast as the C-ordered designs themselves.
+    u, s, vt = np.linalg.svd(designs.transpose(0, 2, 1), full_matrices=False)
+    keep = s > _RANK_TOLERANCE * s[:, :1]
+    s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+    return (u * s_inv[:, None, :]) @ vt
 
 
 def min_norm_solve(design: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -108,56 +113,59 @@ def min_norm_solve(design: np.ndarray, target: np.ndarray) -> np.ndarray:
         raise ValueError("design must be k x t and target of length t")
     if not (np.all(np.isfinite(design)) and np.all(np.isfinite(target))):
         raise ValueError("non-finite input")
-    return _svd_apply(*np.linalg.svd(design, full_matrices=False), target[None])[0]
+    return target @ _pseudo_inverses(design[None])[0]
 
 
-def update_rows(inst, gv: GroupedFactor, S: np.ndarray | None = None) -> GroupedFactor:
+def update_rows(system: RowSystem, gv: GroupedFactor,
+                S: np.ndarray | None = None) -> GroupedFactor:
     """One row half-sweep: the optimal grouped row factor for fixed V.
 
-    gv is V as a GroupedFactor on inst.wa_cols.  Solves one weighted
-    regression per refined row group on inst.row_system(): one stacked SVD
-    factors the designs of all weight groups, and each weight group's SVD
-    solves all of its refined rows in one block apply.  Without S the
-    regressions are exact; S, if given, is a t x Gc sketch: a standard
-    Gaussian sketch times diag(sqrt(size_h)) has the law of an n-wide sketch
-    summed over each column group.  A column half-sweep is
-    update_rows(inst.transposed(), gu, S).
+    system is StructuredInstance.row_system() and gv is V as a
+    GroupedFactor on system.wa_cols.  Solves one weighted regression per
+    refined row group: one stacked SVD yields the pseudo-inverse of every
+    weight group's design, and each weight group's refined rows are one
+    block product with it.  Without S the regressions are exact; S, if
+    given, is a t x Gc sketch: a standard Gaussian sketch times
+    diag(sqrt(size_h)) has the law of an n-wide sketch summed over each
+    column group.  A column half-sweep is
+    update_rows(inst.transposed().row_system(), gu, S).
     """
-    gv.check_groups(inst.wa_cols, "column")
+    gv.check_groups(system.wa_cols, "column")
     Z = np.ascontiguousarray(gv.rows.T)  # k x Gc
-    weights, targets, members = inst.row_system()
+    targets = system.targets
     if S is None:
-        designs = Z * weights[:, None, :]  # w_rows groups x k x Gc
+        designs = Z * system.weights[:, None, :]  # w_rows groups x k x Gc
     else:
-        if S.shape[1] != inst.wa_cols.num_groups:
+        if S.shape[1] != system.wa_cols.num_groups:
             raise ValueError("sketch width does not match the column group count")
-        designs = np.stack([sketched_design(Z, w, S) for w in weights])
+        designs = np.stack([sketched_design(Z, w, S) for w in system.weights])
         targets = targets @ S.T
-    u, s, vt = np.linalg.svd(designs, full_matrices=False)
-    rows = np.empty((inst.wa_rows.num_groups, Z.shape[0]))
-    for g, rows_of_g in enumerate(members):
-        rows[rows_of_g] = _svd_apply(u[g], s[g], vt[g], targets[rows_of_g])
-    return GroupedFactor(index=inst.wa_rows, rows=rows)
+    P = _pseudo_inverses(designs)
+    rows = np.empty((system.wa_rows.num_groups, Z.shape[0]))
+    for g, rows_of_g in enumerate(system.members):
+        rows[rows_of_g] = targets[rows_of_g] @ P[g]
+    return GroupedFactor(index=system.wa_rows, rows=rows)
 
 
-def row_certificates(inst, grouped_u: GroupedFactor, gv: GroupedFactor) -> np.ndarray:
+def row_certificates(system: RowSystem, grouped_u: GroupedFactor,
+                     gv: GroupedFactor) -> np.ndarray:
     """Per-group optimality certificates for an exact row half-sweep.
 
     Normal-equations residuals || D (D^T x - b) ||_inf, normalized by
     design scale (Frobenius) times target scale (2-norm), one per group;
     a zero scale gives 0 for a zero residual and inf otherwise.  Computed
-    on inst.row_system(), whose D D^T, D b and norms equal those of the
-    n-wide regression, one block per weight-row group; the column side is
-    row_certificates(inst.transposed(), grouped_v, gu).
+    on system = StructuredInstance.row_system(), whose D D^T, D b and norms
+    equal those of the n-wide regression, one block per weight-row group;
+    the column side is row_certificates(inst.transposed().row_system(),
+    grouped_v, gu).
     """
-    grouped_u.check_groups(inst.wa_rows, "row")
-    gv.check_groups(inst.wa_cols, "column")
+    grouped_u.check_groups(system.wa_rows, "row")
+    gv.check_groups(system.wa_cols, "column")
     Z = np.ascontiguousarray(gv.rows.T)
-    weights, targets, members = inst.row_system()
-    out = np.empty(inst.wa_rows.num_groups)
-    for w, rows in zip(weights, members):
+    out = np.empty(system.wa_rows.num_groups)
+    for w, rows in zip(system.weights, system.members):
         D = Z * w
-        B = targets[rows]
+        B = system.targets[rows]
         resid = np.abs((grouped_u.rows[rows] @ D - B) @ D.T).max(axis=1)
         denom = np.linalg.norm(D) * np.linalg.norm(B, axis=1)
         out[rows] = np.divide(resid, denom, out=np.where(resid == 0.0, 0.0, math.inf),
@@ -209,28 +217,30 @@ def solve(inst, opts: SolveOptions):
 def _solve_single(inst, opts: SolveOptions, run_seed: int, t: int | None):
     """(grouped U, grouped V, report) of one run from run_seed.
 
-    A column half-sweep is the row half-sweep of the transposed instance,
-    so each sweep runs one body on both sides.
+    A column half-sweep is the row half-sweep of the transposed instance's
+    system, so each sweep runs one body on both sides.
     """
     report = SolveReport(run_seed=run_seed)
-    sides = (inst, inst.transposed())
+    # One system per side, dropped with the run: none is alive when the
+    # caller expands the factors, the solve's memory peak.
+    systems = [s.row_system() for s in (inst, inst.transposed())]
     factors = [None, _init_factor(inst, run_seed, opts.k)]  # [U, V], grouped
     best = None
     prev = None
     for sweep in range(opts.max_sweeps):
-        for side, oriented in enumerate(sides):
+        for side, system in enumerate(systems):
             tic = time.perf_counter()
             S = None
             if t is not None:
                 seed = run_seed ^ (2 * sweep + side)
                 report.sketch_seeds.append(seed)
-                S = gaussian_sketch(seed, t, oriented.wa_cols.num_groups)
+                S = gaussian_sketch(seed, t, system.wa_cols.num_groups)
             fixed = factors[1 - side]
-            factors[side] = update_rows(oriented, fixed, S)
-            cost = cost_grouped(oriented, factors[side], fixed)
+            factors[side] = update_rows(system, fixed, S)
+            cost = grid_cost(system, factors[side], fixed)
             report.sweep_wall_times.append(time.perf_counter() - tic)
             report.cost_per_sweep.append(cost)
-            report.regressions_per_half_sweep.append(oriented.wa_rows.num_groups)
+            report.regressions_per_half_sweep.append(system.wa_rows.num_groups)
             if best is None or cost < best[0]:
                 best = (cost, *factors)
 

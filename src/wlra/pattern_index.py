@@ -567,6 +567,26 @@ def refine(outer: PatternIndex, inner_key: np.ndarray, axis: str = ROWS) -> Patt
     return _refined(outer, inner)
 
 
+@dataclass(frozen=True, eq=False)
+class RowSystem:
+    """The row regressions of one StructuredInstance on its group grid.
+
+    weights holds W per weight-row group and targets W*A per refined row
+    group, both C-ordered over the refined column groups, with column h
+    scaled by sqrt(wa_cols.sizes[h]).  members[p] lists, in ascending
+    order, the refined row groups of weight-row group p; together they
+    partition the refined row groups.  parents[g] is the weight-row group
+    of refined row group g.
+    """
+
+    wa_rows: PatternIndex
+    wa_cols: PatternIndex
+    weights: np.ndarray  # (w_rows.num_groups, wa_cols.num_groups)
+    targets: np.ndarray  # (wa_rows.num_groups, wa_cols.num_groups)
+    members: list[np.ndarray]
+    parents: np.ndarray  # (wa_rows.num_groups,)
+
+
 @dataclass(eq=False)
 class StructuredInstance:
     """A weighted approximation problem (A, W) reduced to its group grid.
@@ -600,25 +620,26 @@ class StructuredInstance:
         """Refined groups per weight pattern, rounded up, so r * p bounds both refined counts."""
         return max(1, math.ceil(max(self.wa_rows.num_groups, self.wa_cols.num_groups) / self.r))
 
-    def row_system(self) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-        """(weights, targets, members): the rows' regressions on the grid.
+    def row_system(self) -> RowSystem:
+        """The rows' regressions on the grid, built anew on every call.
 
-        weights holds W per weight-row group and targets W*A per refined row
-        group, both C-ordered over the refined column groups, with column h
-        scaled by sqrt(wa_cols.sizes[h]).  A row's n-wide regression repeats
-        each grid column's equation size_h times, so the scaled system has
-        the same normal equations, singular values and squared residuals.
-        members[p] lists, in ascending order, the refined row groups of
-        weight-row group p; together they partition the refined row groups.
+        A row's n-wide regression repeats each grid column's equation
+        size_h times, so scaling grid column h by sqrt(wa_cols.sizes[h])
+        gives a system with the same normal equations, singular values and
+        squared residuals.  The solver builds one per side per run and drops
+        it with the run; nothing keeps it on the instance.
         """
         root = np.sqrt(self.wa_cols.sizes)
         col_parents = self.w_cols.group_of[self.wa_cols.representatives]
         parents = self.w_rows.group_of[self.wa_rows.representatives]
         order = np.argsort(parents, kind="stable")
         ends = np.cumsum(np.bincount(parents, minlength=self.w_rows.num_groups)).tolist()
-        return (np.multiply(self.weights[:, col_parents], root, order="C"),
-                np.multiply(self.targets, root, order="C"),
-                [order[lo:hi] for lo, hi in zip([0, *ends], ends)])
+        return RowSystem(
+            wa_rows=self.wa_rows, wa_cols=self.wa_cols,
+            weights=np.multiply(self.weights[:, col_parents], root, order="C"),
+            targets=np.multiply(self.targets, root, order="C"),
+            members=[order[lo:hi] for lo, hi in zip([0, *ends], ends)],
+            parents=parents)
 
     def transposed(self) -> "StructuredInstance":
         """The same problem with rows and columns exchanged: the same partitions, grid views."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pattern_index import PatternIndex
+from .pattern_index import PatternIndex, RowSystem
 
 
 @dataclass(eq=False)
@@ -138,39 +138,50 @@ def cost_dense(A: np.ndarray, W: np.ndarray, U: np.ndarray, V: np.ndarray) -> fl
     return math.fsum(_row_terms(V, U, block).tolist())
 
 
+def grid_cost(system: RowSystem, grouped_u: GroupedFactor, grouped_v: GroupedFactor) -> float:
+    """Weighted squared error of grouped_u.expand() against grouped_v.expand().
+
+    system is StructuredInstance.row_system(), whose columns carry sqrt of
+    their group sizes; grouped_u must live on system.wa_rows and grouped_v
+    on system.wa_cols.  One residual row per refined row group over the Gc
+    column groups, in O(Gr * Gc * k); each row term is multiplied by its
+    row group size.
+    """
+    grouped_u.check_groups(system.wa_rows, "row")
+    grouped_v.check_groups(system.wa_cols, "column")
+    weights, targets, parents = system.weights, system.targets, system.parents
+    terms = _row_terms(grouped_v.rows, grouped_u.rows, lambda rows, cols, w_buf, wa_buf: (
+        weights[parents[rows], cols].T, targets[rows, cols].T))
+    return math.fsum((terms * system.wa_rows.sizes).tolist())
+
+
 def cost_grouped(inst, grouped_u: GroupedFactor, V) -> float:
     """Weighted squared error of U = grouped_u.expand() against V.
 
     grouped_u must be constant on the refined row groups (its index must
     match inst.wa_rows).  A GroupedFactor V on inst.wa_cols is evaluated
-    on inst.row_system(), whose columns carry sqrt of their group sizes:
-    one residual row per refined row group over the Gc column groups, in
-    O(Gr * Gc * k).  An (n, k) array V is evaluated exactly over all n
-    columns, in O(Gr * n * k), a column block at a time.  Each row term is
-    multiplied by its row group size.
+    by grid_cost on inst.row_system().  An (n, k) array V is evaluated
+    exactly over all n columns, in O(Gr * n * k), a column block at a
+    time.  Each row term is multiplied by its row group size.
     """
-    grouped_u.check_groups(inst.wa_rows, "row")
-    parents = inst.w_rows.group_of[inst.wa_rows.representatives]
     if isinstance(V, GroupedFactor):
-        V.check_groups(inst.wa_cols, "column")
-        weights, targets, _ = inst.row_system()
-        terms = _row_terms(V.rows, grouped_u.rows, lambda rows, cols, w_buf, wa_buf: (
-            weights[parents[rows], cols].T, targets[rows, cols].T))
-    else:
-        V = np.ascontiguousarray(V, dtype=np.float64)
-        if V.ndim != 2 or V.shape[0] != inst.n or V.shape[1] != grouped_u.k:
-            raise ValueError("V shape does not conform to the instance and factor")
-        # Each column block gathers whole rows of the transposed grids.
-        wT = np.ascontiguousarray(inst.weights[parents].T)
-        tT = np.ascontiguousarray(inst.targets.T)
-        w_cols, wa_cols = inst.w_cols.group_of, inst.wa_cols.group_of
+        return grid_cost(inst.row_system(), grouped_u, V)
+    grouped_u.check_groups(inst.wa_rows, "row")
+    V = np.ascontiguousarray(V, dtype=np.float64)
+    if V.ndim != 2 or V.shape[0] != inst.n or V.shape[1] != grouped_u.k:
+        raise ValueError("V shape does not conform to the instance and factor")
+    # Each column block gathers whole rows of the transposed grids.
+    parents = inst.w_rows.group_of[inst.wa_rows.representatives]
+    wT = np.ascontiguousarray(inst.weights[parents].T)
+    tT = np.ascontiguousarray(inst.targets.T)
+    w_cols, wa_cols = inst.w_cols.group_of, inst.wa_cols.group_of
 
-        def block(rows, cols, w_buf, wa_buf):
-            np.take(wT[:, rows], w_cols[cols], axis=0, out=w_buf, mode="clip")
-            np.take(tT[:, rows], wa_cols[cols], axis=0, out=wa_buf, mode="clip")
-            return w_buf, wa_buf
+    def block(rows, cols, w_buf, wa_buf):
+        np.take(wT[:, rows], w_cols[cols], axis=0, out=w_buf, mode="clip")
+        np.take(tT[:, rows], wa_cols[cols], axis=0, out=wa_buf, mode="clip")
+        return w_buf, wa_buf
 
-        terms = _row_terms(V, grouped_u.rows, block)
+    terms = _row_terms(V, grouped_u.rows, block)
     return math.fsum((terms * inst.wa_rows.sizes).tolist())
 
 

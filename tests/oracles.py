@@ -68,6 +68,23 @@ def rowwise_weighted_lstsq(A, W, V):
     return U
 
 
+def lstsq_grid_rows(system, gv, S, rcond):
+    """A row half-sweep on a grid system by np.linalg.lstsq, one refined row at a time.
+
+    Row g solves min || design^T x - target ||_2 with design the k x Gc
+    matrix gv.rows.T scaled by the weight row of g's parent group, and
+    target row g of system.targets, both times S^T when S is given.
+    """
+    Z = gv.rows.T
+    out = np.empty((system.wa_rows.num_groups, Z.shape[0]))
+    for g, parent in enumerate(system.parents):
+        design, target = Z * system.weights[parent], system.targets[g]
+        if S is not None:
+            design, target = design @ S.T, S @ target
+        out[g] = np.linalg.lstsq(design.T, target, rcond=rcond)[0]
+    return out
+
+
 def cramer_inverse_3x3(M):
     """Cofactor-expansion inverse of a 3x3 matrix."""
     a, b, c = M[0]

@@ -96,10 +96,10 @@ def test_criterion_4_per_row_optimality_certificates():
         gv = GroupedFactor(index=inst.wa_cols,
                            rows=rng.standard_normal((inst.wa_cols.num_groups, 3)))
         for _ in range(3):
-            gu = update_rows(inst, gv)
-            worst = max(worst, float(row_certificates(inst, gu, gv).max()))
-            gv = update_rows(flipped, gu)
-            worst = max(worst, float(row_certificates(flipped, gv, gu).max()))
+            gu = update_rows(inst.row_system(), gv)
+            worst = max(worst, float(row_certificates(inst.row_system(), gu, gv).max()))
+            gv = update_rows(flipped.row_system(), gu)
+            worst = max(worst, float(row_certificates(flipped.row_system(), gv, gu).max()))
     ok = worst <= 1e-8
     _gate(4, ok, f"worst normal-equations residual / (design x target scale) "
                  f"= {worst:.3e} (tol 1e-8)")

@@ -17,9 +17,12 @@ import pytest
 
 from wlra import cli, pattern_index
 from wlra.cli import read_instance, write_instance
+from wlra.grouped_als import _RANK_TOLERANCE
 from wlra import (WEIGHT_STYLES, GenSpec, GroupedFactor, build_instance, compress_factor,
                   cost_dense, cost_grouped, cost_grouped_cols, detect_groups, gaussian_sketch,
                   generate, generate_compressed, refine, row_certificates, update_rows)
+
+from oracles import lstsq_grid_rows
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -97,16 +100,16 @@ def test_updates_and_cost_equivariant_under_permutations(problem, data):
 
     gv = _factor(inst.wa_cols, k, rng)
     gv_p = compress_factor(gv.expand()[Q], perm.wa_cols)
-    gu = update_rows(inst, gv)
-    gu_p = update_rows(perm, gv_p)
+    gu = update_rows(inst.row_system(), gv)
+    gu_p = update_rows(perm.row_system(), gv_p)
     assert _close(gu_p.expand(), gu.expand()[P])
     assert cost_grouped(perm, gu_p, gv_p) == pytest.approx(cost_grouped(inst, gu, gv),
                                                            rel=1e-9, abs=1e-9)
 
     gu = _factor(inst.wa_rows, k, rng)
     gu_p = compress_factor(gu.expand()[P], perm.wa_rows)
-    assert _close(update_rows(perm.transposed(), gu_p).expand(),
-                  update_rows(inst.transposed(), gu).expand()[Q])
+    assert _close(update_rows(perm.transposed().row_system(), gu_p).expand(),
+                  update_rows(inst.transposed().row_system(), gu).expand()[Q])
 
 
 @SETTINGS
@@ -127,18 +130,19 @@ def test_transposing_swaps_u_and_v(problem, t, seed):
     flipped = inst.transposed()
     built = build_instance(A.T, W.T)
     _assert_same_instance(flipped, built)
-    for grid in flipped.row_system()[:2]:
+    system, built_system = flipped.row_system(), built.row_system()
+    for grid in (system.weights, system.targets):
         assert grid.flags.c_contiguous
 
     gu, gv = _factor(inst.wa_rows, k, rng), _factor(inst.wa_cols, k, rng)
     gu_built = GroupedFactor(index=built.wa_cols, rows=gu.rows)
     for S in (None, gaussian_sketch(seed, t, inst.wa_rows.num_groups)):
-        got = update_rows(flipped, gu, S)
-        want = update_rows(built, gu_built, S)
+        got = update_rows(system, gu, S)
+        want = update_rows(built_system, gu_built, S)
         assert got.index is inst.wa_cols
         assert got.rows.tobytes() == want.rows.tobytes()
-        got_cert = row_certificates(flipped, got, gu)
-        want_cert = row_certificates(built, want, gu_built)
+        got_cert = row_certificates(system, got, gu)
+        want_cert = row_certificates(built_system, want, gu_built)
         assert got_cert.tobytes() == want_cert.tobytes()
 
     swapped = cost_grouped_cols(inst, gv, gu)
@@ -155,7 +159,7 @@ def test_row_system_members_split_refined_rows_by_weight_row(problem, r, p, styl
     planted = generate_compressed(GenSpec(n=r * p + 2, r=r, p=p, k_true=1,
                                           weight_style=style, seed=seed))
     for inst in (built, built.transposed(), planted, planted.transposed()):
-        members = inst.row_system()[2]
+        members = inst.row_system().members
         parents = inst.w_rows.group_of[inst.wa_rows.representatives]
         assert len(members) == inst.w_rows.num_groups
         assert np.array_equal(np.sort(np.concatenate(members)),
@@ -163,6 +167,23 @@ def test_row_system_members_split_refined_rows_by_weight_row(problem, r, p, styl
         for group, rows in enumerate(members):
             assert rows.size > 0 and np.all(np.diff(rows) > 0)
             assert np.all(parents[rows] == group)
+
+
+@SETTINGS
+@hypothesis.given(_problem(), st.integers(1, 4), st.integers(1, 3),
+                  st.sampled_from(WEIGHT_STYLES), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+def test_update_rows_matches_lstsq_on_built_and_planted(problem, r, p, style, t, seed):
+    A, W, k, rng = problem
+    built = build_instance(A, W)
+    planted = generate_compressed(GenSpec(n=r * p + 2, r=r, p=p, k_true=1,
+                                          weight_style=style, seed=seed))
+    for inst in (built, built.transposed(), planted, planted.transposed()):
+        system = inst.row_system()
+        gv = _factor(inst.wa_cols, k, rng)
+        for S in (None, gaussian_sketch(seed, t, inst.wa_cols.num_groups)):
+            want = lstsq_grid_rows(system, gv, S, _RANK_TOLERANCE)
+            got = update_rows(system, gv, S).rows
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
 def _laid_out(M, layout, flips):

@@ -1,13 +1,16 @@
+import weakref
+
 import numpy as np
 import pytest
 
-from wlra import (GenSpec, GroupedFactor, SolveOptions, build_instance, compress_factor,
-                  cost_dense, cost_grouped, gaussian_sketch, generate, generate_compressed,
-                  generate_with_factors, grouped_als, min_norm_solve, row_certificates,
-                  sketch_dim, solve, update_rows)
-from wlra.grouped_als import _init_factor
+from wlra import (GenSpec, GroupedFactor, SolveOptions, StructuredInstance, build_instance,
+                  compress_factor, cost_dense, cost_grouped, gaussian_sketch, generate,
+                  generate_compressed, generate_with_factors, grouped_als, min_norm_solve,
+                  row_certificates, sketch_dim, solve, update_rows)
+from wlra.grouped_als import _RANK_TOLERANCE, _init_factor
 
-from oracles import cramer_inverse_3x3, power_iteration_rank_k_residual, rowwise_weighted_lstsq
+from oracles import (cramer_inverse_3x3, lstsq_grid_rows, power_iteration_rank_k_residual,
+                     rowwise_weighted_lstsq)
 
 
 def _opts(**kw):
@@ -101,7 +104,7 @@ def test_update_rows_unweighted_projection():
     A = rng.standard_normal((n, n))
     inst = build_instance(A, np.ones((n, n)))
     V = np.linalg.qr(rng.standard_normal((n, k)))[0]
-    gu = update_rows(inst, compress_factor(V, inst.wa_cols))
+    gu = update_rows(inst.row_system(), compress_factor(V, inst.wa_cols))
     reps = inst.wa_rows.representatives
     assert gu.rows == pytest.approx(A[reps] @ V, rel=1e-10, abs=1e-12)
 
@@ -113,7 +116,7 @@ def test_update_rows_zero_weight_group():
     A = rng.standard_normal((n, n))
     inst = build_instance(A, W)
     gv = _random_factor(inst.wa_cols, 2, rng)
-    gu = update_rows(inst, gv)
+    gu = update_rows(inst.row_system(), gv)
     U = gu.expand()
     assert np.all(U[3:] == 0.0)
 
@@ -122,7 +125,7 @@ def test_update_rows_matches_rowwise_oracle():
     inst, A, W = _planted(n=32, r=2, p=2, k_true=4, noise_sigma=0.3, seed=7)
     rng = np.random.default_rng(8)
     gv = _random_factor(inst.wa_cols, 3, rng)
-    gu = update_rows(inst, gv)
+    gu = update_rows(inst.row_system(), gv)
     want = rowwise_weighted_lstsq(A, W, gv.expand())
     got = gu.expand()
     scale = np.abs(want).max()
@@ -134,8 +137,8 @@ def test_update_rows_identity_embedding_equals_sketchless():
     rng = np.random.default_rng(4)
     gv = _random_factor(inst.wa_cols, 3, rng)
     width = inst.wa_cols.num_groups
-    exact = update_rows(inst, gv)
-    via_identity = update_rows(inst, gv, np.eye(width))
+    exact = update_rows(inst.row_system(), gv)
+    via_identity = update_rows(inst.row_system(), gv, np.eye(width))
     assert np.array_equal(exact.rows, via_identity.rows)
 
 
@@ -144,24 +147,31 @@ def test_update_rows_requires_sketch_when_not_sketchless():
     gv = GroupedFactor(index=inst.wa_cols, rows=np.ones((inst.wa_cols.num_groups, 2)))
     width = inst.wa_cols.num_groups
     with pytest.raises(ValueError):
-        update_rows(inst, gv, gaussian_sketch(0, 9, width - 1))
+        update_rows(inst.row_system(), gv, gaussian_sketch(0, 9, width - 1))
     with pytest.raises(ValueError):  # V on the weight groups, not the refined ones
-        update_rows(inst, GroupedFactor(index=inst.w_cols, rows=np.ones((2, 2))))
+        update_rows(inst.row_system(), GroupedFactor(index=inst.w_cols, rows=np.ones((2, 2))))
 
 
 def test_update_rows_assembles_one_design_per_weight_pattern(monkeypatch):
     inst, _, _ = _planted(n=40, r=4, p=2, k_true=2, noise_sigma=0.1, seed=6)
+    system = inst.row_system()
     rng = np.random.default_rng(7)
     gv = _random_factor(inst.wa_cols, 3, rng)
     S = gaussian_sketch(5, 48, inst.wa_cols.num_groups)
+    pseudo_inverses = grouped_als._pseudo_inverses
     designs = _count_calls(monkeypatch, "sketched_design")
-    applies = _count_calls(monkeypatch, "_svd_apply")
+    inverses = _count_calls(monkeypatch, "_pseudo_inverses")
     svds = _count_calls(monkeypatch, "svd", owner=np.linalg)
-    update_rows(inst, gv, S)
+    rows = update_rows(system, gv, S).rows
     assert len(designs) == inst.w_rows.num_groups == 4
-    assert len(applies) == inst.w_rows.num_groups
-    assert sum(targets.shape[0] for *_, targets in applies) == inst.wa_rows.num_groups == 8
     assert len(svds) == 1
+    assert len(inverses) == 1
+    ((stacked,),) = inverses
+    assert stacked.shape == (4, 3, 48)
+    P, targets = pseudo_inverses(stacked), system.targets @ S.T
+    assert sum(members.size for members in system.members) == inst.wa_rows.num_groups == 8
+    for g, members in enumerate(system.members):  # one block product per weight group
+        assert np.array_equal(rows[members], targets[members] @ P[g])
 
 
 def _mixed_instance():
@@ -195,7 +205,8 @@ def test_update_rows_matches_min_norm_solve_per_row(transposed, sketched):
         inst = inst.transposed()
     gv = _random_factor(inst.wa_cols, k, np.random.default_rng(32))
     Z = gv.rows.T
-    weights, targets, _ = inst.row_system()
+    system = inst.row_system()
+    weights, targets = system.weights, system.targets
     parents = inst.w_rows.group_of[inst.wa_rows.representatives]
     members = np.bincount(parents)
     designs = [Z * w for w in weights]
@@ -207,10 +218,23 @@ def test_update_rows_matches_min_norm_solve_per_row(transposed, sketched):
         S = gaussian_sketch(33, sketch_dim(k, 0.25), inst.wa_cols.num_groups)
         designs = [d @ S.T for d in designs]
         targets = targets @ S.T
-    got = update_rows(inst, gv, S).rows
+    got = update_rows(system, gv, S).rows
     want = np.array([min_norm_solve(designs[parents[g]], targets[g])
                      for g in range(inst.wa_rows.num_groups)])
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+@pytest.mark.parametrize("sketched", [False, True])
+def test_update_rows_matches_lstsq_per_row(transposed, sketched):
+    inst, k = _mixed_instance()
+    if transposed:
+        inst = inst.transposed()
+    system = inst.row_system()
+    gv = _random_factor(inst.wa_cols, k, np.random.default_rng(36))
+    S = gaussian_sketch(37, sketch_dim(k, 0.25), inst.wa_cols.num_groups) if sketched else None
+    want = lstsq_grid_rows(system, gv, S, _RANK_TOLERANCE)
+    assert np.abs(update_rows(system, gv, S).rows - want).max() <= 1e-10 * np.abs(want).max()
 
 
 def test_update_cols_unweighted_projection():
@@ -219,7 +243,7 @@ def test_update_cols_unweighted_projection():
     A = rng.standard_normal((n, n))
     inst = build_instance(A, np.ones((n, n)))
     U = np.linalg.qr(rng.standard_normal((n, 3)))[0]
-    gv = update_rows(inst.transposed(), compress_factor(U, inst.wa_rows))
+    gv = update_rows(inst.transposed().row_system(), compress_factor(U, inst.wa_rows))
     reps = inst.wa_cols.representatives
     assert gv.rows == pytest.approx(A[:, reps].T @ U, rel=1e-10, abs=1e-12)
 
@@ -232,7 +256,8 @@ def test_row_certificates_match_per_row_reference(transposed):
     rng = np.random.default_rng(34)
     gv, gu = _random_factor(inst.wa_cols, k, rng), _random_factor(inst.wa_rows, k, rng)
     Z = gv.rows.T
-    weights, targets, members = inst.row_system()
+    system = inst.row_system()
+    weights, targets, members = system.weights, system.targets, system.members
     want = np.empty(inst.wa_rows.num_groups)
     for w, rows in zip(weights, members):
         D = Z * w
@@ -241,10 +266,10 @@ def test_row_certificates_match_per_row_reference(transposed):
             denom = np.linalg.norm(D) * np.linalg.norm(targets[g])
             want[g] = resid / denom if denom != 0.0 else (0.0 if resid == 0.0 else np.inf)
     (zero,) = np.nonzero(weights.max(axis=1) == 0.0)[0]
-    got = row_certificates(inst, gu, gv)
+    got = row_certificates(system, gu, gv)
     assert np.all(got[members[zero]] == 0.0)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
-    assert row_certificates(inst, update_rows(inst, gv), gv).max() <= 1e-8
+    assert row_certificates(system, update_rows(system, gv), gv).max() <= 1e-8
 
 
 def test_row_certificates_reject_a_factor_on_other_row_groups():
@@ -253,17 +278,17 @@ def test_row_certificates_reject_a_factor_on_other_row_groups():
     rng = np.random.default_rng(35)
     gv, on_weights = _random_factor(inst.wa_cols, 3, rng), _random_factor(inst.w_rows, 3, rng)
     with pytest.raises(ValueError, match="row groups"):
-        row_certificates(inst, on_weights, gv)
+        row_certificates(inst.row_system(), on_weights, gv)
 
 
 def test_certificates_small_after_sketchless_half_sweeps():
     inst, _, _ = _planted(n=48, r=3, p=2, k_true=4, noise_sigma=0.2, seed=12)
     rng = np.random.default_rng(13)
     gv = _random_factor(inst.wa_cols, 3, rng)
-    gu = update_rows(inst, gv)
-    assert row_certificates(inst, gu, gv).max() <= 1e-8
-    gv = update_rows(inst.transposed(), gu)
-    assert row_certificates(inst.transposed(), gv, gu).max() <= 1e-8
+    gu = update_rows(inst.row_system(), gv)
+    assert row_certificates(inst.row_system(), gu, gv).max() <= 1e-8
+    gv = update_rows(inst.transposed().row_system(), gu)
+    assert row_certificates(inst.transposed().row_system(), gv, gu).max() <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +346,31 @@ def test_solve_broadcast_consistency_and_counts():
     assert all(c == inst.wa_cols.num_groups for c in rep.regressions_per_half_sweep[1::2])
     sweeps = len(rep.cost_per_sweep) // 2
     assert sum(rep.regressions_per_half_sweep) <= 2 * sweeps * inst.r * inst.p
+
+
+@pytest.mark.parametrize("restarts", [1, 2])
+def test_solve_builds_one_row_system_per_side_per_run(monkeypatch, restarts):
+    # upper_bound's system, then one per side per run; none outlives its
+    # run, so none is alive while the result factors are expanded.
+    inst, _, _ = _planted(n=36, r=3, p=2, k_true=3, noise_sigma=0.1, seed=17)
+    built, alive_at_expand = [], []
+    row_system, expand = StructuredInstance.row_system, GroupedFactor.expand
+
+    def recorded_row_system(self):
+        system = row_system(self)
+        built.append(weakref.ref(system))
+        return system
+
+    def checked_expand(self):
+        alive_at_expand.append(sum(ref() is not None for ref in built))
+        return expand(self)
+
+    monkeypatch.setattr(StructuredInstance, "row_system", recorded_row_system)
+    monkeypatch.setattr(GroupedFactor, "expand", checked_expand)
+    _, rep = solve(inst, _opts(max_sweeps=3, rel_tol=0.0, restarts=restarts))
+    assert len(rep.cost_per_sweep) == 6
+    assert len(built) == 1 + 2 * restarts
+    assert alive_at_expand == [0, 0]
 
 
 def test_solve_final_cost_is_exact_and_bracketed():
