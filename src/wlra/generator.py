@@ -50,19 +50,26 @@ class GenSpec:
             raise ValueError(f"weight_style must be one of {WEIGHT_STYLES}")
 
 
-def _band_ids(n: int, parts: int) -> np.ndarray:
-    """Contiguous near-equal bands: ids 0..parts-1, earlier bands larger."""
-    sizes = np.full(parts, n // parts, dtype=np.int64)
-    sizes[: n % parts] += 1
-    return np.repeat(np.arange(parts, dtype=np.int64), sizes)
+def _band_partitions(n: int, r: int, p: int) -> tuple[PatternIndex, PatternIndex]:
+    """The r weight bands of 0..n-1 and their r*p target sub-bands, as partitions.
 
+    Bands are contiguous and near-equal, earlier ones larger; each weight
+    band splits into p sub-bands by the same rule.  Bands are numbered in
+    order, so each partition is canonical as built from its sizes: group_of
+    repeats each id over its band, and a band's representative is its start.
+    """
+    def split(totals: np.ndarray, parts: int) -> np.ndarray:
+        totals = totals[:, None]
+        return (totals // parts + (np.arange(parts) < totals % parts)).ravel()
 
-def _sub_band_ids(n: int, r: int, p: int) -> np.ndarray:
-    """Split each of the r weight bands into p sub-bands: ids 0..r*p-1."""
-    wband = _band_ids(n, r)
-    sizes = np.bincount(wband, minlength=r)
-    parts = [i * p + _band_ids(int(sizes[i]), p) for i in range(r)]
-    return np.concatenate(parts)
+    def partition(sizes: np.ndarray) -> PatternIndex:
+        starts = np.zeros_like(sizes)
+        np.cumsum(sizes[:-1], out=starts[1:])
+        return PatternIndex(group_of=np.repeat(np.arange(sizes.size, dtype=np.int64), sizes),
+                            representatives=starts, sizes=sizes)
+
+    wsizes = split(np.array([n], dtype=np.int64), r)
+    return partition(wsizes), partition(split(wsizes, p))
 
 
 def _weight_grid(spec: GenSpec, seed: int) -> np.ndarray:
@@ -122,8 +129,8 @@ def generate_with_factors(spec: GenSpec):
     instance has a known zero-cost rank-k_true solution.
     """
     gw, ga, u_cells, v_cells = _accepted_grids(spec)
-    wband = _band_ids(spec.n, spec.r)
-    aband = _sub_band_ids(spec.n, spec.r, spec.p)
+    w, wa = _band_partitions(spec.n, spec.r, spec.p)
+    wband, aband = w.group_of, wa.group_of
     return ga[aband][:, aband], gw[wband][:, wband], u_cells[aband], v_cells[aband]
 
 
@@ -157,21 +164,20 @@ class TiledMatrix:
 
 
 def _planted(spec: GenSpec):
-    """The accepted grids (gw, ga) and the weight and target band ids of spec.
+    """The accepted grids (gw, ga) and the weight and target band partitions of spec.
 
-    Raises MemoryError if no array can hold the n-long band ids; numpy
+    Raises MemoryError if no array can hold the n-long band maps; numpy
     refuses a size past its limit with a ValueError, which a grid that
     overflows raises too.
     """
     gw, ga, _, _ = _accepted_grids(spec)
     try:
-        return gw, ga, _band_ids(spec.n, spec.r), _sub_band_ids(spec.n, spec.r, spec.p)
+        return gw, ga, *_band_partitions(spec.n, spec.r, spec.p)
     except (ValueError, MemoryError) as e:
         raise MemoryError(f"n={spec.n} is too large for its band maps: {e}") from None
 
 
-def _instance(spec: GenSpec, gw, ga, wband, aband) -> StructuredInstance:
-    w, wa = PatternIndex.from_labels(wband), PatternIndex.from_labels(aband)
+def _instance(spec: GenSpec, gw, ga, w: PatternIndex, wa: PatternIndex) -> StructuredInstance:
     parent = np.arange(spec.r * spec.p, dtype=np.int64) // spec.p
     return StructuredInstance(w_rows=w, w_cols=w, wa_rows=wa, wa_cols=wa,
                               weights=gw, targets=gw[np.ix_(parent, parent)] * ga)
@@ -185,9 +191,9 @@ def generate_tiled(spec: GenSpec) -> tuple[TiledMatrix, TiledMatrix, StructuredI
     The instance is generate_compressed(spec), from the same draw of the
     grids.
     """
-    gw, ga, wband, aband = _planted(spec)
-    return (TiledMatrix(ga, aband, aband), TiledMatrix(gw, wband, wband),
-            _instance(spec, gw, ga, wband, aband))
+    gw, ga, w, wa = _planted(spec)
+    return (TiledMatrix(ga, wa.group_of, wa.group_of), TiledMatrix(gw, w.group_of, w.group_of),
+            _instance(spec, gw, ga, w, wa))
 
 
 def generate_compressed(spec: GenSpec) -> StructuredInstance:
@@ -195,7 +201,8 @@ def generate_compressed(spec: GenSpec) -> StructuredInstance:
 
     The accepted grids have distinct rows and columns, so this equals
     build_instance(*generate(spec)) bitwise: the same four partitions and
-    the same two grids.  Rows and columns share one band map, so they share
+    the same two grids.  Each partition is built from its band sizes in
+    O(n), with no sort.  Rows and columns share one band map, so they share
     one partition object.
     """
     return _instance(spec, *_planted(spec))

@@ -4,10 +4,13 @@ The objective is sum_ij W_ij^2 (U V^T - A)_ij^2.  The grouped evaluator
 works on the group grid of a StructuredInstance: with both factors
 constant on the refined groups, each (row group, column group) block of
 the residual is one number counted size_g * size_h times, so the work
-does not grow with n.  Every evaluator forms its residual explicitly, a
-block of about 2^16 entries at a time, in one kernel; a row's term adds
-its blocks in column order, and the row terms are added with math.fsum,
-which rounds their sum exactly.
+does not grow with n.  Given an (n, k) array V instead, it first tests
+whether V is constant on the column groups; if so it evaluates each
+distinct column once on the grid, and otherwise it gathers all n columns.
+Every evaluator forms its residual explicitly, a block of about 2^16
+entries at a time, in one kernel; a row's term adds its blocks in column
+order, and the row terms are added with math.fsum, which rounds their sum
+exactly.
 """
 
 from __future__ import annotations
@@ -69,7 +72,8 @@ def _block_shape(rows: int, cols: int) -> tuple[int, int]:
     blocks that hold every row: a small grid is one block, and the n-wide
     cost gathers whole rows of its transposed grids.  One with more rows is
     cut into row blocks as wide as fit, so cost_dense reads A and W in row
-    order.  Both n-wide evaluators tile an n x n residual alike.
+    order.  On singleton groups the grid is the n x n residual, so
+    cost_dense, grid_cost and the n-wide cost_grouped all tile it alike.
     """
     if rows * rows <= BLOCK_ENTRIES:
         return rows, min(cols, max(1, BLOCK_ENTRIES // rows))
@@ -160,9 +164,13 @@ def cost_grouped(inst, grouped_u: GroupedFactor, V) -> float:
 
     grouped_u must be constant on the refined row groups (its index must
     match inst.wa_rows).  A GroupedFactor V on inst.wa_cols is evaluated
-    by grid_cost on inst.row_system().  An (n, k) array V is evaluated
-    exactly over all n columns, in O(Gr * n * k), a column block at a
-    time.  Each row term is multiplied by its row group size.
+    by grid_cost on inst.row_system().  So is an (n, k) array V whose
+    every row equals the row of its column group's first member (the
+    first members' rows are then the GroupedFactor's rows), in
+    O(Gr * Gc * k); the test reads V about 2^16 entries at a time and
+    stops at the first block that differs.  Any other V (a NaN never equals itself) is
+    evaluated exactly over all n columns, in O(Gr * n * k), a column
+    block at a time.  Each row term is multiplied by its row group size.
     """
     if isinstance(V, GroupedFactor):
         return grid_cost(inst.row_system(), grouped_u, V)
@@ -170,11 +178,17 @@ def cost_grouped(inst, grouped_u: GroupedFactor, V) -> float:
     V = np.ascontiguousarray(V, dtype=np.float64)
     if V.ndim != 2 or V.shape[0] != inst.n or V.shape[1] != grouped_u.k:
         raise ValueError("V shape does not conform to the instance and factor")
+    w_cols, wa_cols = inst.w_cols.group_of, inst.wa_cols.group_of
+    firsts = inst.wa_cols.representatives
+    step = max(1, BLOCK_ENTRIES // max(1, V.shape[1]))
+    if all(np.array_equal(V[c0:c0 + step], V.take(firsts.take(wa_cols[c0:c0 + step]), axis=0))
+           for c0 in range(0, inst.n, step)):
+        return grid_cost(inst.row_system(), grouped_u,
+                         GroupedFactor(index=inst.wa_cols, rows=V[firsts]))
     # Each column block gathers whole rows of the transposed grids.
     parents = inst.w_rows.group_of[inst.wa_rows.representatives]
     wT = np.ascontiguousarray(inst.weights[parents].T)
     tT = np.ascontiguousarray(inst.targets.T)
-    w_cols, wa_cols = inst.w_cols.group_of, inst.wa_cols.group_of
 
     def block(rows, cols, w_buf, wa_buf):
         np.take(wT[:, rows], w_cols[cols], axis=0, out=w_buf, mode="clip")

@@ -4,6 +4,7 @@ import pytest
 from wlra import (GenSpec, build_instance, cost_dense, detect_groups, generate,
                   generate_attention_mask, generate_compressed, generate_with_factors)
 from wlra.generator import TiledMatrix, generate_tiled
+from wlra.pattern_index import PatternIndex
 
 
 def test_trivial_spec_single_pattern():
@@ -151,3 +152,51 @@ def test_attention_instance_via_build():
     inst = build_instance(A, W)
     assert inst.r == 4
     assert inst.wa_rows.num_groups <= 4 * inst.p
+
+
+BAND_SPECS = {
+    "uneven": (23, 3, 2),       # weight bands 8, 8, 7; the last splits 4 + 3
+    "uneven_p": (29, 4, 3),     # weight bands 8, 7, 7, 7; none divisible by p
+    "rp_equals_n": (12, 3, 4),
+    "r_one": (10, 1, 3),
+    "p_one": (10, 3, 1),
+    "single": (1, 1, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAND_SPECS))
+def test_band_partitions_are_canonical(case):
+    n, r, p = BAND_SPECS[case]
+    spec = GenSpec(n=n, r=r, p=p, k_true=1, noise_sigma=0.1, seed=3)
+    tiled_a, tiled_w, inst = generate_tiled(spec)
+    for name, groups in (("w_rows", r), ("wa_rows", r * p)):
+        part = getattr(inst, name)
+        part.validate()
+        want = PatternIndex.from_labels(part.group_of)
+        for field in ("group_of", "representatives", "sizes"):
+            got = getattr(part, field)
+            assert got.dtype == np.int64 and np.array_equal(got, getattr(want, field))
+        assert part.num_groups == groups and np.ptp(part.sizes) <= 1
+    assert inst.wa_rows.refines(inst.w_rows)
+    assert np.array_equal(tiled_w.row_ids, inst.w_rows.group_of)
+    assert np.array_equal(tiled_a.col_ids, inst.wa_cols.group_of)
+    _, _, U, _ = generate_with_factors(spec)  # the target's factors are constant on its bands
+    assert np.array_equal(U, U[inst.wa_rows.representatives][inst.wa_rows.group_of])
+
+
+def test_planted_partitions_sort_no_n_long_labels(monkeypatch):
+    n = 64
+    from_labels = PatternIndex.from_labels
+
+    def guarded(cls, labels):
+        if np.asarray(labels).shape[0] == n:
+            raise AssertionError("from_labels called on n labels")
+        return from_labels(labels)
+
+    monkeypatch.setattr(PatternIndex, "from_labels", classmethod(guarded))
+    spec = GenSpec(n=n, r=4, p=2, k_true=2, seed=6)
+    with pytest.raises(AssertionError):
+        PatternIndex.from_labels(np.zeros(n))
+    generate_compressed(spec)
+    generate_tiled(spec)
+    generate_with_factors(spec)

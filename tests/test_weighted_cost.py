@@ -275,6 +275,20 @@ def test_n_wide_evaluators_hold_one_block_whatever_n():
         assert large <= small + 0.1
 
 
+def test_group_constant_v_holds_the_grid_whatever_n():
+    # A group-constant V goes to the grid; the test of V reads a chunk at a time.
+    peaks = {}
+    for n in (1024, 4096):
+        rng = np.random.default_rng(n)
+        inst = generate_compressed(GenSpec(n=n, r=16, p=8, k_true=3, seed=1))
+        gu = GroupedFactor(index=inst.wa_rows,
+                           rows=rng.standard_normal((inst.wa_rows.num_groups, 3)))
+        V = GroupedFactor(index=inst.wa_cols,
+                          rows=rng.standard_normal((inst.wa_cols.num_groups, 3))).expand()
+        peaks[n] = _peak_mb(lambda: cost_grouped(inst, gu, V))
+    assert peaks[1024] <= 2.5 and peaks[4096] <= peaks[1024] + 0.1
+
+
 def test_cost_dense_on_memory_mapped_instance_file(tmp_path, monkeypatch):
     n = 200
     rng = np.random.default_rng(31)
@@ -286,3 +300,51 @@ def test_cost_dense_on_memory_mapped_instance_file(tmp_path, monkeypatch):
     for block in (weighted_cost.BLOCK_ENTRIES, 1000):  # one block, then 40 row blocks
         monkeypatch.setattr(weighted_cost, "BLOCK_ENTRIES", block)
         assert cost_dense(mapped[0], mapped[1], U, V) == cost_dense(A, W, U, V)
+
+
+def _changed_entry_case(monkeypatch, where):
+    """A planted instance cut into 7-column blocks, a group-constant V and the column to change."""
+    A, W = generate(GenSpec(n=40, r=2, p=3, k_true=2, noise_sigma=0.1, seed=32))
+    inst = build_instance(A, W)
+    assert inst.wa_rows.num_groups == 6
+    monkeypatch.setattr(weighted_cost, "BLOCK_ENTRIES", 6 * 7)  # 5 blocks of 7, then one of 5
+    rng = np.random.default_rng(33)
+    gu = GroupedFactor(index=inst.wa_rows, rows=rng.standard_normal((6, 2)))
+    gv = GroupedFactor(index=inst.wa_cols, rows=rng.standard_normal((inst.wa_cols.num_groups, 2)))
+    first = int(inst.wa_cols.representatives[2])
+    col = {"first": first, "other": first + 1, "last": 39}[where]
+    assert col == first or inst.wa_cols.group_of[col] == inst.wa_cols.group_of[col - 1]
+    return inst, A, W, gu, gv.expand(), col
+
+
+@pytest.mark.parametrize("where", ["first", "other", "last"])
+def test_group_constant_v_with_one_changed_entry(monkeypatch, where):
+    inst, A, W, gu, V, col = _changed_entry_case(monkeypatch, where)
+    V[col, 1] += 0.75
+    got = cost_grouped(inst, gu, V)
+    assert got == pytest.approx(naive_weighted_cost(A, W, gu.expand(), V), rel=1e-12)
+    assert got == pytest.approx(cost_dense(A, W, gu.expand(), V), rel=1e-12)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["first", "other", "last"])
+def test_non_finite_v_gives_the_dense_result(monkeypatch, value, where):
+    inst, A, W, gu, V, col = _changed_entry_case(monkeypatch, where)
+    V[col, 0] = value
+    got, want = cost_grouped(inst, gu, V), cost_dense(A, W, gu.expand(), V)
+    assert not np.isfinite(want)
+    assert got == want or (np.isnan(got) and np.isnan(want))
+
+
+def test_group_constant_v_forms_one_column_per_group(monkeypatch):
+    inst, _, _ = _planted(n=256, r=4, p=2, k_true=2, seed=8)
+    rng = np.random.default_rng(34)
+    gu = GroupedFactor(index=inst.wa_rows, rows=rng.standard_normal((8, 2)))
+    gv = GroupedFactor(index=inst.wa_cols,
+                       rows=rng.standard_normal((inst.wa_cols.num_groups, 2)))
+    blocks = _record_blocks(monkeypatch)
+    cost_grouped(inst, gu, gv.expand())
+    assert sum(cols for _, cols in blocks) == inst.wa_cols.num_groups == 8
+    blocks.clear()
+    cost_grouped(inst, gu, rng.standard_normal((256, 2)))
+    assert sum(cols for _, cols in blocks) == 256
