@@ -45,10 +45,17 @@ def _write_rows(f, M) -> None:
     """M to an open file as <f8 in C order, a block of rows at a time.
 
     M is an array, or anything with a shape whose row slices are arrays.
+    A TiledMatrix is written from its row_blocks instead, so each planted
+    band is expanded once and its block written for every block of rows
+    inside it.
     """
     step = max(1, _WRITE_BLOCK_BYTES // (8 * max(1, M.shape[1])))
-    for lo in range(0, M.shape[0], step):
-        f.write(np.ascontiguousarray(M[lo:lo + step], dtype="<f8"))
+    if isinstance(M, TiledMatrix):
+        blocks = M.row_blocks(step)
+    else:
+        blocks = (np.ascontiguousarray(M[lo:lo + step], dtype="<f8")
+                  for lo in range(0, M.shape[0], step))
+    f.writelines(blocks)  # keeps no block alive while the next is made
 
 
 def write_instance(path, A, W, sidecar=None) -> None:
@@ -56,7 +63,10 @@ def write_instance(path, A, W, sidecar=None) -> None:
 
     Each matrix goes to the file in C order a block of rows at a time, so
     no whole-matrix copy is made whatever the layout of A and W; they may
-    also be TiledMatrix objects, which are never expanded whole.
+    also be TiledMatrix objects, which are never expanded whole.  Each band
+    of equal rows of a TiledMatrix that fills a block is expanded into one
+    block once, and that block is written for every block of rows inside
+    the band; the band's tail is a slice of it.
 
     A regular file is rewritten in place, not truncated first: truncating
     frees the old payload's blocks only for the write to allocate them

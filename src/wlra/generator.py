@@ -144,8 +144,10 @@ def generate(spec: GenSpec):
 class TiledMatrix:
     """grid[row_ids][:, col_ids], expanded a block of rows at a time.
 
-    shape and row slicing are all it offers: M[lo:hi] is a fresh C-ordered
-    array equal to those rows of the expanded matrix.
+    It offers shape, row slicing and row_blocks: M[lo:hi] is a fresh
+    C-ordered array equal to those rows of the expanded matrix, and
+    row_blocks(step) yields all its rows in order, expanding a run of equal
+    row ids once however many blocks it fills.
     """
 
     grid: np.ndarray
@@ -161,6 +163,31 @@ class TiledMatrix:
         if ids.size and (ids == ids[0]).all():  # a block inside one band: expand its row once
             return np.repeat(np.take(self.grid[ids[0]], self.col_ids)[None], ids.size, axis=0)
         return np.take(self.grid[ids], self.col_ids, axis=1)
+
+    def row_blocks(self, step: int):
+        """The rows of the expanded matrix in order, as <f8 C-ordered blocks of at most step rows.
+
+        A run of equal row ids that fills a block (a planted band) is
+        expanded and converted once, into one block of step rows: that same
+        array is yielded for every block inside the run, and a leading
+        slice of it for the run's tail.  From any other row a block of
+        step rows is expanded as M[lo:lo + step] and may cross run edges,
+        so a matrix without such runs is expanded as row slicing would.
+        A yielded array may be yielded again: use it before the next.
+        """
+        ids, n = self.row_ids, self.shape[0]
+        ends = np.append(np.flatnonzero(ids[1:] != ids[:-1]) + 1, n)  # one past each run
+        lo = 0
+        while lo < n:
+            block = np.ascontiguousarray(self[lo:lo + step], dtype="<f8")
+            # block stands for the rest of row lo's run when that fills it, else itself.
+            rows = max(len(block), int(ends[np.searchsorted(ends, lo, side="right")]) - lo)
+            for _ in range(rows // step):
+                yield block
+            if rows % step:
+                yield block[:rows % step]
+            del block  # freed before the next block is made
+            lo += rows
 
 
 def _planted(spec: GenSpec):

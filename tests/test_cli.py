@@ -1,4 +1,5 @@
 import ast
+import collections
 import errno
 import inspect
 import os
@@ -16,6 +17,8 @@ from wlra import (GenSpec, SolveOptions, build_instance, generate, generate_comp
 from wlra import cli, generator, pattern_index
 from wlra.cli import CSV_HEADER, main, read_instance, write_instance
 from wlra.pattern_index import BlockDetector
+
+from test_generator import BAND_SPECS
 
 
 def run(args):
@@ -64,6 +67,60 @@ def test_gen_streams_the_bytes_of_the_dense_matrices(tmp_path, monkeypatch):
     dense = tmp_path / "dense.wlra"
     write_instance(dense, A, W, cli._sidecar_of(generate_compressed(spec)))
     assert path.read_bytes() == dense.read_bytes()
+
+
+# _WRITE_BLOCK_BYTES against a file of size n: less than one row, three
+# rows (between a row and a weight band), and more than any band
+BLOCK_BYTES = {"under_a_row": lambda n: 4, "three_rows": lambda n: 3 * 8 * n,
+               "over_a_band": lambda n: 8 * n * n + 8}
+
+
+@pytest.mark.parametrize("block", sorted(BLOCK_BYTES))
+@pytest.mark.parametrize("style", generator.WEIGHT_STYLES)
+@pytest.mark.parametrize("case", sorted(BAND_SPECS))
+def test_gen_writes_the_dense_bytes_over_irregular_bands(tmp_path, monkeypatch, case, style,
+                                                          block):
+    n, r, p = BAND_SPECS[case]
+    monkeypatch.setattr(cli, "_WRITE_BLOCK_BYTES", BLOCK_BYTES[block](n))
+    path = _gen(tmp_path, n=n, r=r, p=p, k_true=1, seed=3,
+                extra=("--noise", 0.1, "--style", style))
+    spec = GenSpec(n=n, r=r, p=p, k_true=1, noise_sigma=0.1, weight_style=style, seed=3)
+    dense = tmp_path / "dense.wlra"
+    write_instance(dense, *generate(spec), cli._sidecar_of(generate_compressed(spec)))
+    assert path.read_bytes() == dense.read_bytes()
+
+
+@pytest.mark.parametrize("block_rows", [8, 64])  # 64 rows: the default block at n = 512
+def test_gen_expands_each_planted_band_once(tmp_path, monkeypatch, block_rows):
+    # A band is expanded once, its tail at most once more; writing a block
+    # of rows at a time without reuse expands n / block_rows blocks per matrix.
+    n, r, p = 512, 4, 2
+    monkeypatch.setattr(cli, "_WRITE_BLOCK_BYTES", 8 * n * block_rows)
+    expanded = collections.Counter()  # keyed by the grid's rows: the matrix's row runs
+    getitem = generator.TiledMatrix.__getitem__
+
+    def counting(self, rows):
+        expanded[self.grid.shape[0]] += 1
+        return getitem(self, rows)
+
+    monkeypatch.setattr(generator.TiledMatrix, "__getitem__", counting)
+    _gen(tmp_path, n=n, r=r, p=p, seed=6)
+    assert sorted(expanded) == [r, r * p]  # the grids of W and of A
+    assert all(count <= 2 * runs for runs, count in expanded.items())
+
+
+@pytest.mark.parametrize("r", [4, 1])  # r = 1: W is one band, as large as the matrix
+def test_gen_holds_less_than_a_quarter_of_the_file(tmp_path, capsys, r):
+    # The block written again for a band is one block of rows, not the band.
+    path = _gen(tmp_path, n=512, r=r, p=2, k_true=2, seed=6)  # warm: caches and lazy imports
+    tracemalloc.start()
+    try:
+        _gen(tmp_path, n=512, r=r, p=2, k_true=2, seed=6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < path.stat().st_size / 4
 
 
 def test_gen_draws_and_checks_the_planted_grids_once(tmp_path, monkeypatch):

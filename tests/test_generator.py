@@ -1,7 +1,9 @@
+import io
+
 import numpy as np
 import pytest
 
-from wlra import (GenSpec, build_instance, cost_dense, detect_groups, generate,
+from wlra import (GenSpec, build_instance, cli, cost_dense, detect_groups, generate,
                   generate_attention_mask, generate_compressed, generate_with_factors)
 from wlra.generator import TiledMatrix, generate_tiled
 from wlra.pattern_index import PatternIndex
@@ -83,20 +85,33 @@ def test_compressed_matches_dense_path():
         assert np.array_equal(getattr(comp, f).group_of, getattr(ref, f).group_of)
 
 
+def _hand_built() -> TiledMatrix:
+    """Unsorted and repeated row ids, a run of eight equal ones, and repeated column ids."""
+    grid = np.random.default_rng(8).standard_normal((5, 6))
+    row_ids = np.array([3, 3, 0, 4, 4, 4, 1, 3, 2, 2, 2, 2, 2, 2, 2, 2, 0, 1])
+    col_ids = np.array([5, 0, 0, 2, 5, 1, 3])
+    return TiledMatrix(grid, row_ids, col_ids)
+
+
+def _dense(tiled: TiledMatrix) -> np.ndarray:
+    return tiled.grid[tiled.row_ids][:, tiled.col_ids]
+
+
+def _written(tiled: TiledMatrix, monkeypatch, step: int) -> bytes:
+    """The bytes cli._write_rows writes for tiled with a block of step rows."""
+    monkeypatch.setattr(cli, "_WRITE_BLOCK_BYTES", 8 * tiled.shape[1] * step)
+    f = io.BytesIO()
+    cli._write_rows(f, tiled)
+    return f.getvalue()
+
+
 @pytest.mark.parametrize("style", ["block_random", "attention_block"])
 def test_tiled_rows_and_instance_match_the_dense_and_compressed_paths(style):
     spec = GenSpec(n=40, r=3, p=2, k_true=2, noise_sigma=0.1, weight_style=style, seed=8)
     tiled_a, tiled_w, inst = generate_tiled(spec)
     A, W = generate(spec)
-    # Hand-built: unsorted and repeated row ids, a run of eight equal ones,
-    # and repeated column ids.
-    rng = np.random.default_rng(8)
-    grid = rng.standard_normal((5, 6))
-    row_ids = np.array([3, 3, 0, 4, 4, 4, 1, 3, 2, 2, 2, 2, 2, 2, 2, 2, 0, 1])
-    col_ids = np.array([5, 0, 0, 2, 5, 1, 3])
-    hand = TiledMatrix(grid, row_ids, col_ids)
-    pairs = ((tiled_a, A, (7,)), (tiled_w, W, (7,)),
-             (hand, grid[row_ids][:, col_ids], (1, 3, 8)))
+    hand = _hand_built()
+    pairs = ((tiled_a, A, (7,)), (tiled_w, W, (7,)), (hand, _dense(hand), (1, 3, 8)))
     for tiled, dense, steps in pairs:
         assert tiled.shape == dense.shape
         for step in steps:
@@ -109,6 +124,21 @@ def test_tiled_rows_and_instance_match_the_dense_and_compressed_paths(style):
     assert inst.targets.tobytes() == comp.targets.tobytes()
     for name in ("w_rows", "w_cols", "wa_rows", "wa_cols"):
         assert np.array_equal(getattr(inst, name).group_of, getattr(comp, name).group_of)
+
+
+@pytest.mark.parametrize("step", [1, 3, 8, 9, 100])  # 8 rows: the run of eight is one block
+def test_hand_built_tiled_matrix_writes_its_dense_bytes(monkeypatch, step):
+    hand = _hand_built()
+    assert _written(hand, monkeypatch, step) == _dense(hand).astype("<f8").tobytes()
+
+
+@pytest.mark.parametrize("step", [1, 3, 8, 100])
+def test_big_endian_grid_writes_little_endian_bytes(monkeypatch, step):
+    # A block written again for each block of its run must be converted to <f8 first.
+    hand = _hand_built()
+    big = TiledMatrix(hand.grid.astype(">f8"), hand.row_ids, hand.col_ids)
+    assert big[0:4].dtype == np.dtype(">f8")
+    assert _written(big, monkeypatch, step) == _dense(hand).astype("<f8").tobytes()
 
 
 def test_attention_mask_small():
