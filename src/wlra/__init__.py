@@ -8,8 +8,8 @@ so a sweep's work depends on the group counts, not on n.
 
 from .generator import (GenSpec, WEIGHT_STYLES, generate, generate_attention_mask,
                         generate_compressed, generate_with_factors)
-from .grouped_als import (Factorization, SolveOptions, SolveReport, min_norm_solve,
-                          row_certificates, solve, update_rows)
+from .grouped_als import (Factorization, SolveOptions, SolveReport, row_certificates,
+                          solve, update_rows)
 from .opt_bounds import (BoundParams, default_gamma, iteration_budget,
                          lower_bound_log2, upper_bound)
 from .pattern_index import (PatternIndex, RowSystem, StructuredInstance, build_instance,
@@ -30,7 +30,7 @@ __all__ = [
     "detect_groups", "gaussian_sketch", "generate", "generate_attention_mask",
     "generate_compressed", "generate_with_factors", "grid_cost",
     "iteration_budget", "keyed_generator", "keyed_normals",
-    "lower_bound_log2", "min_norm_solve", "refine", "row_certificates",
+    "lower_bound_log2", "refine", "row_certificates",
     "sketch_dim", "sketched_design", "solve", "update_rows",
     "upper_bound",
 ]

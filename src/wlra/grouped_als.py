@@ -98,24 +98,6 @@ def _pseudo_inverses(designs: np.ndarray) -> np.ndarray:
     return (u * s_inv[:, None, :]) @ vt
 
 
-def min_norm_solve(design: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Minimum-norm solution x of min || design^T x - target ||_2.
-
-    Uses the SVD of the k x t design, zeroing singular values at or below
-    1e-10 times the largest.  For a full-rank design this equals
-    the normal-equations solution (design design^T)^{-1} design target;
-    for a rank-deficient one it picks the shortest minimizer, with the
-    all-zero design mapping to the zero vector.
-    """
-    design = np.asarray(design, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if design.ndim != 2 or target.ndim != 1 or design.shape[1] != target.shape[0]:
-        raise ValueError("design must be k x t and target of length t")
-    if not (np.all(np.isfinite(design)) and np.all(np.isfinite(target))):
-        raise ValueError("non-finite input")
-    return target @ _pseudo_inverses(design[None])[0]
-
-
 def update_rows(system: RowSystem, gv: GroupedFactor,
                 S: np.ndarray | None = None) -> GroupedFactor:
     """One row half-sweep: the optimal grouped row factor for fixed V.

@@ -101,6 +101,9 @@ def detect_groups(M: np.ndarray, axis: str = ROWS) -> PatternIndex:
     """Group the rows (or columns) of M into classes of entry-wise equal vectors.
 
     -0.0 and +0.0 count as equal.  Raises ValueError on a non-finite entry.
+    A Fortran-ordered M, as generate() returns it, is grouped as its
+    C-ordered transpose along the other axis; any other layout that is not
+    C-ordered is copied once into C order.
 
     Parameters
     ----------
@@ -116,27 +119,15 @@ def detect_groups(M: np.ndarray, axis: str = ROWS) -> PatternIndex:
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2:
         raise ValueError("expected a 2-D matrix")
-    (M,), flipped = _in_memory_order(M)
-    rows = (axis == ROWS) != flipped
+    if M.flags.f_contiguous and not M.flags.c_contiguous:
+        return detect_groups(M.T, COLS if axis == ROWS else ROWS)
+    M = np.ascontiguousarray(M)
+    rows = axis == ROWS
     det = BlockDetector(*M.shape, masked=False, rows=rows, cols=not rows)
     for lo in range(0, M.shape[0], det.block_rows):
         block = M[lo:lo + det.block_rows]
         det.feed(block.shape[0], lambda out: block)
     return (det.row_partitions() if rows else det.col_partitions())[0]
-
-
-def _in_memory_order(*mats: np.ndarray):
-    """mats in C order, and whether they are transposed.
-
-    Fortran-ordered inputs (what generate() returns) are read as their
-    C-ordered transposes, so their rows and columns swap; any other layout
-    is copied once into C order.
-    """
-    flipped = False
-    if not all(m.flags.c_contiguous for m in mats):
-        flipped = all(m.T.flags.c_contiguous for m in mats)
-        mats = tuple(m.T if flipped else np.ascontiguousarray(m) for m in mats)
-    return mats, flipped
 
 
 # Grouping: BlockDetector takes the row blocks of W (and of W*A) in order,
@@ -282,11 +273,8 @@ class _RowClasses:
     def assign(self, block: np.ndarray, hashes: np.ndarray, parents: np.ndarray | None,
                scratch: np.ndarray, same: np.ndarray) -> np.ndarray:
         """The classes of the rows of block, given their full-width hashes, founding new ones."""
-        if self.count:
-            labels = self.first_classes(hashes)
-            new = np.flatnonzero(labels < 0)
-        else:
-            labels, new = np.empty(block.shape[0], dtype=np.int64), np.arange(block.shape[0])
+        labels = self.first_classes(hashes)
+        new = np.flatnonzero(labels < 0)
         founders = 0
         if new.shape[0]:
             # Rows whose hash no class has start classes in bulk: one per
@@ -498,15 +486,12 @@ class BlockDetector:
             parts.append(_refined(parts[0], PatternIndex.from_labels(self._cols[1].labels)))
         return parts
 
-    def instance(self, transposed: bool = False) -> "StructuredInstance":
-        """The validated instance of a masked detection (of its transpose if transposed)."""
+    def instance(self) -> "StructuredInstance":
+        """The validated instance of a masked detection, its grids C-ordered."""
         w_rows, wa_rows = self.row_partitions()
         w_cols, wa_cols = self.col_partitions()
         weights = self._rows[0].grid(w_rows, w_cols)
         targets = self._rows[1].grid(wa_rows, wa_cols)
-        if transposed:
-            w_rows, w_cols, wa_rows, wa_cols = w_cols, w_rows, wa_cols, wa_rows
-            weights, targets = np.ascontiguousarray(weights.T), np.ascontiguousarray(targets.T)
         inst = StructuredInstance(w_rows=w_rows, w_cols=w_cols, wa_rows=wa_rows,
                                   wa_cols=wa_cols, weights=weights, targets=targets)
         inst.validate()
@@ -669,7 +654,11 @@ def build_instance(A: np.ndarray, W: np.ndarray) -> StructuredInstance:
     Feeds (W, W*A) to one BlockDetector a row block at a time, W*A formed
     in one of its block buffers: it groups the rows and columns of W and of W*A,
     refines each W partition by the W*A one, and reads one W value per
-    weight block and one W*A value per refined block.
+    weight block and one W*A value per refined block.  Fortran-ordered A
+    and W, as generate() returns them, are the transpose of a C-ordered
+    problem: they are built as build_instance(A.T, W.T).transposed(), whose
+    grids are views.  Any other layout that is not C-ordered is copied
+    once into C order.
     """
     A = np.asarray(A, dtype=np.float64)
     W = np.asarray(W, dtype=np.float64)
@@ -677,9 +666,12 @@ def build_instance(A: np.ndarray, W: np.ndarray) -> StructuredInstance:
         raise ValueError("A must be square")
     if W.shape != A.shape:
         raise ValueError("W must match the shape of A")
-    (W, A), flipped = _in_memory_order(W, A)
+    if (A.flags.f_contiguous and W.flags.f_contiguous
+            and not (A.flags.c_contiguous and W.flags.c_contiguous)):
+        return build_instance(A.T, W.T).transposed()
+    A, W = np.ascontiguousarray(A), np.ascontiguousarray(W)
     det = BlockDetector(*W.shape)
     for lo in range(0, W.shape[0], det.block_rows):
         w, a = W[lo:lo + det.block_rows], A[lo:lo + det.block_rows]
         det.feed(w.shape[0], lambda out: w, lambda w_rows, out: np.multiply(w_rows, a, out=out))
-    return det.instance(transposed=flipped)
+    return det.instance()

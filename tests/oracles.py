@@ -1,8 +1,8 @@
 """Independent reference implementations used to check the library.
 
 Everything here is deliberately naive: explicit loops, textbook normal
-equations, cofactor inverses, subspace iteration.  None of it shares code
-with the package paths it validates.
+equations, subspace iteration.  None of it shares code with the package
+paths it validates.
 """
 
 import numpy as np
@@ -83,20 +83,6 @@ def lstsq_grid_rows(system, gv, S, rcond):
             design, target = design @ S.T, S @ target
         out[g] = np.linalg.lstsq(design.T, target, rcond=rcond)[0]
     return out
-
-
-def cramer_inverse_3x3(M):
-    """Cofactor-expansion inverse of a 3x3 matrix."""
-    a, b, c = M[0]
-    d, e, f = M[1]
-    g, h, i = M[2]
-    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    adj = np.array([
-        [e * i - f * h, c * h - b * i, b * f - c * e],
-        [f * g - d * i, a * i - c * g, c * d - a * f],
-        [d * h - e * g, b * g - a * h, a * e - b * d],
-    ])
-    return adj / det
 
 
 def triple_loop_matmul(X, Y):

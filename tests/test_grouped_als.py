@@ -5,12 +5,11 @@ import pytest
 
 from wlra import (GenSpec, GroupedFactor, SolveOptions, StructuredInstance, build_instance,
                   compress_factor, cost_dense, cost_grouped, gaussian_sketch, generate,
-                  generate_compressed, generate_with_factors, grouped_als, min_norm_solve,
-                  row_certificates, sketch_dim, solve, update_rows)
+                  generate_compressed, generate_with_factors, grouped_als, row_certificates,
+                  sketch_dim, solve, update_rows)
 from wlra.grouped_als import _RANK_TOLERANCE, _init_factor
 
-from oracles import (cramer_inverse_3x3, lstsq_grid_rows, power_iteration_rank_k_residual,
-                     rowwise_weighted_lstsq)
+from oracles import lstsq_grid_rows, power_iteration_rank_k_residual, rowwise_weighted_lstsq
 
 
 def _opts(**kw):
@@ -44,48 +43,7 @@ def _count_calls(monkeypatch, name, owner=grouped_als):
 
 
 # ---------------------------------------------------------------------------
-# min_norm_solve
-
-
-def test_min_norm_identity_padded():
-    D = np.hstack([np.eye(3), np.zeros((3, 5))])
-    target = np.zeros(8)
-    target[0] = 1.0
-    assert np.allclose(min_norm_solve(D, target), [1.0, 0.0, 0.0])
-
-
-def test_min_norm_zero_design():
-    assert np.array_equal(min_norm_solve(np.zeros((3, 6)), np.ones(6)), np.zeros(3))
-
-
-def test_min_norm_matches_cramer_normal_equations():
-    rng = np.random.default_rng(0)
-    D = rng.standard_normal((3, 8))
-    b = rng.standard_normal(8)
-    want = cramer_inverse_3x3(D @ D.T) @ (D @ b)
-    got = min_norm_solve(D, b)
-    assert got == pytest.approx(want, rel=1e-10)
-
-
-def test_min_norm_rank_deficient_splits_weight():
-    d = np.array([1.0, 2.0, -1.0, 0.5])
-    D = np.vstack([d, d])
-    b = np.array([2.0, 4.0, -2.0, 1.0])
-    x = min_norm_solve(D, b)
-    # consistent rank-1 system: total coefficient 2, shared equally
-    assert x == pytest.approx([1.0, 1.0], rel=1e-12)
-
-
-def test_min_norm_non_finite_rejected():
-    with pytest.raises(ValueError):
-        min_norm_solve(np.array([[np.inf, 1.0]]), np.ones(2))
-    with pytest.raises(ValueError):
-        min_norm_solve(np.ones((1, 2)), np.array([np.nan, 1.0]))
-
-
-def test_min_norm_shape_errors():
-    with pytest.raises(ValueError):
-        min_norm_solve(np.ones((2, 3)), np.ones(4))
+# SolveOptions
 
 
 @pytest.mark.parametrize("field", ["eps", "rel_tol"])
@@ -199,39 +157,20 @@ def _mixed_instance():
 
 @pytest.mark.parametrize("transposed", [False, True])
 @pytest.mark.parametrize("sketched", [False, True])
-def test_update_rows_matches_min_norm_solve_per_row(transposed, sketched):
-    inst, k = _mixed_instance()
-    if transposed:
-        inst = inst.transposed()
-    gv = _random_factor(inst.wa_cols, k, np.random.default_rng(32))
-    Z = gv.rows.T
-    system = inst.row_system()
-    weights, targets = system.weights, system.targets
-    parents = inst.w_rows.group_of[inst.wa_rows.representatives]
-    members = np.bincount(parents)
-    designs = [Z * w for w in weights]
-    assert np.any(weights.max(axis=1) == 0.0)
-    assert any(np.linalg.matrix_rank(d) < k and members[g] > 1 for g, d in enumerate(designs))
-    assert members.min() == 1 and members.max() > 1
-    S = None
-    if sketched:
-        S = gaussian_sketch(33, sketch_dim(k, 0.25), inst.wa_cols.num_groups)
-        designs = [d @ S.T for d in designs]
-        targets = targets @ S.T
-    got = update_rows(system, gv, S).rows
-    want = np.array([min_norm_solve(designs[parents[g]], targets[g])
-                     for g in range(inst.wa_rows.num_groups)])
-    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-
-
-@pytest.mark.parametrize("transposed", [False, True])
-@pytest.mark.parametrize("sketched", [False, True])
 def test_update_rows_matches_lstsq_per_row(transposed, sketched):
     inst, k = _mixed_instance()
     if transposed:
         inst = inst.transposed()
     system = inst.row_system()
     gv = _random_factor(inst.wa_cols, k, np.random.default_rng(36))
+    # The cases the kernel must get right: a zero design, a rank-deficient
+    # design shared by more than one row (whose minimum-norm row lstsq picks
+    # at the same rcond), and weight groups of one and of several rows.
+    members = np.bincount(system.parents)
+    designs = [gv.rows.T * w for w in system.weights]
+    assert np.any(system.weights.max(axis=1) == 0.0)
+    assert any(np.linalg.matrix_rank(d) < k and members[g] > 1 for g, d in enumerate(designs))
+    assert members.min() == 1 and members.max() > 1
     S = gaussian_sketch(37, sketch_dim(k, 0.25), inst.wa_cols.num_groups) if sketched else None
     want = lstsq_grid_rows(system, gv, S, _RANK_TOLERANCE)
     assert np.abs(update_rows(system, gv, S).rows - want).max() <= 1e-10 * np.abs(want).max()

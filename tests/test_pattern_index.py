@@ -475,17 +475,23 @@ def test_non_finite_input_rejected_like_detect_then_refine(name, entries):
 
 
 def test_build_instance_forms_no_n_by_n_temporary():
+    # generate() returns Fortran-ordered matrices, detected as the transposed
+    # problem: neither layout is copied whole, by build_instance or by
+    # detect_groups on either axis.
     n = 512
     A, W = generate(GenSpec(n=n, r=4, p=2, k_true=2, noise_sigma=0.1, seed=1))
-    A, W = np.ascontiguousarray(A), np.ascontiguousarray(W)
-    build_instance(A, W)
-    tracemalloc.start()
-    try:
-        build_instance(A, W)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * n * n / 2  # half of one n x n float64 matrix
+    for order in ("C", "F"):
+        A, W = np.asarray(A, order=order), np.asarray(W, order=order)
+        for detect, args in ((build_instance, (A, W)), (detect_groups, (W, "rows")),
+                             (detect_groups, (W, "cols"))):
+            detect(*args)
+            tracemalloc.start()
+            try:
+                detect(*args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * n * n / 2, (order, peak)  # half of one n x n float64 matrix
 
 
 # ---------------------------------------------------------------------------
