@@ -85,6 +85,15 @@ def lstsq_grid_rows(system, gv, S, rcond):
     return out
 
 
+def min_norm_solve(design, target, rcond):
+    """Minimum-norm x minimizing || design^T x - target ||_2 by np.linalg.pinv.
+
+    Singular values of design at or below rcond times its largest count as
+    zero, so an all-zero design gives x = 0.
+    """
+    return np.linalg.pinv(design.T, rcond=rcond) @ target
+
+
 def triple_loop_matmul(X, Y):
     """Explicit O(n^3) matrix product."""
     n, m = X.shape

@@ -9,7 +9,8 @@ from wlra import (GenSpec, GroupedFactor, SolveOptions, StructuredInstance, buil
                   sketch_dim, solve, update_rows)
 from wlra.grouped_als import _RANK_TOLERANCE, _init_factor
 
-from oracles import lstsq_grid_rows, power_iteration_rank_k_residual, rowwise_weighted_lstsq
+from oracles import (lstsq_grid_rows, min_norm_solve, power_iteration_rank_k_residual,
+                     rowwise_weighted_lstsq)
 
 
 def _opts(**kw):
@@ -157,20 +158,42 @@ def _mixed_instance():
 
 @pytest.mark.parametrize("transposed", [False, True])
 @pytest.mark.parametrize("sketched", [False, True])
+def test_update_rows_matches_min_norm_solve_per_row(transposed, sketched):
+    inst, k = _mixed_instance()
+    if transposed:
+        inst = inst.transposed()
+    gv = _random_factor(inst.wa_cols, k, np.random.default_rng(32))
+    Z = gv.rows.T
+    system = inst.row_system()
+    weights, targets = system.weights, system.targets
+    parents = inst.w_rows.group_of[inst.wa_rows.representatives]
+    members = np.bincount(parents)
+    designs = [Z * w for w in weights]
+    # The cases the kernel must get right: a zero design, a rank-deficient
+    # design shared by more than one row, and weight groups of one and of
+    # several rows.
+    assert np.any(weights.max(axis=1) == 0.0)
+    assert any(np.linalg.matrix_rank(d) < k and members[g] > 1 for g, d in enumerate(designs))
+    assert members.min() == 1 and members.max() > 1
+    S = None
+    if sketched:
+        S = gaussian_sketch(33, sketch_dim(k, 0.25), inst.wa_cols.num_groups)
+        designs = [d @ S.T for d in designs]
+        targets = targets @ S.T
+    got = update_rows(system, gv, S).rows
+    want = np.array([min_norm_solve(designs[parents[g]], targets[g], _RANK_TOLERANCE)
+                     for g in range(inst.wa_rows.num_groups)])
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+@pytest.mark.parametrize("sketched", [False, True])
 def test_update_rows_matches_lstsq_per_row(transposed, sketched):
     inst, k = _mixed_instance()
     if transposed:
         inst = inst.transposed()
     system = inst.row_system()
     gv = _random_factor(inst.wa_cols, k, np.random.default_rng(36))
-    # The cases the kernel must get right: a zero design, a rank-deficient
-    # design shared by more than one row (whose minimum-norm row lstsq picks
-    # at the same rcond), and weight groups of one and of several rows.
-    members = np.bincount(system.parents)
-    designs = [gv.rows.T * w for w in system.weights]
-    assert np.any(system.weights.max(axis=1) == 0.0)
-    assert any(np.linalg.matrix_rank(d) < k and members[g] > 1 for g, d in enumerate(designs))
-    assert members.min() == 1 and members.max() > 1
     S = gaussian_sketch(37, sketch_dim(k, 0.25), inst.wa_cols.num_groups) if sketched else None
     want = lstsq_grid_rows(system, gv, S, _RANK_TOLERANCE)
     assert np.abs(update_rows(system, gv, S).rows - want).max() <= 1e-10 * np.abs(want).max()
