@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pattern_index import COLS, ROWS, PatternIndex, StructuredInstance, detect_groups
+from .pattern_index import BlockDetector, PatternIndex, StructuredInstance
 from .sketch import GEN_STREAM, MASK64, keyed_generator
 
 WEIGHT_STYLES = ("block_random", "block_mask01", "attention_block")
@@ -96,9 +96,9 @@ def _target_grid(spec: GenSpec, seed: int):
 
 
 def _all_distinct(M: np.ndarray) -> bool:
-    """True if no two rows and no two columns of M are equal."""
-    return all(detect_groups(M, axis).num_groups == M.shape[i]
-               for i, axis in enumerate((ROWS, COLS)))
+    """True if no two rows and no two columns of the C-ordered M are equal."""
+    det = BlockDetector.of(M)
+    return (det.row_partitions()[0].num_groups, det.col_partitions()[0].num_groups) == M.shape
 
 
 def _grids_valid(spec: GenSpec, gw: np.ndarray, ga: np.ndarray) -> bool:
@@ -114,7 +114,7 @@ def _accepted_grids(spec: GenSpec):
     for attempt in range(_MAX_ATTEMPTS):
         seed = (spec.seed ^ (attempt * _ATTEMPT_STRIDE)) & MASK64
         gw = _weight_grid(spec, seed)
-        # Huge noise can overflow a grid; detect_groups then raises ValueError.
+        # Huge noise can overflow a grid; its detection then raises ValueError.
         with np.errstate(over="ignore"):
             ga, u_cells, v_cells = _target_grid(spec, seed)
             if _grids_valid(spec, gw, ga):

@@ -107,7 +107,8 @@ def update_rows(system: RowSystem, gv: GroupedFactor,
     refined row group: one stacked SVD yields the pseudo-inverse of every
     weight group's design, and each weight group's refined rows are one
     block product with it.  Without S the regressions are exact; S, if
-    given, is a t x Gc sketch: a standard Gaussian sketch times
+    given, is a t x Gc sketch, and one sketched_design call assembles every
+    weight group's design.  A standard Gaussian sketch times
     diag(sqrt(size_h)) has the law of an n-wide sketch summed over each
     column group.  A column half-sweep is
     update_rows(inst.transposed().row_system(), gu, S).
@@ -120,7 +121,7 @@ def update_rows(system: RowSystem, gv: GroupedFactor,
     else:
         if S.shape[1] != system.wa_cols.num_groups:
             raise ValueError("sketch width does not match the column group count")
-        designs = np.stack([sketched_design(Z, w, S) for w in system.weights])
+        designs = sketched_design(Z, system.weights, S)
         targets = targets @ S.T
     P = _pseudo_inverses(designs)
     rows = np.empty((system.wa_rows.num_groups, Z.shape[0]))

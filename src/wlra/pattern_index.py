@@ -100,10 +100,13 @@ def _check_finite(values: np.ndarray, scratch: np.ndarray) -> None:
 def detect_groups(M: np.ndarray, axis: str = ROWS) -> PatternIndex:
     """Group the rows (or columns) of M into classes of entry-wise equal vectors.
 
-    -0.0 and +0.0 count as equal.  Raises ValueError on a non-finite entry.
-    A Fortran-ordered M, as generate() returns it, is grouped as its
-    C-ordered transpose along the other axis; any other layout that is not
-    C-ordered is copied once into C order.
+    -0.0 and +0.0 count as equal.  Raises ValueError on a non-finite entry
+    or an empty index set; zero-width vectors form one group.  This is the
+    axis's partition of one BlockDetector detection of M, which groups both
+    axes and stores one row per row class.  A Fortran-ordered M, as
+    generate() returns it, is grouped as its C-ordered transpose along the
+    other axis; any other layout that is not C-ordered is copied once into
+    C order.
 
     Parameters
     ----------
@@ -121,13 +124,11 @@ def detect_groups(M: np.ndarray, axis: str = ROWS) -> PatternIndex:
         raise ValueError("expected a 2-D matrix")
     if M.flags.f_contiguous and not M.flags.c_contiguous:
         return detect_groups(M.T, COLS if axis == ROWS else ROWS)
-    M = np.ascontiguousarray(M)
-    rows = axis == ROWS
-    det = BlockDetector(*M.shape, masked=False, rows=rows, cols=not rows)
-    for lo in range(0, M.shape[0], det.block_rows):
-        block = M[lo:lo + det.block_rows]
-        det.feed(block.shape[0], lambda out: block)
-    return (det.row_partitions() if rows else det.col_partitions())[0]
+    n = M.shape[_AXES.index(axis)]
+    if n and not M.size:  # zero-width vectors are all equal
+        return PatternIndex.from_labels(np.zeros(n))
+    det = BlockDetector.of(np.ascontiguousarray(M))
+    return (det.row_partitions() if axis == ROWS else det.col_partitions())[0]
 
 
 # Grouping: BlockDetector takes the row blocks of W (and of W*A) in order,
@@ -159,7 +160,6 @@ def detect_groups(M: np.ndarray, axis: str = ROWS) -> PatternIndex:
 # class after one compare, with no hash, gather or column pass.  A stored
 # row is finite, as NaN never compares equal, so non-finite entries are
 # looked for only in a block where some row matched no stored row.
-# Grouping the rows or the columns alone checks and hashes every row.
 # The result is the exact equality partition whatever the hash returns; the
 # hash only decides how many comparisons a row takes.  The detector holds
 # two block buffers, one stored row per row class and O(n) labels.
@@ -366,40 +366,53 @@ class BlockDetector:
     """The group structure of W and W*A, detected from their row blocks.
 
     feed() takes consecutive row blocks of W and, if masked, of W*A, from
-    the first row on, each at most block_rows rows.  After the last block,
-    row_partitions(), col_partitions() and instance() give the exact
-    equality partitions, as build_instance() defines them.  Raises
-    ValueError on a non-finite entry of the last matrix fed (W*A is
-    non-finite wherever W is), or on an empty index set.
+    the first row on, each at most block_rows rows; of() feeds in-memory
+    arrays.  After the last block, row_partitions(), col_partitions() and
+    instance() give the exact equality partitions of both axes, as
+    build_instance() defines them.  Raises ValueError on a non-finite entry
+    of the last matrix fed (W*A is non-finite wherever W is), or if either
+    axis is empty.
 
-    When it groups both rows and columns, every stored row is constant on
-    every column class: the column pass runs on the first row of each new
-    row class, and every other row equals a stored row.  So a row equal to
-    a stored row cannot split a column class, and its hash over the first
-    columns of the classes, weighted by the class keys (the sums of the
-    column keys of each class), is its full-width hash.  A block equal row
-    for row to the class of the row before it (parents too) joins it after
-    one compare.  Any other block's rows are hashed on the classes and
-    compared in full with the first class of their hash; only the rows that
-    match none are hashed in full, and the column pass runs at most once
-    per row class founded.  Stored rows are finite, so only a block with
-    such a row is checked for non-finite entries.
+    Every stored row is constant on every column class: the column pass
+    runs on the first row of each new row class, and every other row
+    equals a stored row.  So a row equal to a stored row cannot split a
+    column class, and its hash over the first columns of the classes,
+    weighted by the class keys (the sums of the column keys of each
+    class), is its full-width hash.  A block equal row for row to the class
+    of the row before it (parents too) joins it after one compare.  Any
+    other block's rows, the first block's too, are hashed on the classes
+    and compared in full with the first class of their hash; only the rows
+    that match none are hashed in full, and the column pass runs at most
+    once per row class founded.  Stored rows are finite, so only a block
+    with such a row is checked for non-finite entries.
 
     Holds two block buffers, one stored row per row class of each matrix
     (n wide) and O(n) labels; the grids are read from the stored rows.
     """
 
-    def __init__(self, n_rows: int, n_cols: int, masked: bool = True,
-                 rows: bool = True, cols: bool = True):
-        if (rows and n_rows == 0) or (cols and n_cols == 0):
+    def __init__(self, n_rows: int, n_cols: int, masked: bool = True):
+        if n_rows == 0 or n_cols == 0:
             raise ValueError("cannot group an empty index set")
         self.block_rows = _block_rows(n_rows, n_cols)
         self._buffers = (np.empty((self.block_rows, n_cols)), np.empty((self.block_rows, n_cols)))
         self._same = np.empty((self.block_rows, n_cols), dtype=bool)
         self._lo = 0
         mats = 2 if masked else 1
-        self._rows = [_RowClasses(n_rows, n_cols) for _ in range(mats)] if rows else []
-        self._cols = [_ColClasses(n_cols) for _ in range(mats)] if cols else []
+        self._rows = [_RowClasses(n_rows, n_cols) for _ in range(mats)]
+        self._cols = [_ColClasses(n_cols) for _ in range(mats)]
+
+    @classmethod
+    def of(cls, W: np.ndarray, A: np.ndarray | None = None) -> "BlockDetector":
+        """The detection of a C-ordered W and, if A is given, of W*A, fed a row block at a time.
+
+        The blocks of W are views; W*A is formed in a block buffer.
+        """
+        det = cls(*W.shape, masked=A is not None)
+        for lo in range(0, W.shape[0], det.block_rows):
+            w = W[lo:lo + det.block_rows]
+            det.feed(w.shape[0], lambda out: w, None if A is None else
+                     lambda w_rows, out: np.multiply(w_rows, A[lo:lo + w.shape[0]], out=out))
+        return det
 
     def feed(self, rows: int, w_block, wa_block=None) -> None:
         """Take the next `rows` rows: w_block(out) gives W's, wa_block(w, out) W*A's.
@@ -415,29 +428,18 @@ class BlockDetector:
         self._group(0, W, lo, None, second, wa_block is None)
         if wa_block is not None:
             WA = wa_block(W, second)  # W*A is non-finite wherever W is
-            parents = self._rows[0].labels[lo:lo + rows] if self._rows else None
-            self._group(1, WA, lo, parents, first, True)
+            self._group(1, WA, lo, self._rows[0].labels[lo:lo + rows], first, True)
         self._lo = lo + rows
 
     def _group(self, mat: int, block: np.ndarray, lo: int, parents, scratch: np.ndarray,
                check: bool) -> None:
         """Group the rows and columns of block in matrix mat; check: reject non-finite entries."""
+        rows, cols = self._rows[mat], self._cols[mat]
         same, hi = self._same[:block.shape[0]], lo + block.shape[0]
-        rows = self._rows[mat] if self._rows else None
-        cols = self._cols[mat] if self._cols else None
-        if rows is None or cols is None or not rows.count:
-            if check:
-                _check_finite(block, same)
-            if rows is None:
-                cols.feed(block, scratch, same)
-            else:
-                rows.labels[lo:hi] = self._assign(rows, cols, block, parents, scratch)
-            return
         # A block that continues the class of the row before it needs nothing
         # else: its rows are finite and constant on the column classes.
-        c = int(rows.labels[lo - 1])
-        if rows.continued(block, c, parents, same):
-            rows.labels[lo:hi] = c
+        if lo and rows.continued(block, int(rows.labels[lo - 1]), parents, same):
+            rows.labels[lo:hi] = rows.labels[lo - 1]
             return
         # A row equal to a stored row is constant on the column classes, so
         # its hash over their first columns is its full-width hash.
@@ -445,30 +447,21 @@ class BlockDetector:
         fresh = np.flatnonzero(labels < 0)
         if fresh.shape[0] < block.shape[0]:
             fresh = np.flatnonzero(~rows.matches(block, labels, parents, scratch, same))
-        if fresh.shape[0] and check:  # only a row that matched no stored row can be non-finite
-            _check_finite(block, same)
-        if fresh.shape[0] == block.shape[0]:
-            labels = self._assign(rows, cols, block, parents, scratch)
-        elif fresh.shape[0]:
-            labels[fresh] = self._assign(rows, cols, block[fresh],
-                                         None if parents is None else parents[fresh], scratch)
+        if fresh.shape[0]:
+            if check:  # only a row that matched no stored row can be non-finite
+                _check_finite(block, same)
+            if fresh.shape[0] < block.shape[0]:  # an all-fresh block is not copied
+                block, parents = block[fresh], None if parents is None else parents[fresh]
+            # The fresh rows are hashed and compared in full, founding new
+            # classes.  Every row then equals a stored row, so only the
+            # first rows of the new classes can split a column class.
+            count, scratch, same = rows.count, scratch[:fresh.shape[0]], same[:fresh.shape[0]]
+            hashes = _with_parents(_row_hashes(block, scratch), parents)
+            labels[fresh] = rows.assign(block, hashes, parents, scratch, same)
+            if rows.count > count:
+                new = rows.rows[count:rows.count]
+                cols.feed(new, scratch[:new.shape[0]], same[:new.shape[0]])
         rows.labels[lo:hi] = labels
-
-    def _assign(self, rows: _RowClasses, cols: _ColClasses | None, block: np.ndarray,
-                parents, scratch: np.ndarray) -> np.ndarray:
-        """The row classes of block, hashed and compared in full, founding new ones.
-
-        Every row of block then equals a stored row, so only the first rows
-        of the new classes can split a column class.
-        """
-        count, n_block = rows.count, block.shape[0]
-        scratch, same = scratch[:n_block], self._same[:n_block]
-        hashes = _with_parents(_row_hashes(block, scratch), parents)
-        labels = rows.assign(block, hashes, parents, scratch, same)
-        if cols is not None and rows.count > count:
-            new = rows.rows[count:rows.count]
-            cols.feed(new, scratch[:new.shape[0]], same[:new.shape[0]])
-        return labels
 
     def row_partitions(self) -> list[PatternIndex]:
         """The row partitions of W and, if masked, of W*A refined by W."""
@@ -651,7 +644,7 @@ class StructuredInstance:
 def build_instance(A: np.ndarray, W: np.ndarray) -> StructuredInstance:
     """Detect the full group structure of a weighted instance and take its grids.
 
-    Feeds (W, W*A) to one BlockDetector a row block at a time, W*A formed
+    Feeds (W, W*A) to BlockDetector.of() a row block at a time, W*A formed
     in one of its block buffers: it groups the rows and columns of W and of W*A,
     refines each W partition by the W*A one, and reads one W value per
     weight block and one W*A value per refined block.  Fortran-ordered A
@@ -669,9 +662,4 @@ def build_instance(A: np.ndarray, W: np.ndarray) -> StructuredInstance:
     if (A.flags.f_contiguous and W.flags.f_contiguous
             and not (A.flags.c_contiguous and W.flags.c_contiguous)):
         return build_instance(A.T, W.T).transposed()
-    A, W = np.ascontiguousarray(A), np.ascontiguousarray(W)
-    det = BlockDetector(*W.shape)
-    for lo in range(0, W.shape[0], det.block_rows):
-        w, a = W[lo:lo + det.block_rows], A[lo:lo + det.block_rows]
-        det.feed(w.shape[0], lambda out: w, lambda w_rows, out: np.multiply(w_rows, a, out=out))
-    return det.instance()
+    return BlockDetector.of(np.ascontiguousarray(W), np.ascontiguousarray(A)).instance()

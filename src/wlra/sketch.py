@@ -72,13 +72,15 @@ def gaussian_sketch(seed: int, t: int, n: int) -> np.ndarray:
 def sketched_design(Z: np.ndarray, w_row: np.ndarray, S: np.ndarray) -> np.ndarray:
     """Assemble the k x t sketched design Z diag(w) S^T for a t x n sketch S.
 
-    Computed as (Z with scaled columns) @ S.T in O(n k t).  One call per
-    distinct weight pattern serves every row in its group.
+    Computed as (Z with scaled columns) @ S.T in O(n k t).  One design per
+    distinct weight pattern serves every row in its group.  w_row may
+    stack weight rows on leading axes: a (G, n) w_row gives the (G, k, t)
+    designs of G weight patterns in one product.
     """
     Z = np.asarray(Z, dtype=np.float64)
     w_row = np.asarray(w_row, dtype=np.float64)
-    if Z.ndim != 2 or w_row.ndim != 1 or Z.shape[1] != w_row.shape[0]:
+    if Z.ndim != 2 or w_row.ndim < 1 or Z.shape[1] != w_row.shape[-1]:
         raise ValueError("Z must be k x n and w_row of length n")
-    if S.shape[1] != w_row.shape[0]:
+    if S.shape[1] != w_row.shape[-1]:
         raise ValueError("sketch width does not match n")
-    return (Z * w_row) @ S.T
+    return (Z * w_row[..., None, :]) @ S.T

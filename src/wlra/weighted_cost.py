@@ -101,9 +101,11 @@ def _row_terms(V: np.ndarray, U: np.ndarray, block) -> np.ndarray:
     A row's term adds its blocks' sums in column order.
     """
     m, n = U.shape[0], V.shape[0]
+    terms = np.zeros(m)
+    if not (m and n):
+        return terms  # an empty residual has no blocks
     rb, cb = _block_shape(m, n)
     bufs = np.empty((3, rb * cb))
-    terms = np.zeros(m)
     for r0 in range(0, m, rb):
         rows = slice(r0, min(m, r0 + rb))
         Ut = U[rows].T

@@ -122,7 +122,8 @@ def test_update_rows_assembles_one_design_per_weight_pattern(monkeypatch):
     inverses = _count_calls(monkeypatch, "_pseudo_inverses")
     svds = _count_calls(monkeypatch, "svd", owner=np.linalg)
     rows = update_rows(system, gv, S).rows
-    assert len(designs) == inst.w_rows.num_groups == 4
+    ((_, weights, _),) = designs  # one call, one weight row per weight pattern
+    assert weights.shape[0] == inst.w_rows.num_groups == 4
     assert len(svds) == 1
     assert len(inverses) == 1
     ((stacked,),) = inverses

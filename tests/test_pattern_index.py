@@ -701,6 +701,29 @@ def test_only_blocks_that_leave_the_previous_class_are_hashed_or_checked(monkeyp
         assert bound < block_feeds
         for blocks in visited.values():
             assert 0 < len(blocks) <= bound
+    # detect_groups runs the same detection, on either axis: with 4 rows a
+    # block, 16 of the mask's 128 blocks start a band.
+    mask, step = np.ascontiguousarray(generate_attention_mask(512, 32)), 4
+    monkeypatch.setattr(pattern_index, "_BLOCK_BYTES", 8 * 512 * step)
+    leaving = {(0, lo) for lo in range(0, 512, step)
+               if lo == 0 or (mask[lo:lo + step] != mask[lo - 1]).any()}
+    assert len(leaving) == 16
+    for axis in ("rows", "cols"):
+        for blocks in visited.values():
+            blocks.clear()
+        assert detect_groups(mask, axis).num_groups == 16
+        assert visited == {"_row_hashes": leaving, "_check_finite": leaving}
+    # generate_compressed detects each planted grid once, on both axes.
+    detections = []
+    init = pattern_index.BlockDetector.__init__
+
+    def init_spy(self, n_rows, n_cols, *args, **kwargs):
+        detections.append((n_rows, n_cols))
+        return init(self, n_rows, n_cols, *args, **kwargs)
+
+    monkeypatch.setattr(pattern_index.BlockDetector, "__init__", init_spy)
+    generate_compressed(GenSpec(n=n, r=4, p=3, k_true=2, seed=1))
+    assert detections == [(4, 4), (12, 12)]
 
 
 def test_stored_rows_that_grow_are_freed_at_once(tmp_path):

@@ -80,6 +80,10 @@ def test_sketched_design_matches_triple_loop():
     got = sketched_design(Z, w, S)
     want = triple_loop_matmul(Z * w, S.T)
     assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
+    # Stacked weight rows give each row's design, bitwise.
+    stack = np.stack([w, -w, np.zeros(6)])
+    assert np.array_equal(sketched_design(Z, stack, S),
+                          np.stack([sketched_design(Z, row, S) for row in stack]))
 
 
 def test_sketched_design_shape_errors():

@@ -54,6 +54,10 @@ def test_matches_two_loop_oracle():
     got = cost_dense(A, W, U, V)
     want = naive_weighted_cost(A, W, U, V)
     assert got == pytest.approx(want, rel=1e-12)
+    for shape in ((0, 0), (0, 3), (3, 0)):  # empty problems cost nothing
+        A = np.ones(shape)
+        U, V = np.ones((shape[0], 2)), np.ones((shape[1], 2))
+        assert cost_dense(A, A, U, V) == naive_weighted_cost(A, A, U, V) == 0.0
 
 
 def test_shape_mismatch_rejected():
