@@ -75,7 +75,7 @@ def write_instance(path, A, W, sidecar=None) -> None:
     reject.  Other outputs (a FIFO, /dev/null) cannot be truncated or
     seeked and get the header first.
     """
-    A, W = (M if isinstance(M, TiledMatrix) else np.asarray(M, dtype="<f8") for M in (A, W))
+    A, W = (M if isinstance(M, TiledMatrix) else np.asarray(M) for M in (A, W))
     n = A.shape[0]
     flags = _FLAG_W_DENSE | (_FLAG_SIDECAR if sidecar is not None else 0)
     header = _HEADER.pack(_MAGIC, _VERSION, n, flags)

@@ -104,8 +104,6 @@ def _all_distinct(M: np.ndarray) -> bool:
 def _grids_valid(spec: GenSpec, gw: np.ndarray, ga: np.ndarray) -> bool:
     if not _all_distinct(gw):
         return False
-    if not (np.count_nonzero(gw, axis=1).all() and np.count_nonzero(gw, axis=0).all()):
-        return False
     cell_w = np.repeat(np.repeat(gw, spec.p, axis=0), spec.p, axis=1)
     return _all_distinct(cell_w * ga)
 
@@ -159,10 +157,8 @@ class TiledMatrix:
         return self.row_ids.shape[0], self.col_ids.shape[0]
 
     def __getitem__(self, rows: slice) -> np.ndarray:
-        ids = self.row_ids[rows]
-        if ids.size and (ids == ids[0]).all():  # a block inside one band: expand its row once
-            return np.repeat(np.take(self.grid[ids[0]], self.col_ids)[None], ids.size, axis=0)
-        return np.take(self.grid[ids], self.col_ids, axis=1)
+        """Rows of the expanded matrix, each expanded anew; row_blocks expands a band once."""
+        return np.take(self.grid[self.row_ids[rows]], self.col_ids, axis=1)
 
     def row_blocks(self, step: int):
         """The rows of the expanded matrix in order, as <f8 C-ordered blocks of at most step rows.

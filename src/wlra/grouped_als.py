@@ -229,7 +229,7 @@ def _solve_single(inst, opts: SolveOptions, run_seed: int, t: int | None):
 
         if cost == 0.0:
             break
-        if prev is not None and (prev == 0.0 or prev - cost < opts.rel_tol * prev):
+        if prev is not None and prev - cost < opts.rel_tol * prev:
             break
         prev = cost
 

@@ -31,8 +31,6 @@ def keyed_normals(seed: int, stream: int, count: int) -> np.ndarray:
     """`count` standard normals from the keyed counter stream via Box-Muller."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    if count == 0:
-        return np.empty(0)
     g = keyed_generator(seed, stream)
     half = (count + 1) // 2
     u1 = g.random(half)

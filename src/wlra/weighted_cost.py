@@ -70,10 +70,11 @@ def _block_shape(rows: int, cols: int) -> tuple[int, int]:
 
     A residual with few rows (rows^2 <= BLOCK_ENTRIES) is cut into column
     blocks that hold every row: a small grid is one block, and the n-wide
-    cost gathers whole rows of its transposed grids.  One with more rows is
-    cut into row blocks as wide as fit, so cost_dense reads A and W in row
-    order.  On singleton groups the grid is the n x n residual, so
-    cost_dense, grid_cost and the n-wide cost_grouped all tile it alike.
+    cost gathers whole rows of the transposed row system's grids.  One
+    with more rows is cut into row blocks as wide as fit, so cost_dense
+    reads A and W in row order.  On singleton groups the grid is the
+    n x n residual, so cost_dense, grid_cost and the n-wide cost_grouped
+    all tile it alike.
     """
     if rows * rows <= BLOCK_ENTRIES:
         return rows, min(cols, max(1, BLOCK_ENTRIES // rows))
@@ -172,7 +173,10 @@ def cost_grouped(inst, grouped_u: GroupedFactor, V) -> float:
     O(Gr * Gc * k); the test reads V about 2^16 entries at a time and
     stops at the first block that differs.  Any other V (a NaN never equals itself) is
     evaluated exactly over all n columns, in O(Gr * n * k), a column
-    block at a time.  Each row term is multiplied by its row group size.
+    block at a time, on inst.transposed().row_system(): each block
+    gathers whole rows of its grids by column group labels, and their
+    columns carry sqrt of the row group sizes, so each row term already
+    counts its group.
     """
     if isinstance(V, GroupedFactor):
         return grid_cost(inst.row_system(), grouped_u, V)
@@ -187,18 +191,17 @@ def cost_grouped(inst, grouped_u: GroupedFactor, V) -> float:
            for c0 in range(0, inst.n, step)):
         return grid_cost(inst.row_system(), grouped_u,
                          GroupedFactor(index=inst.wa_cols, rows=V[firsts]))
-    # Each column block gathers whole rows of the transposed grids.
-    parents = inst.w_rows.group_of[inst.wa_rows.representatives]
-    wT = np.ascontiguousarray(inst.weights[parents].T)
-    tT = np.ascontiguousarray(inst.targets.T)
+    # Each column block gathers whole rows of the transposed row system's grids,
+    # whose columns carry sqrt of the row group sizes.
+    system = inst.transposed().row_system()
+    weights, targets = system.weights, system.targets
 
     def block(rows, cols, w_buf, wa_buf):
-        np.take(wT[:, rows], w_cols[cols], axis=0, out=w_buf, mode="clip")
-        np.take(tT[:, rows], wa_cols[cols], axis=0, out=wa_buf, mode="clip")
+        np.take(weights[:, rows], w_cols[cols], axis=0, out=w_buf, mode="clip")
+        np.take(targets[:, rows], wa_cols[cols], axis=0, out=wa_buf, mode="clip")
         return w_buf, wa_buf
 
-    terms = _row_terms(V, grouped_u.rows, block)
-    return math.fsum((terms * inst.wa_rows.sizes).tolist())
+    return math.fsum(_row_terms(V, grouped_u.rows, block).tolist())
 
 
 def cost_grouped_cols(inst, grouped_v: GroupedFactor, U) -> float:

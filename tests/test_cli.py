@@ -250,6 +250,32 @@ def test_instance_file_round_trip(tmp_path):
     assert all(np.array_equal(a, b) for a, b in zip(side, sidecar))
 
 
+LAYOUTS = {
+    "f8_c": lambda M: M,
+    "f8_fortran": np.asfortranarray,
+    "float32": lambda M: M.astype(np.float32),
+    "big_endian": lambda M: M.astype(">f8"),
+}
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_write_instance_converts_a_block_at_a_time(tmp_path, layout):
+    n = 512
+    rng = np.random.default_rng(9)
+    # float32 values, so every layout holds the same numbers
+    A, W = (rng.standard_normal((n, n)).astype(np.float32).astype("<f8") for _ in range(2))
+    write_instance(tmp_path / "want.wlra", A, W)
+    A, W = LAYOUTS[layout](A), LAYOUTS[layout](W)
+    tracemalloc.start()
+    try:
+        write_instance(tmp_path / "got.wlra", A, W)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "got.wlra").read_bytes() == (tmp_path / "want.wlra").read_bytes()
+    assert peak < 8 * n * n / 2  # no whole-matrix copy
+
+
 def test_read_returns_views_into_one_buffer(tmp_path):
     A, W = generate(GenSpec(n=8, r=2, p=2, k_true=1, seed=2))
     path = tmp_path / "views.wlra"
@@ -631,6 +657,45 @@ def test_bad_input_exit_codes(tmp_path, capsys, name, edit, extra, code, command
         assert "grid" not in err
     if command == "gen":
         assert not (tmp_path / "gen.wlra").exists()
+
+
+def _n_zero(path):
+    path.write_bytes(struct.pack("<4sHQH", b"WLRA", 1, 0, 1))
+
+
+def _short_header(path):
+    path.write_bytes(b"WLRA\x01\x00")
+
+
+def _planted_1024(path):
+    assert run(["gen", "--n", 1024, "--r", 8, "--p", 4, "--out", path]) == 0
+
+
+# (name, writer of the instance file, command and flags, exit code, line printed)
+EDGE_CASES = [
+    ("short_header_solve", _short_header, ("solve", "--k", 1), 2,
+     "error: truncated instance file"),
+    ("short_header_verify", _short_header, ("verify",), 2, "error: truncated instance file"),
+    ("n_zero", _n_zero, ("verify",), 2,
+     "error: invalid instance: cannot group an empty index set"),
+    ("sweeps_zero", _n_zero, ("solve", "--k", 1, "--sweeps", 0), 1,
+     "error: max_sweeps must be positive"),
+    ("budget_overflow", _planted_1024, ("verify", "--k", 3), 0, "iteration_budget overflow"),
+]
+
+
+@pytest.mark.parametrize("name, write, argv, code, line", EDGE_CASES,
+                         ids=[case[0] for case in EDGE_CASES])
+def test_edge_case_prints_its_line(tmp_path, capsys, name, write, argv, code, line):
+    path = tmp_path / f"{name}.wlra"
+    write(path)
+    capsys.readouterr()
+    assert run([argv[0], "--in", path, *argv[1:]]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert (out, err) == ("", line + "\n")
+    else:
+        assert line in out.splitlines()
 
 
 # ---------------------------------------------------------------------------

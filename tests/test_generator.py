@@ -1,10 +1,11 @@
 import io
+import itertools
 
 import numpy as np
 import pytest
 
-from wlra import (GenSpec, build_instance, cli, cost_dense, detect_groups, generate,
-                  generate_attention_mask, generate_compressed, generate_with_factors)
+from wlra import (GenSpec, WEIGHT_STYLES, build_instance, cli, cost_dense, detect_groups,
+                  generate, generate_attention_mask, generate_compressed, generate_with_factors)
 from wlra.generator import TiledMatrix, generate_tiled
 from wlra.pattern_index import PatternIndex
 
@@ -45,18 +46,19 @@ def test_invalid_specs():
         GenSpec(n=4, r=1, p=1, k_true=1, weight_style="diagonal")
 
 
-@pytest.mark.parametrize("style", ["block_random", "block_mask01", "attention_block"])
+@pytest.mark.parametrize("style", WEIGHT_STYLES)
 def test_styles_round_trip(style):
-    spec = GenSpec(n=48, r=3, p=2, k_true=2, weight_style=style, seed=4)
-    A, W = generate(spec)
-    inst = build_instance(A, W)
-    assert inst.r == 3 and inst.p == 2
-    if style != "block_random":
-        vals = np.unique(W)
-        assert set(vals).issubset({0.0, 1.0})
-    # no all-zero weight rows or columns
-    assert np.count_nonzero(W, axis=1).min() > 0
-    assert np.count_nonzero(W, axis=0).min() > 0
+    for r, seed in itertools.product((1, 2, 3, 5), (0, 4, 9)):
+        spec = GenSpec(n=48, r=r, p=2, k_true=2, weight_style=style, seed=seed)
+        A, W = generate(spec)
+        inst = build_instance(A, W)
+        assert inst.r == r and inst.p == 2
+        if style != "block_random":
+            vals = np.unique(W)
+            assert set(vals).issubset({0.0, 1.0})
+        # no all-zero weight rows or columns: every style avoids them, unchecked
+        assert np.count_nonzero(W, axis=1).min() > 0
+        assert np.count_nonzero(W, axis=0).min() > 0
 
 
 def test_noise_preserves_structure():

@@ -267,6 +267,17 @@ def test_solve_planted_rank_k_reaches_zero():
     assert rep.final_cost <= 1e-8 * scale
 
 
+@pytest.mark.parametrize("sketchless", [False, True])
+def test_solve_stops_after_the_sweep_that_reaches_zero_cost(sketchless):
+    # With rel_tol = 0 only a sweep that raises the cost, or a zero cost, stops a run early.
+    _, W = generate(GenSpec(n=32, r=4, p=2, k_true=2, weight_style="block_mask01", seed=3))
+    inst = build_instance(np.zeros_like(W), W)
+    _, rep = solve(inst, _opts(k=2, sketchless=sketchless, max_sweeps=5, rel_tol=0.0))
+    assert rep.cost_per_sweep == [0.0, 0.0]
+    assert rep.final_cost == 0.0
+    assert len(rep.sketch_seeds) == (0 if sketchless else 2)
+
+
 def test_solve_exact_rank_block_instance_all_ones_weight():
     # block-structured A of exact rank k under an unweighted objective
     rng = np.random.default_rng(25)
