@@ -16,16 +16,15 @@ from .pattern_index import (PatternIndex, RowSystem, StructuredInstance, build_i
                             detect_groups, refine)
 from .sketch import (gaussian_sketch, keyed_generator, keyed_normals, sketch_dim,
                      sketched_design)
-from .weighted_cost import (GroupedFactor, compress_factor, cost_dense, cost_grouped,
-                            cost_grouped_cols, grid_cost)
+from .weighted_cost import (GroupedFactor, cost_dense, cost_grouped, cost_grouped_cols,
+                            grid_cost)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BoundParams", "Factorization", "GenSpec",
     "GroupedFactor", "PatternIndex", "RowSystem", "SolveOptions",
-    "SolveReport", "StructuredInstance", "WEIGHT_STYLES",
-    "build_instance", "compress_factor",
+    "SolveReport", "StructuredInstance", "WEIGHT_STYLES", "build_instance",
     "cost_dense", "cost_grouped", "cost_grouped_cols", "default_gamma",
     "detect_groups", "gaussian_sketch", "generate", "generate_attention_mask",
     "generate_compressed", "generate_with_factors", "grid_cost",

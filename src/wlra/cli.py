@@ -44,10 +44,11 @@ CSV_HEADER = "n,r,p,k,eps,sweep,wall_s,cost,regressions,seed"
 def _write_rows(f, M) -> None:
     """M to an open file as <f8 in C order, a block of rows at a time.
 
-    M is an array, or anything with a shape whose row slices are arrays.
-    A TiledMatrix is written from its row_blocks instead, so each planted
-    band is expanded once and its block written for every block of rows
-    inside it.
+    M is an array, or anything with a shape whose row slices are arrays,
+    such as a GroupedFactor, whose (n, k) expansion is then never formed
+    whole.  A TiledMatrix is written from its row_blocks instead, so each
+    planted band is expanded once and its block written for every block of
+    rows inside it.
     """
     step = max(1, _WRITE_BLOCK_BYTES // (8 * max(1, M.shape[1])))
     if isinstance(M, TiledMatrix):
@@ -314,6 +315,10 @@ def cmd_gen(args) -> int:
         raise _Exit(1, str(e)) from None
     except MemoryError as e:
         raise _Exit(2, str(e) or "out of memory for a dense instance of this size") from None
+    try:  # finite grids whose W*A squared norm overflows: solve would reject the file
+        upper_bound(inst)
+    except ValueError as e:
+        raise _Exit(1, f"the planted grids overflow: {e}") from None
     write_instance(args.out, A, W, _sidecar_of(inst))
     print(f"wrote {args.out} n={inst.n} r={inst.r} p={inst.p}")
     return 0
@@ -340,8 +345,8 @@ def cmd_solve(args) -> int:
     print(f"bracket [2^{_fmt(lower_log2)}, {_fmt(upper)}]")
     if args.out_factors:
         with open(args.out_factors, "wb") as f:
-            _write_rows(f, fact.U)
-            _write_rows(f, fact.V)
+            _write_rows(f, fact.grouped_u)
+            _write_rows(f, fact.grouped_v)
     if args.out_report:
         lines = [CSV_HEADER, *_report_csv_lines(report, inst.n, inst.r, inst.p, args.k, args.eps)]
         Path(args.out_report).write_text("\n".join(lines) + "\n")

@@ -5,7 +5,8 @@ update for the other.  Rows sharing a weight pattern share one sketched
 design, and rows sharing a masked-target pattern share one regression.
 Both factors live on the refined groups and every step runs on the
 Gr x Gc group grid, so a half-sweep solves at most r*p small systems and
-never touches n; expand() broadcasts the factors only for the result.
+never touches n.  solve() returns the grouped factors; the n x k arrays
+are built only when a caller reads Factorization.U or .V.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -60,12 +62,23 @@ class SolveOptions:
 
 @dataclass(eq=False)
 class Factorization:
-    """The returned factor pair, with the grouped forms that produced it."""
+    """The returned factor pair, held as one row per group.
 
-    U: np.ndarray
-    V: np.ndarray
+    U and V are the n x k factors, expanded on first read and kept; a
+    caller that needs only the grouped rows, or writes the factors a row
+    block at a time from grouped_u and grouped_v, never forms them.
+    """
+
     grouped_u: GroupedFactor
     grouped_v: GroupedFactor
+
+    @cached_property
+    def U(self) -> np.ndarray:
+        return self.grouped_u.expand()
+
+    @cached_property
+    def V(self) -> np.ndarray:
+        return self.grouped_v.expand()
 
 
 @dataclass
@@ -194,7 +207,7 @@ def solve(inst, opts: SolveOptions):
             best = gu, gv, report
     gu, gv, report = best
     report.bracket = bracket
-    return Factorization(U=gu.expand(), V=gv.expand(), grouped_u=gu, grouped_v=gv), report
+    return Factorization(grouped_u=gu, grouped_v=gv), report
 
 
 def _solve_single(inst, opts: SolveOptions, run_seed: int, t: int | None):
@@ -204,8 +217,8 @@ def _solve_single(inst, opts: SolveOptions, run_seed: int, t: int | None):
     system, so each sweep runs one body on both sides.
     """
     report = SolveReport(run_seed=run_seed)
-    # One system per side, dropped with the run: none is alive when the
-    # caller expands the factors, the solve's memory peak.
+    # One system per side, dropped with the run.  Their scaled grids are
+    # the run's largest arrays: nothing a solve allocates is n wide.
     systems = [s.row_system() for s in (inst, inst.transposed())]
     factors = [None, _init_factor(inst, run_seed, opts.k)]  # [U, V], grouped
     best = None

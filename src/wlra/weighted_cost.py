@@ -28,7 +28,9 @@ class GroupedFactor:
     """A factor that is constant on the groups of a PatternIndex.
 
     rows[g] is the shared factor row of every member of group g;
-    expand() broadcasts it back to full (n, k) shape.
+    expand() broadcasts it back to full (n, k) shape.  Like a TiledMatrix
+    it offers shape and row slicing, so the (n, k) factor can be written a
+    row block at a time without ever being formed whole.
     """
 
     index: PatternIndex
@@ -37,6 +39,14 @@ class GroupedFactor:
     @property
     def k(self) -> int:
         return int(self.rows.shape[1])
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.index.n, self.k
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        """Rows of the expanded factor, a fresh C-ordered array."""
+        return np.take(self.rows, self.index.group_of[rows], axis=0)
 
     def expand(self) -> np.ndarray:
         return np.take(self.rows, self.index.group_of, axis=0)
@@ -48,18 +58,6 @@ class GroupedFactor:
         if self.index.group_of is not index.group_of and not np.array_equal(
                 self.index.group_of, index.group_of):
             raise ValueError(f"grouped factor does not match the instance {side} groups")
-
-
-def compress_factor(X: np.ndarray, index: PatternIndex) -> GroupedFactor:
-    """Compress an (n, k) factor that is constant on the index groups."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] != index.n:
-        raise ValueError("factor shape does not match the partition")
-    rows = np.ascontiguousarray(X[index.representatives])
-    gf = GroupedFactor(index=index, rows=rows)
-    if not np.array_equal(gf.expand(), X):
-        raise ValueError("factor is not constant on the groups")
-    return gf
 
 
 BLOCK_ENTRIES = 1 << 16  # residual entries one kernel call forms, at most

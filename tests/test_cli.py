@@ -12,8 +12,8 @@ import warnings
 import numpy as np
 import pytest
 
-from wlra import (GenSpec, SolveOptions, build_instance, generate, generate_compressed, solve,
-                  upper_bound)
+from wlra import (GenSpec, GroupedFactor, SolveOptions, build_instance, generate,
+                  generate_compressed, solve, upper_bound)
 from wlra import cli, generator, pattern_index
 from wlra.cli import CSV_HEADER, main, read_instance, write_instance
 from wlra.pattern_index import BlockDetector
@@ -603,6 +603,9 @@ BAD_INPUTS = [
     ("noise_inf", None, ("--noise", "inf"), 1, ("gen",)),
     ("noise_nan", None, ("--noise", "nan"), 1, ("gen",)),
     ("noise_overflowing_grid", None, ("--noise", "1e308"), 1, ("gen",)),
+    # finite grids whose W*A squared norm overflows, a file solve would reject
+    ("noise_overflowing_norm_1e200", None, ("--noise", "1e200"), 1, ("gen",)),
+    ("noise_overflowing_norm_1e160", None, ("--noise", "1e160"), 1, ("gen",)),
     # no array can hold the n-long band maps; numpy refuses before allocating
     ("n_unholdable", None, ("--n", 2 ** 62), 2, ("gen",)),
     ("size_unholdable", None, ("--sizes", 2 ** 62), 2, ("bench",)),
@@ -655,6 +658,9 @@ def test_bad_input_exit_codes(tmp_path, capsys, name, edit, extra, code, command
         assert extra[0].lstrip("-") in err and re.search(r"\br\b", err) is None
     if name.endswith("_unholdable"):  # the size is at fault, not the planted grids
         assert "grid" not in err
+    if name.startswith("noise_overflowing_norm"):
+        assert err == ("error: the planted grids overflow: "
+                       "the weighted target's squared norm overflows\n")
     if command == "gen":
         assert not (tmp_path / "gen.wlra").exists()
 
@@ -803,6 +809,23 @@ def test_solve_holds_less_than_a_quarter_of_the_file(tmp_path, capsys):
         tracemalloc.stop()
     capsys.readouterr()
     assert peak < path.stat().st_size / 4
+
+
+def test_grouped_factor_is_written_a_row_block_at_a_time(tmp_path):
+    inst = generate_compressed(GenSpec(n=1 << 16, r=4, p=4, k_true=3, seed=2))
+    rows = np.random.default_rng(3).standard_normal((inst.wa_rows.num_groups, 3))
+    factor = GroupedFactor(index=inst.wa_rows, rows=rows)
+    with open(tmp_path / "expanded.bin", "wb") as f:
+        cli._write_rows(f, factor.expand())
+    with open(tmp_path / "grouped.bin", "wb") as f:
+        tracemalloc.start()
+        try:
+            cli._write_rows(f, factor)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (tmp_path / "grouped.bin").read_bytes() == (tmp_path / "expanded.bin").read_bytes()
+    assert peak < factor.expand().nbytes / 2
 
 
 def test_factor_file_is_u_then_v_as_little_endian_rows(tmp_path, monkeypatch):

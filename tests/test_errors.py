@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wlra import (BoundParams, GenSpec, PatternIndex, SolveOptions, compress_factor, cost_dense,
+from wlra import (BoundParams, GenSpec, GroupedFactor, PatternIndex, SolveOptions, cost_dense,
                   cost_grouped, detect_groups, generate_attention_mask, generate_compressed,
                   keyed_normals, sketch_dim)
 
@@ -28,7 +28,8 @@ def _validate(**fields):
 
 def _cost_grouped_of_a_wide_v():
     inst = _inst()
-    cost_grouped(inst, compress_factor(np.zeros((8, 2)), inst.wa_rows), np.zeros((8, 3)))
+    gu = GroupedFactor(index=inst.wa_rows, rows=np.zeros((inst.wa_rows.num_groups, 2)))
+    cost_grouped(inst, gu, np.zeros((8, 3)))
 
 
 CASES = [
@@ -44,8 +45,6 @@ CASES = [
      _validate(wa_cols=lambda inst: _CROSSING)),
     ("expected a 2-D matrix", lambda: detect_groups(np.zeros((2, 2, 2)))),
     ("cannot group an empty index set", lambda: detect_groups(np.zeros((0, 3)))),
-    ("factor shape does not match the partition",
-     lambda: compress_factor(np.zeros((7, 2)), _inst().wa_rows)),
     ("factor heights must match A",
      lambda: cost_dense(np.zeros((4, 4)), np.ones((4, 4)), np.zeros((3, 1)), np.zeros((4, 1)))),
     ("V shape does not conform to the instance and factor", _cost_grouped_of_a_wide_v),

@@ -18,7 +18,7 @@ import pytest
 from wlra import cli, pattern_index
 from wlra.cli import read_instance, write_instance
 from wlra.grouped_als import _RANK_TOLERANCE
-from wlra import (WEIGHT_STYLES, GenSpec, GroupedFactor, build_instance, compress_factor,
+from wlra import (WEIGHT_STYLES, GenSpec, GroupedFactor, build_instance,
                   cost_dense, cost_grouped, cost_grouped_cols, detect_groups, gaussian_sketch,
                   generate, generate_compressed, refine, row_certificates, update_rows)
 
@@ -99,7 +99,8 @@ def test_updates_and_cost_equivariant_under_permutations(problem, data):
     perm = build_instance(A[P][:, Q], W[P][:, Q])
 
     gv = _factor(inst.wa_cols, k, rng)
-    gv_p = compress_factor(gv.expand()[Q], perm.wa_cols)
+    gv_p = GroupedFactor(index=perm.wa_cols, rows=gv.expand()[Q][perm.wa_cols.representatives])
+    assert np.array_equal(gv_p.expand(), gv.expand()[Q])  # constant on the permuted groups
     gu = update_rows(inst.row_system(), gv)
     gu_p = update_rows(perm.row_system(), gv_p)
     assert _close(gu_p.expand(), gu.expand()[P])
@@ -107,7 +108,8 @@ def test_updates_and_cost_equivariant_under_permutations(problem, data):
                                                            rel=1e-9, abs=1e-9)
 
     gu = _factor(inst.wa_rows, k, rng)
-    gu_p = compress_factor(gu.expand()[P], perm.wa_rows)
+    gu_p = GroupedFactor(index=perm.wa_rows, rows=gu.expand()[P][perm.wa_rows.representatives])
+    assert np.array_equal(gu_p.expand(), gu.expand()[P])
     assert _close(update_rows(perm.transposed().row_system(), gu_p).expand(),
                   update_rows(inst.transposed().row_system(), gu).expand()[Q])
 

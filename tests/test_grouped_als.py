@@ -1,10 +1,11 @@
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from wlra import (GenSpec, GroupedFactor, SolveOptions, StructuredInstance, build_instance,
-                  compress_factor, cost_dense, cost_grouped, gaussian_sketch, generate,
+from wlra import (WEIGHT_STYLES, GenSpec, GroupedFactor, SolveOptions, StructuredInstance,
+                  build_instance, cost_dense, cost_grouped, gaussian_sketch, generate,
                   generate_compressed, generate_with_factors, grouped_als, row_certificates,
                   sketch_dim, solve, update_rows)
 from wlra.grouped_als import _RANK_TOLERANCE, _init_factor
@@ -63,7 +64,8 @@ def test_update_rows_unweighted_projection():
     A = rng.standard_normal((n, n))
     inst = build_instance(A, np.ones((n, n)))
     V = np.linalg.qr(rng.standard_normal((n, k)))[0]
-    gu = update_rows(inst.row_system(), compress_factor(V, inst.wa_cols))
+    gv = GroupedFactor(index=inst.wa_cols, rows=V[inst.wa_cols.representatives])
+    gu = update_rows(inst.row_system(), gv)
     reps = inst.wa_rows.representatives
     assert gu.rows == pytest.approx(A[reps] @ V, rel=1e-10, abs=1e-12)
 
@@ -206,7 +208,8 @@ def test_update_cols_unweighted_projection():
     A = rng.standard_normal((n, n))
     inst = build_instance(A, np.ones((n, n)))
     U = np.linalg.qr(rng.standard_normal((n, 3)))[0]
-    gv = update_rows(inst.transposed().row_system(), compress_factor(U, inst.wa_rows))
+    gu = GroupedFactor(index=inst.wa_rows, rows=U[inst.wa_rows.representatives])
+    gv = update_rows(inst.transposed().row_system(), gu)
     reps = inst.wa_cols.representatives
     assert gv.rows == pytest.approx(A[:, reps].T @ U, rel=1e-10, abs=1e-12)
 
@@ -324,8 +327,8 @@ def test_solve_broadcast_consistency_and_counts():
 
 @pytest.mark.parametrize("restarts", [1, 2])
 def test_solve_builds_one_row_system_per_side_per_run(monkeypatch, restarts):
-    # upper_bound's system, then one per side per run; none outlives its
-    # run, so none is alive while the result factors are expanded.
+    # One per side per run, none for upper_bound; none outlives its run.
+    # solve expands no factor, so none is alive when a caller expands one.
     inst, _, _ = _planted(n=36, r=3, p=2, k_true=3, noise_sigma=0.1, seed=17)
     built, alive_at_expand = [], []
     row_system, expand = StructuredInstance.row_system, GroupedFactor.expand
@@ -341,10 +344,56 @@ def test_solve_builds_one_row_system_per_side_per_run(monkeypatch, restarts):
 
     monkeypatch.setattr(StructuredInstance, "row_system", recorded_row_system)
     monkeypatch.setattr(GroupedFactor, "expand", checked_expand)
-    _, rep = solve(inst, _opts(max_sweeps=3, rel_tol=0.0, restarts=restarts))
+    fact, rep = solve(inst, _opts(max_sweeps=3, rel_tol=0.0, restarts=restarts))
     assert len(rep.cost_per_sweep) == 6
-    assert len(built) == 1 + 2 * restarts
+    assert len(built) == 2 * restarts
+    assert alive_at_expand == []
+    assert fact.U.shape == fact.V.shape == (36, 3)
     assert alive_at_expand == [0, 0]
+
+
+def test_factors_expand_once_on_first_read():
+    inst, _, _ = _planted(n=36, r=3, p=2, k_true=3, noise_sigma=0.1, seed=17)
+    fact, _ = solve(inst, _opts(max_sweeps=3))
+    assert fact.U is fact.U and fact.V is fact.V
+    assert fact.U.tobytes() == fact.grouped_u.expand().tobytes()
+    assert fact.V.tobytes() == fact.grouped_v.expand().tobytes()
+
+
+def test_solve_allocates_nothing_n_wide():
+    # One n x 3 factor at n = 2^20 is 24 MiB; the solve returns grouped rows.
+    inst = generate_compressed(GenSpec(n=1 << 20, r=4, p=4, k_true=3, noise_sigma=0.1, seed=3))
+    opts = SolveOptions(k=3, max_sweeps=3, rel_tol=0.0, sketchless=True)
+    solve(inst, opts)  # warm: lazy imports and caches
+    tracemalloc.start()
+    try:
+        solve(inst, opts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("scaled", ["A", "W"])
+@pytest.mark.parametrize("j", [-3, 5])
+@pytest.mark.parametrize("sketchless", [False, True])
+@pytest.mark.parametrize("style", WEIGHT_STYLES)
+def test_power_of_two_scaling_is_exact(style, sketchless, j, scaled):
+    # Every step is homogeneous in A and in W, and a power of two rounds
+    # nothing, so costs scale by exactly 4^j; U V^T scales by 2^j with A and
+    # stays put with W.  A tolerance that is not relative breaks this.
+    A, W = generate(GenSpec(n=96, r=4, p=2, k_true=3, noise_sigma=0.1, weight_style=style,
+                            seed=11))
+    opts = SolveOptions(k=3, max_sweeps=6, seed=5, sketchless=sketchless)
+    base, rep = solve(build_instance(A, W), opts)
+    c = 2.0 ** j
+    fact, got = solve(build_instance(c * A, W) if scaled == "A" else build_instance(A, c * W),
+                      opts)
+    assert got.final_cost == c * c * rep.final_cost
+    assert got.cost_per_sweep == [c * c * cost for cost in rep.cost_per_sweep]
+    assert got.bracket[1] == c * c * rep.bracket[1]
+    want = base.U @ base.V.T
+    assert np.array_equal(fact.U @ fact.V.T, c * want if scaled == "A" else want)
 
 
 def test_solve_final_cost_is_exact_and_bracketed():

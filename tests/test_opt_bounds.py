@@ -4,9 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from wlra import (BoundParams, GenSpec, SolveOptions, build_instance, cost_dense,
-                  default_gamma, generate, iteration_budget, lower_bound_log2, solve,
-                  upper_bound)
+from wlra import (WEIGHT_STYLES, BoundParams, GenSpec, GroupedFactor, SolveOptions,
+                  build_instance, cost_dense, cost_grouped, default_gamma, generate,
+                  generate_compressed, iteration_budget, lower_bound_log2, solve, upper_bound)
 
 
 def test_upper_bound_zero_target():
@@ -24,6 +24,18 @@ def test_upper_bound_matches_zero_factor_cost():
     inst = build_instance(A, W)
     want = cost_dense(A, W, np.zeros((24, 2)), np.zeros((24, 2)))
     assert upper_bound(inst) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("style", WEIGHT_STYLES)
+@pytest.mark.parametrize("n, r, p", [(24, 2, 2), (1024, 2, 3), (4096, 8, 4), (65536, 16, 8)])
+def test_upper_bound_is_the_zero_factorization_cost(style, n, r, p):
+    # The grid sum against the residual kernel run on zero factors.
+    for seed in (1, 2):
+        inst = generate_compressed(GenSpec(n=n, r=r, p=p, k_true=2, noise_sigma=0.2,
+                                           weight_style=style, seed=seed))
+        zero_u = GroupedFactor(index=inst.wa_rows, rows=np.zeros((inst.wa_rows.num_groups, 1)))
+        zero_v = GroupedFactor(index=inst.wa_cols, rows=np.zeros((inst.wa_cols.num_groups, 1)))
+        assert upper_bound(inst) == pytest.approx(cost_grouped(inst, zero_u, zero_v), rel=1e-15)
 
 
 @pytest.mark.parametrize("entries", [

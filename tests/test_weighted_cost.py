@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wlra import (GenSpec, GroupedFactor, build_instance, compress_factor, cost_dense,
+from wlra import (GenSpec, GroupedFactor, build_instance, cost_dense,
                   cost_grouped, cost_grouped_cols, generate, generate_compressed)
 from wlra import cli, weighted_cost
 
@@ -85,7 +85,7 @@ def test_grouped_singletons_bitwise_equal_to_dense(monkeypatch):
     assert inst.wa_rows.num_groups == n
     U = rng.standard_normal((n, k))
     V = rng.standard_normal((n, k))
-    gu = compress_factor(U, inst.wa_rows)
+    gu = GroupedFactor(index=inst.wa_rows, rows=U[inst.wa_rows.representatives])
     blocks = _record_blocks(monkeypatch)
     got = cost_grouped(inst, gu, V)
     assert sum(rows for rows, _ in blocks) == n
@@ -173,21 +173,17 @@ def test_grouped_index_mismatch_rejected():
         cost_grouped(inst, right, GroupedFactor(index=inst.w_cols, rows=np.zeros((2, 2))))
 
 
-def test_compress_expand_identity():
+def test_grouped_factor_slices_and_representatives_of_its_expansion():
     inst, _, _ = _planted(n=20, r=2, p=2, k_true=2, seed=3)
     rng = np.random.default_rng(6)
     rows = rng.standard_normal((inst.wa_rows.num_groups, 3))
     gf = GroupedFactor(index=inst.wa_rows, rows=rows)
-    back = compress_factor(gf.expand(), inst.wa_rows)
-    assert np.array_equal(back.rows, rows)
-
-
-def test_compress_rejects_non_constant_factor():
-    inst, _, _ = _planted(n=20, r=2, p=2, k_true=2, seed=3)
-    rng = np.random.default_rng(7)
-    X = rng.standard_normal((20, 2))  # generic, not group-constant
-    with pytest.raises(ValueError):
-        compress_factor(X, inst.wa_rows)
+    X = gf.expand()
+    assert gf.shape == X.shape == (20, 3)
+    assert np.array_equal(X[inst.wa_rows.representatives], rows)
+    for lo, hi in [(0, 20), (0, 7), (7, 20), (5, 6), (19, 40), (20, 20)]:
+        block = gf[lo:hi]
+        assert block.flags.c_contiguous and np.array_equal(block, X[lo:hi])
 
 
 def test_cost_dense_sums_rows_exactly_rounded():
@@ -250,7 +246,8 @@ def test_singletons_bitwise_equal_at_every_block_size(monkeypatch, n, size):
     U, V = rng.standard_normal((n, k)), rng.standard_normal((n, k))
     if size != "default":
         monkeypatch.setattr(weighted_cost, "BLOCK_ENTRIES", {"1": 1, "7": 7, "n-1": n - 1}[size])
-    assert cost_grouped(inst, compress_factor(U, inst.wa_rows), V) == cost_dense(A, W, U, V)
+    gu = GroupedFactor(index=inst.wa_rows, rows=U[inst.wa_rows.representatives])
+    assert cost_grouped(inst, gu, V) == cost_dense(A, W, U, V)
 
 
 def _peak_mb(evaluate) -> float:
