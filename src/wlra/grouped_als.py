@@ -118,12 +118,13 @@ def update_rows(system: RowSystem, gv: GroupedFactor,
     system is StructuredInstance.row_system() and gv is V as a
     GroupedFactor on system.wa_cols.  Solves one weighted regression per
     refined row group: one stacked SVD yields the pseudo-inverse of every
-    weight group's design, and each weight group's refined rows are one
-    block product with it.  Without S the regressions are exact; S, if
-    given, is a t x Gc sketch, and one sketched_design call assembles every
-    weight group's design.  A standard Gaussian sketch times
-    diag(sqrt(size_h)) has the law of an n-wide sketch summed over each
-    column group.  A column half-sweep is
+    weight group's design, and each weight group's refined rows, one slice
+    of the member-ordered targets, are one block product with it; one
+    scatter then puts the rows in wa_rows order.  Without S the
+    regressions are exact; S, if given, is a t x Gc sketch, and one
+    sketched_design call assembles every weight group's design.  A
+    standard Gaussian sketch times diag(sqrt(size_h)) has the law of an
+    n-wide sketch summed over each column group.  A column half-sweep is
     update_rows(inst.transposed().row_system(), gu, S).
     """
     gv.check_groups(system.wa_cols, "column")
@@ -137,9 +138,12 @@ def update_rows(system: RowSystem, gv: GroupedFactor,
         designs = sketched_design(Z, system.weights, S)
         targets = targets @ S.T
     P = _pseudo_inverses(designs)
-    rows = np.empty((system.wa_rows.num_groups, Z.shape[0]))
-    for g, rows_of_g in enumerate(system.members):
-        rows[rows_of_g] = targets[rows_of_g] @ P[g]
+    solved = np.empty((system.wa_rows.num_groups, Z.shape[0]))  # member order
+    bounds = system.offsets.tolist()
+    for g, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        np.matmul(targets[lo:hi], P[g], out=solved[lo:hi])
+    rows = np.empty_like(solved)
+    rows[system.order] = solved
     return GroupedFactor(index=system.wa_rows, rows=rows)
 
 
@@ -158,14 +162,16 @@ def row_certificates(system: RowSystem, grouped_u: GroupedFactor,
     grouped_u.check_groups(system.wa_rows, "row")
     gv.check_groups(system.wa_cols, "column")
     Z = np.ascontiguousarray(gv.rows.T)
+    X = grouped_u.rows[system.order]  # member order, like the targets
     out = np.empty(system.wa_rows.num_groups)
-    for w, rows in zip(system.weights, system.members):
+    bounds = system.offsets.tolist()
+    for w, lo, hi in zip(system.weights, bounds, bounds[1:]):
         D = Z * w
-        B = system.targets[rows]
-        resid = np.abs((grouped_u.rows[rows] @ D - B) @ D.T).max(axis=1)
+        B = system.targets[lo:hi]
+        resid = np.abs((X[lo:hi] @ D - B) @ D.T).max(axis=1)
         denom = np.linalg.norm(D) * np.linalg.norm(B, axis=1)
-        out[rows] = np.divide(resid, denom, out=np.where(resid == 0.0, 0.0, math.inf),
-                              where=denom != 0.0)
+        out[system.order[lo:hi]] = np.divide(
+            resid, denom, out=np.where(resid == 0.0, 0.0, math.inf), where=denom != 0.0)
     return out
 
 

@@ -551,18 +551,20 @@ class RowSystem:
 
     weights holds W per weight-row group and targets W*A per refined row
     group, both C-ordered over the refined column groups, with column h
-    scaled by sqrt(wa_cols.sizes[h]).  members[p] lists, in ascending
-    order, the refined row groups of weight-row group p; together they
-    partition the refined row groups.  parents[g] is the weight-row group
-    of refined row group g.
+    scaled by sqrt(wa_cols.sizes[h]).  The rows of targets are in member
+    order: the refined row groups of weight-row group p are the slice
+    offsets[p]:offsets[p + 1], in ascending order of their labels, and
+    order[i] is the wa_rows label of row i.  parents[i] is the weight-row
+    group of row i, so it is ascending.
     """
 
     wa_rows: PatternIndex
     wa_cols: PatternIndex
     weights: np.ndarray  # (w_rows.num_groups, wa_cols.num_groups)
-    targets: np.ndarray  # (wa_rows.num_groups, wa_cols.num_groups)
-    members: list[np.ndarray]
-    parents: np.ndarray  # (wa_rows.num_groups,)
+    targets: np.ndarray  # (wa_rows.num_groups, wa_cols.num_groups), member order
+    offsets: np.ndarray  # (w_rows.num_groups + 1,)
+    order: np.ndarray  # (wa_rows.num_groups,)
+    parents: np.ndarray  # (wa_rows.num_groups,), member order
 
 
 @dataclass(eq=False)
@@ -604,20 +606,26 @@ class StructuredInstance:
         A row's n-wide regression repeats each grid column's equation
         size_h times, so scaling grid column h by sqrt(wa_cols.sizes[h])
         gives a system with the same normal equations, singular values and
-        squared residuals.  The solver builds one per side per run and drops
-        it with the run; nothing keeps it on the instance.
+        squared residuals.  Its target rows are gathered into member order,
+        each weight-row group's refined rows one slice (see RowSystem).  The
+        solver builds one per side per run and drops it with the run; nothing
+        keeps it on the instance.
         """
         root = np.sqrt(self.wa_cols.sizes)
         col_parents = self.w_cols.group_of[self.wa_cols.representatives]
         parents = self.w_rows.group_of[self.wa_rows.representatives]
         order = np.argsort(parents, kind="stable")
-        ends = np.cumsum(np.bincount(parents, minlength=self.w_rows.num_groups)).tolist()
+        # A row gather of the grid is C-ordered on a transposed instance too,
+        # and copies only the rows it returns.
+        targets = self.targets[order]
+        targets *= root
         return RowSystem(
             wa_rows=self.wa_rows, wa_cols=self.wa_cols,
             weights=np.multiply(self.weights[:, col_parents], root, order="C"),
-            targets=np.multiply(self.targets, root, order="C"),
-            members=[order[lo:hi] for lo, hi in zip([0, *ends], ends)],
-            parents=parents)
+            targets=targets,
+            offsets=np.concatenate(([0], np.cumsum(np.bincount(
+                parents, minlength=self.w_rows.num_groups)))),
+            order=order, parents=parents[order])
 
     def transposed(self) -> "StructuredInstance":
         """The same problem with rows and columns exchanged: the same partitions, grid views."""

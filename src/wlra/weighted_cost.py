@@ -91,28 +91,28 @@ def _block_residual_sq(V_blk: np.ndarray, Ut: np.ndarray, w: np.ndarray,
     return np.einsum("ij,ij->j", R, R)
 
 
-def _row_terms(V: np.ndarray, U: np.ndarray, block) -> np.ndarray:
+def _row_terms(V: np.ndarray, U: np.ndarray, block, tiles: int) -> np.ndarray:
     """Each row of U's squared residual against V, over the blocks of _block_shape.
 
     Walks row blocks in order and, within each, column blocks in order;
-    block(rows, cols, w_buf, wa_buf) returns the weight and target blocks,
-    each (columns x rows), and may form them in the buffers it is given.
-    A row's term adds its blocks' sums in column order.
+    block(rows, cols, *bufs) returns the weight and target blocks, each
+    (columns x rows), and may form them in the tiles buffers of that shape
+    it is given.  A row's term adds its blocks' sums in column order.
     """
     m, n = U.shape[0], V.shape[0]
     terms = np.zeros(m)
     if not (m and n):
         return terms  # an empty residual has no blocks
     rb, cb = _block_shape(m, n)
-    bufs = np.empty((3, rb * cb))
+    bufs = np.empty((1 + tiles, rb * cb))
     for r0 in range(0, m, rb):
         rows = slice(r0, min(m, r0 + rb))
         Ut = U[rows].T
         for c0 in range(0, n, cb):
             cols = slice(c0, min(n, c0 + cb))
             shape = (cols.stop - c0, rows.stop - r0)
-            R, w_buf, wa_buf = bufs[:, :shape[0] * shape[1]].reshape(3, *shape)
-            terms[rows] += _block_residual_sq(V[cols], Ut, *block(rows, cols, w_buf, wa_buf), R)
+            R, *tile_bufs = bufs[:, :shape[0] * shape[1]].reshape(1 + tiles, *shape)
+            terms[rows] += _block_residual_sq(V[cols], Ut, *block(rows, cols, *tile_bufs), R)
     return terms
 
 
@@ -140,7 +140,7 @@ def cost_dense(A: np.ndarray, W: np.ndarray, U: np.ndarray, V: np.ndarray) -> fl
         np.copyto(w_buf, W[rows, cols].T)
         return w_buf, np.multiply(w_buf, A[rows, cols].T, out=wa_buf)
 
-    return math.fsum(_row_terms(V, U, block).tolist())
+    return math.fsum(_row_terms(V, U, block, 2).tolist())
 
 
 def grid_cost(system: RowSystem, grouped_u: GroupedFactor, grouped_v: GroupedFactor) -> float:
@@ -149,15 +149,22 @@ def grid_cost(system: RowSystem, grouped_u: GroupedFactor, grouped_v: GroupedFac
     system is StructuredInstance.row_system(), whose columns carry sqrt of
     their group sizes; grouped_u must live on system.wa_rows and grouped_v
     on system.wa_cols.  One residual row per refined row group over the Gc
-    column groups, in O(Gr * Gc * k); each row term is multiplied by its
-    row group size.
+    column groups, in the system's member order, in O(Gr * Gc * k); each
+    row term is multiplied by its row group size.  A block's target is a
+    view of the grid, and its weights are gathered into its one tile buffer.
     """
     grouped_u.check_groups(system.wa_rows, "row")
     grouped_v.check_groups(system.wa_cols, "column")
     weights, targets, parents = system.weights, system.targets, system.parents
-    terms = _row_terms(grouped_v.rows, grouped_u.rows, lambda rows, cols, w_buf, wa_buf: (
-        weights[parents[rows], cols].T, targets[rows, cols].T))
-    return math.fsum((terms * system.wa_rows.sizes).tolist())
+
+    def block(rows, cols, w_buf):
+        w = w_buf.reshape(w_buf.shape[::-1])  # rows x cols, row-major
+        np.take(weights[:, cols], parents[rows], axis=0, out=w, mode="clip")
+        return w.T, targets[rows, cols].T
+
+    order = system.order
+    terms = _row_terms(grouped_v.rows, grouped_u.rows[order], block, 1)
+    return math.fsum((terms * system.wa_rows.sizes[order]).tolist())
 
 
 def cost_grouped(inst, grouped_u: GroupedFactor, V) -> float:
@@ -172,9 +179,9 @@ def cost_grouped(inst, grouped_u: GroupedFactor, V) -> float:
     stops at the first block that differs.  Any other V (a NaN never equals itself) is
     evaluated exactly over all n columns, in O(Gr * n * k), a column
     block at a time, on inst.transposed().row_system(): each block
-    gathers whole rows of its grids by column group labels, and their
-    columns carry sqrt of the row group sizes, so each row term already
-    counts its group.
+    gathers whole rows of its grids by column group labels (mapped to the
+    member order of its target rows), and their columns carry sqrt of the
+    row group sizes, so each row term already counts its group.
     """
     if isinstance(V, GroupedFactor):
         return grid_cost(inst.row_system(), grouped_u, V)
@@ -190,16 +197,19 @@ def cost_grouped(inst, grouped_u: GroupedFactor, V) -> float:
         return grid_cost(inst.row_system(), grouped_u,
                          GroupedFactor(index=inst.wa_cols, rows=V[firsts]))
     # Each column block gathers whole rows of the transposed row system's grids,
-    # whose columns carry sqrt of the row group sizes.
+    # whose columns carry sqrt of the row group sizes; its target rows are in
+    # member order, so a column group label maps through the inverse of order.
     system = inst.transposed().row_system()
     weights, targets = system.weights, system.targets
+    position = np.empty_like(system.order)
+    position[system.order] = np.arange(position.shape[0])
 
     def block(rows, cols, w_buf, wa_buf):
         np.take(weights[:, rows], w_cols[cols], axis=0, out=w_buf, mode="clip")
-        np.take(targets[:, rows], wa_cols[cols], axis=0, out=wa_buf, mode="clip")
+        np.take(targets[:, rows], position[wa_cols[cols]], axis=0, out=wa_buf, mode="clip")
         return w_buf, wa_buf
 
-    return math.fsum(_row_terms(V, grouped_u.rows, block).tolist())
+    return math.fsum(_row_terms(V, grouped_u.rows, block, 2).tolist())
 
 
 def cost_grouped_cols(inst, grouped_v: GroupedFactor, U) -> float:

@@ -71,14 +71,16 @@ def rowwise_weighted_lstsq(A, W, V):
 def lstsq_grid_rows(system, gv, S, rcond):
     """A row half-sweep on a grid system by np.linalg.lstsq, one refined row at a time.
 
-    Row g solves min || design^T x - target ||_2 with design the k x Gc
-    matrix gv.rows.T scaled by the weight row of g's parent group, and
-    target row g of system.targets, both times S^T when S is given.
+    Member i of the system, refined row group system.order[i], solves
+    min || design^T x - target ||_2 with design the k x Gc matrix gv.rows.T
+    scaled by the weight row of its parent group, and target row i of
+    system.targets, both times S^T when S is given.  Returns the rows in
+    wa_rows order.
     """
     Z = gv.rows.T
     out = np.empty((system.wa_rows.num_groups, Z.shape[0]))
-    for g, parent in enumerate(system.parents):
-        design, target = Z * system.weights[parent], system.targets[g]
+    for g, parent, target in zip(system.order, system.parents, system.targets):
+        design = Z * system.weights[parent]
         if S is not None:
             design, target = design @ S.T, S @ target
         out[g] = np.linalg.lstsq(design.T, target, rcond=rcond)[0]

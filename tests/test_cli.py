@@ -418,6 +418,34 @@ def test_solve_deterministic_outputs(tmp_path):
         assert fa[:6] == fb[:6] and fa[7:] == fb[7:]
 
 
+@pytest.mark.parametrize("scaled", ["A", "W"])
+@pytest.mark.parametrize("j", [-3, 5])
+@pytest.mark.parametrize("style", generator.WEIGHT_STYLES)
+def test_solve_power_of_two_scaling_is_exact(tmp_path, capsys, style, j, scaled):
+    # The library's scaling property through the file, the solve and the
+    # printed digits: lambda scales by exactly 4^j, and U V^T read back from
+    # the factor file by 2^j with A and not at all with W.
+    A, W = generate(GenSpec(n=96, r=4, p=2, k_true=3, noise_sigma=0.1, weight_style=style,
+                            seed=11))
+    c = 2.0 ** j
+    runs = {}
+    cases = {"base": (A, W), "scaled": (c * A, W) if scaled == "A" else (A, c * W)}
+    for tag, (a, w) in cases.items():
+        path, factors = tmp_path / f"{tag}.wlra", tmp_path / f"{tag}.bin"
+        write_instance(path, a, w)
+        capsys.readouterr()
+        assert run(["solve", "--in", path, "--k", 3, "--seed", 5, "--out-factors", factors]) == 0
+        lam = float(LAMBDA.search(capsys.readouterr().out).group(1))
+        U, V = np.frombuffer(factors.read_bytes(), dtype="<f8").reshape(2, 96, 3)
+        runs[tag] = lam, U @ V.T
+    (lam, product), (got_lam, got_product) = runs["base"], runs["scaled"]
+    assert got_lam == c * c * lam
+    assert np.array_equal(got_product, c * product if scaled == "A" else product)
+
+
+LAMBDA = re.compile(r"^lambda (\S+)$", re.M)
+
+
 def test_solve_sketchless_flag(tmp_path, capsys):
     path = _gen(tmp_path, n=24, r=2, p=2, seed=4)
     capsys.readouterr()

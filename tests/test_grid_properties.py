@@ -155,20 +155,26 @@ def test_transposing_swaps_u_and_v(problem, t, seed):
 @SETTINGS
 @hypothesis.given(_problem(), st.integers(1, 4), st.integers(1, 3),
                   st.sampled_from(WEIGHT_STYLES), st.integers(0, 2 ** 32 - 1))
-def test_row_system_members_split_refined_rows_by_weight_row(problem, r, p, style, seed):
+def test_row_system_slices_split_refined_rows_by_weight_row(problem, r, p, style, seed):
     A, W, _, _ = problem
     built = build_instance(A, W)
     planted = generate_compressed(GenSpec(n=r * p + 2, r=r, p=p, k_true=1,
                                           weight_style=style, seed=seed))
     for inst in (built, built.transposed(), planted, planted.transposed()):
-        members = inst.row_system().members
+        system = inst.row_system()
+        offsets, order = system.offsets, system.order
         parents = inst.w_rows.group_of[inst.wa_rows.representatives]
-        assert len(members) == inst.w_rows.num_groups
-        assert np.array_equal(np.sort(np.concatenate(members)),
-                              np.arange(inst.wa_rows.num_groups))
-        for group, rows in enumerate(members):
+        assert offsets.shape == (inst.w_rows.num_groups + 1,)
+        assert offsets[0] == 0 and offsets[-1] == inst.wa_rows.num_groups
+        # order is a permutation of the refined rows, so the slices partition them.
+        assert np.array_equal(np.sort(order), np.arange(inst.wa_rows.num_groups))
+        for group, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
+            rows = order[lo:hi]
             assert rows.size > 0 and np.all(np.diff(rows) > 0)
             assert np.all(parents[rows] == group)
+            assert np.all(system.parents[lo:hi] == group)
+        scaled = inst.targets[order] * np.sqrt(inst.wa_cols.sizes)
+        assert system.targets.tobytes() == scaled.tobytes()
 
 
 @SETTINGS

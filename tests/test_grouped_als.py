@@ -131,9 +131,10 @@ def test_update_rows_assembles_one_design_per_weight_pattern(monkeypatch):
     ((stacked,),) = inverses
     assert stacked.shape == (4, 3, 48)
     P, targets = pseudo_inverses(stacked), system.targets @ S.T
-    assert sum(members.size for members in system.members) == inst.wa_rows.num_groups == 8
-    for g, members in enumerate(system.members):  # one block product per weight group
-        assert np.array_equal(rows[members], targets[members] @ P[g])
+    bounds = system.offsets
+    assert bounds[-1] == inst.wa_rows.num_groups == 8
+    for g, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):  # one product per weight group
+        assert np.array_equal(rows[system.order[lo:hi]], targets[lo:hi] @ P[g])
 
 
 def _mixed_instance():
@@ -143,19 +144,20 @@ def _mixed_instance():
     weight.  Class 0 is weighted only on class 2, whose two columns are one
     refined group, so its design has rank 1 < k, shared by four distinct
     rows.  Class 2's two rows are one refined row; class 3's four are four.
-    A is not symmetric, so the transposed instance is a different problem
-    with the same shape of groups.
+    The classes interleave, so the row systems' member order is not the
+    order of the refined row labels.  A is not symmetric, so the transposed
+    instance is a different problem with the same shape of groups.
     """
     rng = np.random.default_rng(31)
-    classes = np.array([0, 0, 0, 0, 1, 1, 2, 2, 3, 3, 3, 3])
+    classes = np.array([0, 3, 0, 2, 3, 1, 0, 3, 2, 1, 0, 3])
     grid = np.array([[0.0, 0.0, 0.7, 0.0],
                      [0.0, 0.0, 0.0, 0.0],
                      [0.7, 0.0, 1.3, 0.4],
                      [0.0, 0.0, 0.4, 2.1]])
     W = grid[np.ix_(classes, classes)]
     A = rng.standard_normal(W.shape)
-    A[7] = A[6]
-    A[:, 7] = A[:, 6]
+    A[8] = A[3]
+    A[:, 8] = A[:, 3]
     return build_instance(A, W), 3
 
 
@@ -168,7 +170,8 @@ def test_update_rows_matches_min_norm_solve_per_row(transposed, sketched):
     gv = _random_factor(inst.wa_cols, k, np.random.default_rng(32))
     Z = gv.rows.T
     system = inst.row_system()
-    weights, targets = system.weights, system.targets
+    assert np.any(system.order != np.arange(inst.wa_rows.num_groups))
+    weights, targets = system.weights, inst.targets * np.sqrt(inst.wa_cols.sizes)
     parents = inst.w_rows.group_of[inst.wa_rows.representatives]
     members = np.bincount(parents)
     designs = [Z * w for w in weights]
@@ -223,17 +226,17 @@ def test_row_certificates_match_per_row_reference(transposed):
     gv, gu = _random_factor(inst.wa_cols, k, rng), _random_factor(inst.wa_rows, k, rng)
     Z = gv.rows.T
     system = inst.row_system()
-    weights, targets, members = system.weights, system.targets, system.members
+    weights, targets = system.weights, inst.targets * np.sqrt(inst.wa_cols.sizes)
+    parents = inst.w_rows.group_of[inst.wa_rows.representatives]
     want = np.empty(inst.wa_rows.num_groups)
-    for w, rows in zip(weights, members):
-        D = Z * w
-        for g in rows:
-            resid = np.abs(D @ (D.T @ gu.rows[g] - targets[g])).max()
-            denom = np.linalg.norm(D) * np.linalg.norm(targets[g])
-            want[g] = resid / denom if denom != 0.0 else (0.0 if resid == 0.0 else np.inf)
+    for g, parent in enumerate(parents):
+        D = Z * weights[parent]
+        resid = np.abs(D @ (D.T @ gu.rows[g] - targets[g])).max()
+        denom = np.linalg.norm(D) * np.linalg.norm(targets[g])
+        want[g] = resid / denom if denom != 0.0 else (0.0 if resid == 0.0 else np.inf)
     (zero,) = np.nonzero(weights.max(axis=1) == 0.0)[0]
     got = row_certificates(system, gu, gv)
-    assert np.all(got[members[zero]] == 0.0)
+    assert np.all(got[parents == zero] == 0.0)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
     assert row_certificates(system, update_rows(system, gv), gv).max() <= 1e-8
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -36,6 +37,22 @@ def test_upper_bound_is_the_zero_factorization_cost(style, n, r, p):
         zero_u = GroupedFactor(index=inst.wa_rows, rows=np.zeros((inst.wa_rows.num_groups, 1)))
         zero_v = GroupedFactor(index=inst.wa_cols, rows=np.zeros((inst.wa_cols.num_groups, 1)))
         assert upper_bound(inst) == pytest.approx(cost_grouped(inst, zero_u, zero_v), rel=1e-15)
+
+
+def test_upper_bound_squares_the_grid_a_block_at_a_time():
+    # A 2048 x 2048 target grid is 32 MiB; the bound squares a row block of
+    # it at a time, to the bits of squaring it whole.
+    inst = generate_compressed(GenSpec(n=65536, r=64, p=32, k_true=3, noise_sigma=0.1, seed=1))
+    for problem in (inst, inst.transposed()):
+        whole = (problem.targets ** 2) @ problem.wa_cols.sizes * problem.wa_rows.sizes
+        tracemalloc.start()
+        try:
+            bound = upper_bound(problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bound == math.fsum(whole.tolist())
+        assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("entries", [

@@ -1,6 +1,6 @@
 """The package's modules import no private name from one another, import
 nothing unused but what the benchmark's tracer wraps, and its export list
-names only what the package holds."""
+names only what the package holds; every np.take into a buffer clips."""
 
 import ast
 from pathlib import Path
@@ -60,3 +60,24 @@ def test_every_unused_import_is_one_the_tracer_wraps():
     unused = {f"{path.stem}.{name}" for path in sorted(SRC.glob("*.py"))
               if path.name != "__init__.py" for name in _unused_imports(path)}
     assert unused - _traced_names() == set()
+
+
+def _takes_into_a_buffer_without_clip(path):
+    """np.take calls in path that pass out= but not mode="clip"."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "take" and getattr(node.func.value, "id", None) == "np"):
+            continue
+        keywords = {kw.arg: kw.value for kw in node.keywords}
+        mode = keywords.get("mode")
+        if "out" in keywords and not (isinstance(mode, ast.Constant) and mode.value == "clip"):
+            yield f"{path.name}:{node.lineno}"
+
+
+def test_every_take_into_a_buffer_clips():
+    # With the default mode="raise", np.take writes into a fresh copy of out
+    # and copies it back, so the buffer it was given saves nothing.
+    calls = [line for path in sorted(SRC.glob("*.py"))
+             for line in _takes_into_a_buffer_without_clip(path)]
+    assert calls == []

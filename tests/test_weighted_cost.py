@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wlra import (GenSpec, GroupedFactor, build_instance, cost_dense,
-                  cost_grouped, cost_grouped_cols, generate, generate_compressed)
+                  cost_grouped, cost_grouped_cols, generate, generate_compressed, grid_cost)
 from wlra import cli, weighted_cost
 
 from oracles import naive_weighted_cost
@@ -288,6 +288,20 @@ def test_group_constant_v_holds_the_grid_whatever_n():
                           rows=rng.standard_normal((inst.wa_cols.num_groups, 3))).expand()
         peaks[n] = _peak_mb(lambda: cost_grouped(inst, gu, V))
     assert peaks[1024] <= 2.5 and peaks[4096] <= peaks[1024] + 0.1
+
+
+def test_grid_cost_holds_fewer_than_three_tiles():
+    # A 128 x 128 grid is one block: its residual tile and its gathered
+    # weight tile, with the targets read in place.
+    inst = generate_compressed(GenSpec(n=65536, r=16, p=8, k_true=3, seed=1))
+    assert inst.wa_rows.num_groups == inst.wa_cols.num_groups == 128
+    system = inst.row_system()
+    rng = np.random.default_rng(5)
+    gu = GroupedFactor(index=inst.wa_rows, rows=rng.standard_normal((128, 3)))
+    gv = GroupedFactor(index=inst.wa_cols, rows=rng.standard_normal((128, 3)))
+    grid_cost(system, gu, gv)  # warm: lazy imports and caches
+    tile_mb = 128 * 128 * 8 / 1e6
+    assert _peak_mb(lambda: grid_cost(system, gu, gv)) < 3 * tile_mb
 
 
 def test_cost_dense_on_memory_mapped_instance_file(tmp_path, monkeypatch):
