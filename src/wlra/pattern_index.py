@@ -103,10 +103,10 @@ def detect_groups(M: np.ndarray, axis: str = ROWS) -> PatternIndex:
     -0.0 and +0.0 count as equal.  Raises ValueError on a non-finite entry
     or an empty index set; zero-width vectors form one group.  This is the
     axis's partition of one BlockDetector detection of M, which groups both
-    axes and stores one row per row class.  A Fortran-ordered M, as
-    generate() returns it, is grouped as its C-ordered transpose along the
-    other axis; any other layout that is not C-ordered is copied once into
-    C order.
+    axes and stores each row class as one value per column class.  A
+    Fortran-ordered M, as generate() returns it, is grouped as its
+    C-ordered transpose along the other axis; any other layout that is not
+    C-ordered is copied once into C order.
 
     Parameters
     ----------
@@ -147,6 +147,12 @@ def detect_groups(M: np.ndarray, axis: str = ROWS) -> PatternIndex:
 # Every row fed equals a stored row, so the column pass needs to see only
 # the stored rows: it runs on the first rows of the classes a block founds.
 # Hence the invariant: every stored row is constant on every column class.
+# So a stored row is kept as one value per column class of its matrix (the
+# value at the class's first column) and its sign bits, n/8 bytes, which
+# tell -0.0 from +0.0 inside a class; a column class that splits copies its
+# value to the new class in every stored row.  A row is spread back to n
+# entries only to be compared, once per run of rows with one class, and the
+# first row of the class of the row before a block stays spread out.
 # A row equal to a stored row is then constant on the classes too, and with
 # class keys K_c = sum of key_j over the columns j of class c (mod 2^64),
 # such a row x hashes to sum_c mix(x_{first_c}) * K_c, which is its
@@ -162,12 +168,16 @@ def detect_groups(M: np.ndarray, axis: str = ROWS) -> PatternIndex:
 # looked for only in a block where some row matched no stored row.
 # The result is the exact equality partition whatever the hash returns; the
 # hash only decides how many comparisons a row takes.  The detector holds
-# two block buffers, one stored row per row class and O(n) labels.
+# two block buffers, O(n) labels, one spread-out row per matrix, and per row
+# class one value per column class and n/8 bytes of sign bits.
 
 _BLOCK_BYTES = 1 << 18  # a quarter MiB of rows at a time stays in cache
 _PARENT_MIX = np.uint64(0x9E3779B97F4A7C15)  # odd: spreads parent ids over the hash
 _LOW, _HIGH = (0, 1) if np.little_endian else (1, 0)  # 32-bit halves of a float64
+_SIGN_BYTE = 7 if np.little_endian else 0  # the byte of a float64 that holds its sign
 _UNSEEN = (-1,)  # the classes of a hash no row has had
+_NO_CLASSES = np.empty(0, dtype=np.int64)
+_NO_CLASSES.flags.writeable = False
 
 
 def _block_rows(n_rows: int, n_cols: int) -> int:
@@ -208,34 +218,104 @@ def _with_parents(hashes: np.ndarray, parents: np.ndarray | None) -> np.ndarray:
     return hashes
 
 
+def _grown(need: int, capacity: int, limit: int) -> int:
+    """A capacity of at least need, doubling, and at most limit."""
+    return capacity if need <= capacity else min(limit, max(need, 2 * capacity))
+
+
 class _RowClasses:
     """Classes of equal rows of one matrix, fed a row block at a time.
 
-    Each class stores its first row.  Rows may come with their parents,
-    their classes in a coarser partition; two rows then share a class only
-    if their parents are equal too.
+    Each class keeps its first row, stored compactly.  A stored row is
+    constant on every column class of the matrix (see BlockDetector), so it
+    is held as one value per column class, read at the class's first
+    column, plus its n/8 bytes of sign bits, which tell -0.0 from +0.0
+    inside a class; a column class that splits copies its value to the new
+    class in every stored row.  The first rows of the classes a block
+    founds are read from that block until store() has run the column pass
+    on them and stored them.  Rows may come with their parents, their
+    classes in a coarser partition; two rows then share a class only if
+    their parents are equal too.
     """
 
     def __init__(self, n_rows: int, n_cols: int):
         self.labels = np.empty(n_rows, dtype=np.int64)
-        self.rows = np.empty((min(n_rows, 8), n_cols))
-        self.parents = np.empty(self.rows.shape[0], dtype=np.int64)
-        self.count = 0
+        self.cols = _ColClasses(n_cols)
+        self.values = np.empty((min(n_rows, 8), min(n_cols, 8)))  # (class, column class)
+        self.signs = np.empty((self.values.shape[0], -(-n_cols // 8)), dtype=np.uint8)
+        self.parents = np.empty(self.values.shape[0], dtype=np.int64)
+        self.count = 0   # classes founded
+        self.stored = 0  # classes stored; the others' first rows are self._block[self._firsts]
+        self._block: np.ndarray | None = None
+        self._firsts = _NO_CLASSES
+        self._row = np.empty(n_cols)  # the first row of class self._expanded, n wide
+        self._expanded = -1
         self._classes: dict[int, list[int]] = {}  # hash -> the classes with it, oldest first
 
     def _add(self, block: np.ndarray, rows: np.ndarray, parents: np.ndarray | None) -> np.ndarray:
-        """Ids of new classes whose first rows are block[rows]."""
+        """Ids of new classes whose first rows are block[rows], to be stored by store()."""
         lo, hi = self.count, self.count + rows.shape[0]
-        if hi > self.rows.shape[0]:  # grow by doubling
-            grown = np.empty((max(hi, 2 * self.rows.shape[0]), self.rows.shape[1]))
-            grown[:lo] = self.rows[:lo]
-            self.rows = grown
-            self.parents = np.concatenate([self.parents[:lo], np.empty(grown.shape[0] - lo,
-                                                                        dtype=np.int64)])
-        np.take(block, rows, axis=0, out=self.rows[lo:hi], mode="clip")
+        if hi > self.parents.shape[0]:  # grow by doubling
+            self.parents = np.concatenate([self.parents[:lo], np.empty(
+                max(hi, 2 * self.parents.shape[0]) - lo, dtype=np.int64)])
         self.parents[lo:hi] = 0 if parents is None else parents[rows]
+        self._block = block
+        self._firsts = rows if lo == self.stored else np.concatenate([self._firsts, rows])
         self.count = hi
         return np.arange(lo, hi)
+
+    def _first_row(self, c: int) -> np.ndarray:
+        """The first row of class c, n wide, up to the sign of its zeros.
+
+        A stored class's values are spread over the column classes; it is
+        compared with == only, which cannot tell -0.0 from +0.0.
+        """
+        if c >= self.stored:
+            return self._block[self._firsts[c - self.stored]]
+        if c != self._expanded:
+            np.take(self.values[c], self.cols.labels, out=self._row, mode="clip")
+            self._expanded = c
+        return self._row
+
+    def store(self, scratch: np.ndarray, same: np.ndarray) -> None:
+        """Store the first rows of the classes founded since the last call.
+
+        The column pass runs on them first, so they too are constant on
+        every column class.  scratch and same are buffers of at least their
+        size.
+        """
+        lo, hi = self.stored, self.count
+        if lo == hi:
+            return
+        block = self._block
+        if self._firsts.tolist() != list(range(block.shape[0])):
+            block = np.take(block, self._firsts, axis=0)  # in the order of their classes
+        width = self.cols.firsts.shape[0]
+        old = self.cols.feed(block, scratch[:hi - lo], same[:hi - lo])
+        wide = width + old.shape[0]
+        self._reserve(hi, wide, width)
+        self.values[:lo, width:wide] = self.values[:lo, old]  # a split class keeps its value
+        if wide == block.shape[1] and self.cols.ascending:
+            self.values[lo:hi, :wide] = block  # every column alone, in order
+        else:
+            np.take(block, self.cols.firsts, axis=1, out=self.values[lo:hi, :wide], mode="clip")
+        self.signs[lo:hi] = np.packbits(np.signbit(block), axis=1)
+        self.stored, self._block, self._firsts = hi, None, _NO_CLASSES
+
+    def _reserve(self, rows: int, cols: int, width: int) -> None:
+        """Room for rows classes and cols column classes; the stored rows keep width values."""
+        cap_rows, cap_cols = self.values.shape
+        if rows <= cap_rows and cols <= cap_cols:
+            return
+        shape = (_grown(rows, cap_rows, self.labels.shape[0]),
+                 _grown(cols, cap_cols, self.cols.labels.shape[0]))
+        values = np.empty(shape)
+        values[:self.stored, :width] = self.values[:self.stored, :width]
+        self.values = values
+        if shape[0] > cap_rows:
+            signs = np.empty((shape[0], self.signs.shape[1]), dtype=np.uint8)
+            signs[:self.stored] = self.signs[:self.stored]
+            self.signs = signs
 
     def continued(self, block: np.ndarray, c: int, parents: np.ndarray | None,
                   same: np.ndarray) -> bool:
@@ -245,8 +325,10 @@ class _RowClasses:
         and then the first row are compared first: a miss costs about one
         row at most.  same is a block-shaped buffer.
         """
-        stored = self.rows[c]
-        if block[0, 0] != stored[0] or not np.equal(block[0], stored, out=same[0]).all():
+        if block[0, 0] != self.values[c, 0]:  # column 0 is first in column class 0
+            return False
+        stored = self._first_row(c)
+        if not np.equal(block[0], stored, out=same[0]).all():
             return False
         if parents is not None and not (parents == self.parents[c]).all():
             return False
@@ -254,6 +336,8 @@ class _RowClasses:
 
     def first_classes(self, hashes: np.ndarray) -> np.ndarray:
         """The first class with each hash, -1 for a hash no class has."""
+        if not self._classes:
+            return np.full(hashes.shape[0], -1, dtype=np.int64)
         return np.array([self._classes.get(h, _UNSEEN)[0] for h in hashes.tolist()],
                         dtype=np.int64)
 
@@ -261,13 +345,23 @@ class _RowClasses:
                 scratch: np.ndarray, same: np.ndarray) -> np.ndarray:
         """Which rows of block equal the first row (and parent) of their class in labels.
 
-        A label -1 never matches.  scratch and same are block-shaped buffers.
+        A label -1 never matches.  Rows of classes founded from this block
+        are compared with their first rows gathered at once; otherwise each
+        run of rows with one label is compared with its class's first row,
+        spread out once.  scratch and same are block-shaped buffers.
         """
-        stored = np.take(self.rows, labels, axis=0, out=scratch, mode="clip")
-        ok = np.equal(block, stored, out=same).all(axis=1)
-        ok &= labels >= 0
+        ok = labels >= 0
         if parents is not None:
             ok &= self.parents[labels] == parents
+        if labels.min() >= self.stored:
+            firsts = np.take(self._block, self._firsts[labels - self.stored], axis=0,
+                             out=scratch, mode="clip")
+            return ok & np.equal(block, firsts, out=same).all(axis=1)
+        bounds = (np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist()
+        for lo, hi in zip([0, *bounds], [*bounds, labels.shape[0]]):
+            if labels[lo] >= 0:
+                ok[lo:hi] &= np.equal(block[lo:hi], self._first_row(int(labels[lo])),
+                                      out=same[lo:hi]).all(axis=1)
         return ok
 
     def assign(self, block: np.ndarray, hashes: np.ndarray, parents: np.ndarray | None,
@@ -278,11 +372,13 @@ class _RowClasses:
         founders = 0
         if new.shape[0]:
             # Rows whose hash no class has start classes in bulk: one per
-            # hash value, its first row.
+            # hash value, its first row, in row order (so a block whose rows
+            # all start classes is stored as it is).
             keys, first, inverse = np.unique(hashes[new], return_index=True, return_inverse=True)
-            ids = self._add(block, new[first], parents)
-            labels[new] = ids[inverse.ravel()]
-            self._classes.update((h, [c]) for h, c in zip(keys.tolist(), ids.tolist()))
+            order = np.argsort(first)
+            ids = self._add(block, new[first[order]], parents)
+            labels[new] = ids[np.argsort(order)][inverse.ravel()]
+            self._classes.update(zip(keys[order].tolist(), [[c] for c in ids.tolist()]))
             founders = ids.shape[0]
         if founders < block.shape[0]:
             # Every row is compared with the first class of its hash.
@@ -296,7 +392,7 @@ class _RowClasses:
         classes = self._classes[key]
         for c in classes[1:]:
             if (parents is None or self.parents[c] == parents[i]) and np.array_equal(
-                    self.rows[c], block[i]):
+                    self._first_row(c), block[i]):
                 return c
         classes.append(int(self._add(block, np.array([i]), parents)[0]))
         return classes[-1]
@@ -305,15 +401,26 @@ class _RowClasses:
         """One label per class, equal for classes whose rows (and parents' labels) are equal.
 
         parent_labels labels the parent classes; without it the parents are
-        ignored.  Label rows with class_labels()[labels].
+        ignored.  Label rows with class_labels()[labels].  Rows constant on
+        the column classes are equal if their values are.
         """
         initial = None if parent_labels is None else parent_labels[self.parents[:self.count]]
-        return _sorted_labels(self.rows[:self.count], np.arange(self.count), initial)
+        return _sorted_labels(self.values[:self.count, :self.cols.firsts.shape[0]],
+                              np.arange(self.count), initial)
 
     def grid(self, rows: PatternIndex, cols: PatternIndex) -> np.ndarray:
         """Entries (first row of each group of rows, first column of each group of cols)."""
         # A group's first row is the first row of the class that holds it.
-        return self.rows[np.ix_(self.labels[rows.representatives], cols.representatives)]
+        classes, reps = self.labels[rows.representatives], cols.representatives
+        grid = self.values[np.ix_(classes, self.cols.labels[reps])]
+        # Every entry of a class is its value, but for the sign of a zero:
+        # each entry gets its own sign bit.
+        bits = np.take(np.take(self.signs, classes, axis=0), reps >> 3, axis=1)
+        bits <<= (reps & 7).astype(np.uint8)
+        bits &= 0x80  # each entry's sign bit, where a float64's top byte holds it
+        np.abs(grid, out=grid)
+        grid.view(np.uint8)[:, _SIGN_BYTE::8] |= bits
+        return grid
 
 
 class _ColClasses:
@@ -328,23 +435,35 @@ class _ColClasses:
     def __init__(self, n_cols: int):
         self.labels = np.zeros(n_cols, dtype=np.int64)
         self.firsts = np.zeros(1, dtype=np.int64)  # first column of each class
+        self.ascending = True                      # whether firsts ascends
         self._reps = self.firsts[self.labels]      # each column's representative
         self._keys: np.ndarray | None = None       # class keys, formed when first hashed
 
-    def feed(self, block: np.ndarray, scratch: np.ndarray, same: np.ndarray) -> None:
-        """Split the classes by the rows of block; scratch and same are block-shaped."""
+    def feed(self, block: np.ndarray, scratch: np.ndarray, same: np.ndarray) -> np.ndarray:
+        """Split the classes by the rows of block; scratch and same are block-shaped.
+
+        The new classes take the next ids, in the order of their first
+        columns.  Returns the class each of them split off from, in id order.
+        """
         if self.firsts.shape[0] >= self.labels.shape[0]:
-            return  # every column is alone in its class
+            return _NO_CLASSES  # every column is alone in its class
         reps = np.take(block, self._reps, axis=1, out=scratch, mode="clip")
         moved = np.flatnonzero(~np.equal(block, reps, out=same).all(axis=0))
         if moved.shape[0] == 0:
-            return
+            return _NO_CLASSES
         split = _sorted_labels(block.T, moved, self.labels[moved])
         _, first, inverse = np.unique(split, return_index=True, return_inverse=True)
-        self.labels[moved] = self.firsts.shape[0] + inverse.ravel()
-        self.firsts = np.concatenate([self.firsts, moved[first]])
+        order = np.argsort(first)  # new classes are numbered by their first columns
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.shape[0])
+        firsts = moved[first[order]]
+        old = self.labels[firsts]
+        self.labels[moved] = self.firsts.shape[0] + rank[inverse.ravel()]
+        self.ascending = self.ascending and bool(firsts[0] > self.firsts[-1])
+        self.firsts = np.concatenate([self.firsts, firsts])
         self._reps = self.firsts[self.labels]
         self._keys = None
+        return old
 
     def row_hashes(self, block: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         """_row_hashes(block) of the rows of block that are constant on every class.
@@ -386,8 +505,9 @@ class BlockDetector:
     once per row class founded.  Stored rows are finite, so only a block
     with such a row is checked for non-finite entries.
 
-    Holds two block buffers, one stored row per row class of each matrix
-    (n wide) and O(n) labels; the grids are read from the stored rows.
+    Holds two block buffers, O(n) labels and, per row class of each
+    matrix, one value per column class and n/8 bytes of sign bits; the
+    grids are read from these values, each entry with its own sign bit.
     """
 
     def __init__(self, n_rows: int, n_cols: int, masked: bool = True):
@@ -399,7 +519,6 @@ class BlockDetector:
         self._lo = 0
         mats = 2 if masked else 1
         self._rows = [_RowClasses(n_rows, n_cols) for _ in range(mats)]
-        self._cols = [_ColClasses(n_cols) for _ in range(mats)]
 
     @classmethod
     def of(cls, W: np.ndarray, A: np.ndarray | None = None) -> "BlockDetector":
@@ -434,7 +553,7 @@ class BlockDetector:
     def _group(self, mat: int, block: np.ndarray, lo: int, parents, scratch: np.ndarray,
                check: bool) -> None:
         """Group the rows and columns of block in matrix mat; check: reject non-finite entries."""
-        rows, cols = self._rows[mat], self._cols[mat]
+        rows = self._rows[mat]
         same, hi = self._same[:block.shape[0]], lo + block.shape[0]
         # A block that continues the class of the row before it needs nothing
         # else: its rows are finite and constant on the column classes.
@@ -442,8 +561,12 @@ class BlockDetector:
             rows.labels[lo:hi] = rows.labels[lo - 1]
             return
         # A row equal to a stored row is constant on the column classes, so
-        # its hash over their first columns is its full-width hash.
-        labels = rows.first_classes(_with_parents(cols.row_hashes(block, scratch), parents))
+        # its hash over their first columns is its full-width hash.  Before
+        # the first class is founded, there is nothing to look up.
+        labels = np.full(block.shape[0], -1, dtype=np.int64)
+        if rows.count:
+            labels = rows.first_classes(
+                _with_parents(rows.cols.row_hashes(block, scratch), parents))
         fresh = np.flatnonzero(labels < 0)
         if fresh.shape[0] < block.shape[0]:
             fresh = np.flatnonzero(~rows.matches(block, labels, parents, scratch, same))
@@ -453,14 +576,13 @@ class BlockDetector:
             if fresh.shape[0] < block.shape[0]:  # an all-fresh block is not copied
                 block, parents = block[fresh], None if parents is None else parents[fresh]
             # The fresh rows are hashed and compared in full, founding new
-            # classes.  Every row then equals a stored row, so only the
-            # first rows of the new classes can split a column class.
-            count, scratch, same = rows.count, scratch[:fresh.shape[0]], same[:fresh.shape[0]]
+            # classes.  Every row then equals the first row of a class, so
+            # only the first rows of the new classes can split a column
+            # class: store() runs the column pass on them alone.
+            scratch, same = scratch[:fresh.shape[0]], same[:fresh.shape[0]]
             hashes = _with_parents(_row_hashes(block, scratch), parents)
             labels[fresh] = rows.assign(block, hashes, parents, scratch, same)
-            if rows.count > count:
-                new = rows.rows[count:rows.count]
-                cols.feed(new, scratch[:new.shape[0]], same[:new.shape[0]])
+            rows.store(scratch, same)
         rows.labels[lo:hi] = labels
 
     def row_partitions(self) -> list[PatternIndex]:
@@ -474,9 +596,9 @@ class BlockDetector:
 
     def col_partitions(self) -> list[PatternIndex]:
         """The column partitions of W and, if masked, of W*A refined by W."""
-        parts = [PatternIndex.from_labels(self._cols[0].labels)]
-        if len(self._cols) > 1:
-            parts.append(_refined(parts[0], PatternIndex.from_labels(self._cols[1].labels)))
+        parts = [PatternIndex.from_labels(self._rows[0].cols.labels)]
+        if len(self._rows) > 1:
+            parts.append(_refined(parts[0], PatternIndex.from_labels(self._rows[1].cols.labels)))
         return parts
 
     def instance(self) -> "StructuredInstance":

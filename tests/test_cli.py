@@ -809,6 +809,59 @@ def test_payload_off_by_one_byte_exits_2_before_any_block(tmp_path, capsys, monk
     assert reads == []
 
 
+_CORRUPT_ENTRIES = (np.nan, np.inf, -np.inf, -0.0, 1e308, 5e-324)
+
+
+def _mutated(data, rng, kind, n):
+    """A copy of an instance file's bytes with one seeded corruption of the given kind."""
+    data = bytearray(data)
+    if kind == "bit_flip":
+        data[rng.integers(len(data))] ^= 1 << int(rng.integers(8))
+    elif kind == "byte_set":
+        data[rng.integers(len(data))] = rng.integers(256)
+    elif kind == "truncation":
+        del data[rng.integers(len(data)):]
+    elif kind == "extension":
+        data += rng.bytes(int(rng.integers(1, 17)))
+    elif kind == "header_byte":
+        data[rng.integers(16)] = rng.integers(256)
+    else:  # an entry of A or W
+        off = 16 + 8 * int(rng.integers(2 * n * n))
+        value = _CORRUPT_ENTRIES[rng.integers(len(_CORRUPT_ENTRIES))]
+        data[off:off + 8] = struct.pack("<d", value)
+    return bytes(data)
+
+
+def test_corrupted_files_exit_with_at_most_one_line(tmp_path, capsys):
+    # 300 seeded mutations of a gen file, each through verify and both solve
+    # modes: every run exits 0, 2 or 3 with at most one stderr line (a
+    # warning counts as one), and none raises.  A header whose n falls
+    # below --k is a flag error, exit 1.
+    n = 24
+    clean = _gen(tmp_path, n=n).read_bytes()
+    path = tmp_path / "corrupt.wlra"
+    rng = np.random.default_rng(28)
+    kinds = ("bit_flip", "byte_set", "truncation", "extension", "header_byte", "entry")
+    codes = collections.Counter()
+    for i in range(300):
+        path.write_bytes(_mutated(clean, rng, kinds[i % len(kinds)], n))
+        for command in (["verify"], ["solve"], ["solve", "--sketchless"]):
+            capsys.readouterr()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = run([*command, "--in", path, "--k", 1])
+            err = capsys.readouterr().err
+            case = (i, kinds[i % len(kinds)], command, code, err, [str(w.message) for w in caught])
+            assert err.count("\n") + len(caught) <= 1, case
+            if code == 1:
+                assert command[0] == "solve" and err == "error: k=1 exceeds n=0\n", case
+            else:
+                assert code in (0, 2, 3), case
+            assert (code in (0, 3)) == (err == ""), case  # 3: "sidecar mismatch" on stdout
+            codes[code] += 1
+    assert codes[0] and codes[2] and codes[3], codes
+
+
 def test_streamed_instance_equals_build_instance_of_the_read_file(tmp_path):
     path = _multi_block_file(tmp_path)
     A, W, sidecar = read_instance(path)

@@ -343,7 +343,7 @@ def _assert_instance_matches_oracle(inst, A, W):
         assert np.array_equal(getattr(inst, name).group_of, groups)
         assert np.array_equal(getattr(inst, name).representatives, reps)
     cells = np.ix_(inst.wa_rows.representatives, inst.wa_cols.representatives)
-    assert np.array_equal(inst.weights, W[np.ix_(want["w_rows"][1], want["w_cols"][1])])
+    assert inst.weights.tobytes() == W[np.ix_(want["w_rows"][1], want["w_cols"][1])].tobytes()
     assert inst.targets.tobytes() == WA[cells].tobytes()
 
 
@@ -585,8 +585,10 @@ def test_each_row_is_hashed_at_most_twice(monkeypatch, tmp_path):
 
 
 def test_streamed_detection_holds_about_four_blocks(tmp_path):
-    # Two block buffers, the comparison mask, the stored rows and the
-    # labels; a copy of every block of candidate rows would reach about 5.
+    # Two block buffers, the comparison mask and 32 n-wide arrays: the
+    # labels, and the compact store of the 8 + 32 row classes (one value
+    # per column class each).  One more block buffer (32 arrays here) would
+    # not fit, and n-wide stored rows took 63.
     n = 1024
     A, W = generate(GenSpec(n=n, r=8, p=4, k_true=3, noise_sigma=0.1,
                             weight_style="attention_block", seed=3))
@@ -599,7 +601,8 @@ def test_streamed_detection_holds_about_four_blocks(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4.5 * 8 * pattern_index._block_rows(n, n) * n
+    block = pattern_index._block_rows(n, n)
+    assert peak <= (2 * block + block / 8 + 32) * 8 * n
 
 
 # ---------------------------------------------------------------------------
@@ -666,6 +669,29 @@ def test_negative_zero_mid_band_joins_the_band(monkeypatch, tmp_path, fake):
         _assert_instance_matches_oracle(inst, A, W)
 
 
+@pytest.mark.parametrize("fake", ["real", *sorted(_FAKE_HASHES)])
+def test_split_column_keeps_its_sign_of_zero_in_the_grid(monkeypatch, tmp_path, fake):
+    # A stored row holds one value per column class, read at the class's
+    # first column, and a column class that splits copies that value.  Row
+    # 0 is -0.0 on the class {1, ..., 5} and +0.0 on columns 2, 3 and 5,
+    # which rows 1 and 2 split off; row 1 is +0.0 on its class {1, 3, 4}
+    # and -0.0 on column 4, which row 3 splits off.  Each grid entry must
+    # keep the sign of its own zero.
+    _one_row_blocks(monkeypatch, fake)
+    A = np.array([[1.0, -0.0, 0.0, 0.0, -0.0, 0.0],
+                  [1.0, 0.0, 4.0, 0.0, -0.0, 5.0],
+                  [1.0, 0.0, 4.0, 6.0, 0.0, 5.0],
+                  [1.0, 0.0, 4.0, 6.0, 2.0, 5.0],
+                  [1.0, 0.0, 0.0, -0.0, -0.0, 0.0],  # equal to row 0
+                  [1.0, 0.0, 4.0, 6.0, 0.0, 5.0]])
+    W = np.ones_like(A)  # so W*A is A, zero signs included
+    for inst in (build_instance(A, W), _streamed(tmp_path, A, W)):
+        assert list(inst.wa_rows.group_of) == [0, 1, 2, 3, 0, 2]
+        assert inst.wa_cols.num_groups == 6
+        assert inst.targets.tobytes() == A[:4].tobytes()
+        _assert_instance_matches_oracle(inst, A, W)
+
+
 def test_only_blocks_that_leave_the_previous_class_are_hashed_or_checked(monkeypatch, tmp_path):
     # A block equal row for row to the class of the row before it is
     # grouped by one compare: on a banded file, only the blocks where a
@@ -727,11 +753,12 @@ def test_only_blocks_that_leave_the_previous_class_are_hashed_or_checked(monkeyp
 
 
 def test_stored_rows_that_grow_are_freed_at_once(tmp_path):
-    # The peak comes when the 64 stored rows of W*A's classes grow to 128:
-    # both copies are live then, beside two block buffers, the comparison
-    # mask, W's 32 stored rows and about a dozen n-wide label arrays.  A
-    # view of the old copy held past the growth keeps it live through the
-    # column pass of the new classes, which takes about 8 rows more.
+    # 160 row classes, stored as one value per column class each, cost no
+    # n-wide row: the peak stays within two block buffers, the comparison
+    # mask and 96 n-wide arrays.  Those hold the labels, the partitions
+    # being built, and the 128 x 128 store and grid of W*A (16 arrays
+    # each).  n-wide stored rows, which grew from 64 to 128 with both
+    # copies live, took 232.
     n, r, p = 1024, 32, 4
     A, W = generate(GenSpec(n=n, r=r, p=p, k_true=3, noise_sigma=0.1,
                             weight_style="attention_block", seed=3))
@@ -746,5 +773,4 @@ def test_stored_rows_that_grow_are_freed_at_once(tmp_path):
     finally:
         tracemalloc.stop()
     block = pattern_index._block_rows(n, n)
-    rows = 2 * block + block / 8 + 32 + 64 + 128 + 12
-    assert peak <= rows * 8 * n
+    assert peak <= (2 * block + block / 8 + 96) * 8 * n
