@@ -255,9 +255,9 @@ class _RowClasses:
     def _add(self, block: np.ndarray, rows: np.ndarray, parents: np.ndarray | None) -> np.ndarray:
         """Ids of new classes whose first rows are block[rows], to be stored by store()."""
         lo, hi = self.count, self.count + rows.shape[0]
-        if hi > self.parents.shape[0]:  # grow by doubling
+        if hi > self.parents.shape[0]:
             self.parents = np.concatenate([self.parents[:lo], np.empty(
-                max(hi, 2 * self.parents.shape[0]) - lo, dtype=np.int64)])
+                _grown(hi, self.parents.shape[0], self.labels.shape[0]) - lo, dtype=np.int64)])
         self.parents[lo:hi] = 0 if parents is None else parents[rows]
         self._block = block
         self._firsts = rows if lo == self.stored else np.concatenate([self._firsts, rows])
@@ -295,10 +295,7 @@ class _RowClasses:
         wide = width + old.shape[0]
         self._reserve(hi, wide, width)
         self.values[:lo, width:wide] = self.values[:lo, old]  # a split class keeps its value
-        if wide == block.shape[1] and self.cols.ascending:
-            self.values[lo:hi, :wide] = block  # every column alone, in order
-        else:
-            np.take(block, self.cols.firsts, axis=1, out=self.values[lo:hi, :wide], mode="clip")
+        np.take(block, self.cols.firsts, axis=1, out=self.values[lo:hi, :wide], mode="clip")
         self.signs[lo:hi] = np.packbits(np.signbit(block), axis=1)
         self.stored, self._block, self._firsts = hi, None, _NO_CLASSES
 
@@ -336,27 +333,20 @@ class _RowClasses:
 
     def first_classes(self, hashes: np.ndarray) -> np.ndarray:
         """The first class with each hash, -1 for a hash no class has."""
-        if not self._classes:
-            return np.full(hashes.shape[0], -1, dtype=np.int64)
         return np.array([self._classes.get(h, _UNSEEN)[0] for h in hashes.tolist()],
                         dtype=np.int64)
 
     def matches(self, block: np.ndarray, labels: np.ndarray, parents: np.ndarray | None,
-                scratch: np.ndarray, same: np.ndarray) -> np.ndarray:
+                same: np.ndarray) -> np.ndarray:
         """Which rows of block equal the first row (and parent) of their class in labels.
 
-        A label -1 never matches.  Rows of classes founded from this block
-        are compared with their first rows gathered at once; otherwise each
-        run of rows with one label is compared with its class's first row,
-        spread out once.  scratch and same are block-shaped buffers.
+        A label -1 never matches.  Each run of rows with one label is
+        compared with its class's first row, spread out once.  same is a
+        block-shaped buffer.
         """
         ok = labels >= 0
         if parents is not None:
             ok &= self.parents[labels] == parents
-        if labels.min() >= self.stored:
-            firsts = np.take(self._block, self._firsts[labels - self.stored], axis=0,
-                             out=scratch, mode="clip")
-            return ok & np.equal(block, firsts, out=same).all(axis=1)
         bounds = (np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist()
         for lo, hi in zip([0, *bounds], [*bounds, labels.shape[0]]):
             if labels[lo] >= 0:
@@ -365,15 +355,15 @@ class _RowClasses:
         return ok
 
     def assign(self, block: np.ndarray, hashes: np.ndarray, parents: np.ndarray | None,
-               scratch: np.ndarray, same: np.ndarray) -> np.ndarray:
+               same: np.ndarray) -> np.ndarray:
         """The classes of the rows of block, given their full-width hashes, founding new ones."""
         labels = self.first_classes(hashes)
         new = np.flatnonzero(labels < 0)
         founders = 0
         if new.shape[0]:
             # Rows whose hash no class has start classes in bulk: one per
-            # hash value, its first row, in row order (so a block whose rows
-            # all start classes is stored as it is).
+            # hash value, its first row, in row order (so store() need not
+            # gather a block whose rows all start classes).
             keys, first, inverse = np.unique(hashes[new], return_index=True, return_inverse=True)
             order = np.argsort(first)
             ids = self._add(block, new[first[order]], parents)
@@ -382,7 +372,7 @@ class _RowClasses:
             founders = ids.shape[0]
         if founders < block.shape[0]:
             # Every row is compared with the first class of its hash.
-            ok = self.matches(block, labels, parents, scratch, same)
+            ok = self.matches(block, labels, parents, same)
             for i in np.flatnonzero(~ok).tolist():
                 labels[i] = self._collided(block, i, parents, int(hashes[i]))
         return labels
@@ -435,15 +425,14 @@ class _ColClasses:
     def __init__(self, n_cols: int):
         self.labels = np.zeros(n_cols, dtype=np.int64)
         self.firsts = np.zeros(1, dtype=np.int64)  # first column of each class
-        self.ascending = True                      # whether firsts ascends
         self._reps = self.firsts[self.labels]      # each column's representative
         self._keys: np.ndarray | None = None       # class keys, formed when first hashed
 
     def feed(self, block: np.ndarray, scratch: np.ndarray, same: np.ndarray) -> np.ndarray:
         """Split the classes by the rows of block; scratch and same are block-shaped.
 
-        The new classes take the next ids, in the order of their first
-        columns.  Returns the class each of them split off from, in id order.
+        The new classes take the next ids.  Returns the class each of them
+        split off from, in id order.
         """
         if self.firsts.shape[0] >= self.labels.shape[0]:
             return _NO_CLASSES  # every column is alone in its class
@@ -453,13 +442,9 @@ class _ColClasses:
             return _NO_CLASSES
         split = _sorted_labels(block.T, moved, self.labels[moved])
         _, first, inverse = np.unique(split, return_index=True, return_inverse=True)
-        order = np.argsort(first)  # new classes are numbered by their first columns
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.shape[0])
-        firsts = moved[first[order]]
+        firsts = moved[first]
         old = self.labels[firsts]
-        self.labels[moved] = self.firsts.shape[0] + rank[inverse.ravel()]
-        self.ascending = self.ascending and bool(firsts[0] > self.firsts[-1])
+        self.labels[moved] = self.firsts.shape[0] + inverse.ravel()
         self.firsts = np.concatenate([self.firsts, firsts])
         self._reps = self.firsts[self.labels]
         self._keys = None
@@ -569,7 +554,7 @@ class BlockDetector:
                 _with_parents(rows.cols.row_hashes(block, scratch), parents))
         fresh = np.flatnonzero(labels < 0)
         if fresh.shape[0] < block.shape[0]:
-            fresh = np.flatnonzero(~rows.matches(block, labels, parents, scratch, same))
+            fresh = np.flatnonzero(~rows.matches(block, labels, parents, same))
         if fresh.shape[0]:
             if check:  # only a row that matched no stored row can be non-finite
                 _check_finite(block, same)
@@ -581,7 +566,7 @@ class BlockDetector:
             # class: store() runs the column pass on them alone.
             scratch, same = scratch[:fresh.shape[0]], same[:fresh.shape[0]]
             hashes = _with_parents(_row_hashes(block, scratch), parents)
-            labels[fresh] = rows.assign(block, hashes, parents, scratch, same)
+            labels[fresh] = rows.assign(block, hashes, parents, same)
             rows.store(scratch, same)
         rows.labels[lo:hi] = labels
 

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -752,20 +753,36 @@ def test_only_blocks_that_leave_the_previous_class_are_hashed_or_checked(monkeyp
     assert detections == [(4, 4), (12, 12)]
 
 
-def test_stored_rows_that_grow_are_freed_at_once(tmp_path):
+def test_stored_rows_that_grow_are_freed_at_once(monkeypatch, tmp_path):
     # 160 row classes, stored as one value per column class each, cost no
-    # n-wide row: the peak stays within two block buffers, the comparison
-    # mask and 96 n-wide arrays.  Those hold the labels, the partitions
-    # being built, and the 128 x 128 store and grid of W*A (16 arrays
-    # each).  n-wide stored rows, which grew from 64 to 128 with both
-    # copies live, took 232.
+    # n-wide row.  The store grows as classes are founded, and each time
+    # the old values and sign bits must be freed at once, not kept live by
+    # a view past the growth.  The peak then stays within two block
+    # buffers, the comparison mask and 80 n-wide arrays: about 70 hold the
+    # labels, the partitions being built and W*A's 128 x 128 store and
+    # grid, and a 128 x 128 store (16 arrays) left live would not fit.
+    # n-wide stored rows, which grew from 64 to 128 with both copies live,
+    # took 232.
     n, r, p = 1024, 32, 4
     A, W = generate(GenSpec(n=n, r=r, p=p, k_true=3, noise_sigma=0.1,
                             weight_style="attention_block", seed=3))
     path = tmp_path / "inst.wlra"
     write_instance(path, A, W)
-    inst, _ = cli._load(path)
+    freed = []
+    reserve = pattern_index._RowClasses._reserve
+
+    def reserve_spy(self, *args):
+        refs = [weakref.ref(self.values), weakref.ref(self.signs)]
+        reserve(self, *args)
+        for ref, now in zip(refs, (self.values, self.signs)):
+            if ref() is not now:  # grown: the old array must be gone
+                freed.append(ref() is None)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(pattern_index._RowClasses, "_reserve", reserve_spy)
+        inst, _ = cli._load(path)
     assert (inst.w_rows.num_groups, inst.wa_rows.num_groups) == (32, 128)
+    assert len(freed) >= 8 and all(freed)
     tracemalloc.start()
     try:
         cli._load(path)
@@ -773,4 +790,4 @@ def test_stored_rows_that_grow_are_freed_at_once(tmp_path):
     finally:
         tracemalloc.stop()
     block = pattern_index._block_rows(n, n)
-    assert peak <= (2 * block + block / 8 + 96) * 8 * n
+    assert peak <= (2 * block + block / 8 + 80) * 8 * n
