@@ -165,30 +165,23 @@ def read_instance(path):
 def _stream_instance(f, n: int, flags: int):
     """The StructuredInstance of an open, length-checked instance file, and its side-car.
 
-    Detects while reading: each row block of W and of A is read from its
-    offset straight into a block buffer of one BlockDetector, and W*A is
-    formed in A's, so the file is read once and never held whole.  Raises
-    ValueError on a non-finite entry.
+    Detects while reading: BlockDetector.read reads each row block of W
+    and of A from its offset straight into one of its block buffers, and
+    forms W*A in A's, so the file is read once and never held whole.  A
+    clear W-present flag reads W as all ones.  Raises ValueError on a
+    non-finite entry.
     """
-    det = BlockDetector(n, n)
     row_bytes, w_dense = 8 * n, bool(flags & _FLAG_W_DENSE)
     w_start = _HEADER.size + row_bytes * n
 
-    def w_block(out):
+    def w_rows(lo, out):
         if not w_dense:
             out.fill(1.0)
             return out
         return _read_exact(f, out, w_start + row_bytes * lo)
 
-    def wa_block(w, out):
-        return np.multiply(w, _read_exact(f, out, _HEADER.size + row_bytes * lo), out=out)
-
-    # A product that overflows or is inf * 0 is rejected as non-finite,
-    # with one error line and no warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, n, det.block_rows):
-            det.feed(min(det.block_rows, n - lo), w_block, wa_block)
-    inst = det.instance()
+    inst = BlockDetector.read(
+        n, n, w_rows, lambda lo, out: _read_exact(f, out, _HEADER.size + row_bytes * lo)).instance()
     sidecar = None
     if flags & _FLAG_SIDECAR:
         side_start = w_start + (row_bytes * n if w_dense else 0)

@@ -9,6 +9,7 @@ small grids of W and W*A values over the groups.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -103,7 +104,8 @@ def detect_groups(M: np.ndarray, axis: str = ROWS) -> PatternIndex:
     -0.0 and +0.0 count as equal.  Raises ValueError on a non-finite entry
     or an empty index set; zero-width vectors form one group.  This is the
     axis's partition of one BlockDetector detection of M, which groups both
-    axes and stores each row class as one value per column class.  A
+    axes and stores each row class as one value per column class; M is
+    read through BlockDetector.of() a row block at a time, as views.  A
     Fortran-ordered M, as generate() returns it, is grouped as its
     C-ordered transpose along the other axis; any other layout that is not
     C-ordered is copied once into C order.
@@ -131,9 +133,9 @@ def detect_groups(M: np.ndarray, axis: str = ROWS) -> PatternIndex:
     return (det.row_partitions() if axis == ROWS else det.col_partitions())[0]
 
 
-# Grouping: BlockDetector takes the row blocks of W (and of W*A) in order,
-# once each, and keeps the classes of equal rows and of equal columns of
-# each matrix seen so far.
+# Grouping: BlockDetector.read takes the row blocks of W (and of A, forming
+# W*A) in order, once each, and keeps the classes of equal rows and of
+# equal columns of each matrix seen so far.
 # - Rows: a row's keyed hash finds the first class with that hash, and the
 #   row is compared entry-wise with the first row of that class, which is
 #   stored.  A row that differs (a collision) walks the chain of classes
@@ -144,9 +146,10 @@ def detect_groups(M: np.ndarray, axis: str = ROWS) -> PatternIndex:
 #   some rows with the slice of its class's first column; only the columns
 #   that differ leave their class, split by an exact sort on (class, slice).
 #   Two columns share a class only if they are equal on every row fed.
-# Every row fed equals a stored row, so the column pass needs to see only
-# the stored rows: it runs on the first rows of the classes a block founds.
-# Hence the invariant: every stored row is constant on every column class.
+# Every row read equals a stored row, so the column pass needs to see only
+# the stored rows: it runs on the first row of each class as the class is
+# founded and stored.  Hence the invariant: every stored row is constant on
+# every column class.
 # So a stored row is kept as one value per column class of its matrix (the
 # value at the class's first column) and its sign bits, n/8 bytes, which
 # tell -0.0 from +0.0 inside a class; a column class that splits copies its
@@ -168,8 +171,9 @@ def detect_groups(M: np.ndarray, axis: str = ROWS) -> PatternIndex:
 # looked for only in a block where some row matched no stored row.
 # The result is the exact equality partition whatever the hash returns; the
 # hash only decides how many comparisons a row takes.  The detector holds
-# two block buffers, O(n) labels, one spread-out row per matrix, and per row
-# class one value per column class and n/8 bytes of sign bits.
+# O(n) labels, one spread-out row per matrix, and per row class one value
+# per column class and n/8 bytes of sign bits; read() holds two block
+# buffers and a comparison mask besides, and frees them when it returns.
 
 _BLOCK_BYTES = 1 << 18  # a quarter MiB of rows at a time stays in cache
 _PARENT_MIX = np.uint64(0x9E3779B97F4A7C15)  # odd: spreads parent ids over the hash
@@ -226,16 +230,14 @@ def _grown(need: int, capacity: int, limit: int) -> int:
 class _RowClasses:
     """Classes of equal rows of one matrix, fed a row block at a time.
 
-    Each class keeps its first row, stored compactly.  A stored row is
-    constant on every column class of the matrix (see BlockDetector), so it
-    is held as one value per column class, read at the class's first
-    column, plus its n/8 bytes of sign bits, which tell -0.0 from +0.0
-    inside a class; a column class that splits copies its value to the new
-    class in every stored row.  The first rows of the classes a block
-    founds are read from that block until store() has run the column pass
-    on them and stored them.  Rows may come with their parents, their
-    classes in a coarser partition; two rows then share a class only if
-    their parents are equal too.
+    Each class keeps its first row, stored compactly when the class is
+    founded.  A stored row is constant on every column class of the matrix
+    (see BlockDetector), so it is held as one value per column class, read
+    at the class's first column, plus its n/8 bytes of sign bits, which
+    tell -0.0 from +0.0 inside a class; a column class that splits copies
+    its value to the new class in every stored row.  Rows may come with
+    their parents, their classes in a coarser partition; two rows then
+    share a class only if their parents are equal too.
     """
 
     def __init__(self, n_rows: int, n_cols: int):
@@ -244,60 +246,42 @@ class _RowClasses:
         self.values = np.empty((min(n_rows, 8), min(n_cols, 8)))  # (class, column class)
         self.signs = np.empty((self.values.shape[0], -(-n_cols // 8)), dtype=np.uint8)
         self.parents = np.empty(self.values.shape[0], dtype=np.int64)
-        self.count = 0   # classes founded
-        self.stored = 0  # classes stored; the others' first rows are self._block[self._firsts]
-        self._block: np.ndarray | None = None
-        self._firsts = _NO_CLASSES
+        self.count = 0  # classes founded, each stored
         self._row = np.empty(n_cols)  # the first row of class self._expanded, n wide
         self._expanded = -1
         self._classes: dict[int, list[int]] = {}  # hash -> the classes with it, oldest first
 
-    def _add(self, block: np.ndarray, rows: np.ndarray, parents: np.ndarray | None) -> np.ndarray:
-        """Ids of new classes whose first rows are block[rows], to be stored by store()."""
+    def _add(self, block: np.ndarray, rows: np.ndarray, parents: np.ndarray | None,
+             scratch: np.ndarray, same: np.ndarray) -> np.ndarray:
+        """Ids of new classes whose first rows are block[rows], which are stored.
+
+        The column pass runs on them first, so they too are constant on
+        every column class.  scratch and same are buffers of at least their
+        size.
+        """
         lo, hi = self.count, self.count + rows.shape[0]
-        if hi > self.parents.shape[0]:
-            self.parents = np.concatenate([self.parents[:lo], np.empty(
-                _grown(hi, self.parents.shape[0], self.labels.shape[0]) - lo, dtype=np.int64)])
+        firsts = block if hi - lo == block.shape[0] else np.take(block, rows, axis=0)
+        width = self.cols.firsts.shape[0]
+        old = self.cols.feed(firsts, scratch[:hi - lo], same[:hi - lo])
+        wide = width + old.shape[0]
+        self._reserve(hi, wide, width)
+        self.values[:lo, width:wide] = self.values[:lo, old]  # a split class keeps its value
+        np.take(firsts, self.cols.firsts, axis=1, out=self.values[lo:hi, :wide], mode="clip")
+        self.signs[lo:hi] = np.packbits(np.signbit(firsts), axis=1)
         self.parents[lo:hi] = 0 if parents is None else parents[rows]
-        self._block = block
-        self._firsts = rows if lo == self.stored else np.concatenate([self._firsts, rows])
         self.count = hi
         return np.arange(lo, hi)
 
     def _first_row(self, c: int) -> np.ndarray:
         """The first row of class c, n wide, up to the sign of its zeros.
 
-        A stored class's values are spread over the column classes; it is
-        compared with == only, which cannot tell -0.0 from +0.0.
+        Its values are spread over the column classes; it is compared with
+        == only, which cannot tell -0.0 from +0.0.
         """
-        if c >= self.stored:
-            return self._block[self._firsts[c - self.stored]]
         if c != self._expanded:
             np.take(self.values[c], self.cols.labels, out=self._row, mode="clip")
             self._expanded = c
         return self._row
-
-    def store(self, scratch: np.ndarray, same: np.ndarray) -> None:
-        """Store the first rows of the classes founded since the last call.
-
-        The column pass runs on them first, so they too are constant on
-        every column class.  scratch and same are buffers of at least their
-        size.
-        """
-        lo, hi = self.stored, self.count
-        if lo == hi:
-            return
-        block = self._block
-        if self._firsts.tolist() != list(range(block.shape[0])):
-            block = np.take(block, self._firsts, axis=0)  # in the order of their classes
-        width = self.cols.firsts.shape[0]
-        old = self.cols.feed(block, scratch[:hi - lo], same[:hi - lo])
-        wide = width + old.shape[0]
-        self._reserve(hi, wide, width)
-        self.values[:lo, width:wide] = self.values[:lo, old]  # a split class keeps its value
-        np.take(block, self.cols.firsts, axis=1, out=self.values[lo:hi, :wide], mode="clip")
-        self.signs[lo:hi] = np.packbits(np.signbit(block), axis=1)
-        self.stored, self._block, self._firsts = hi, None, _NO_CLASSES
 
     def _reserve(self, rows: int, cols: int, width: int) -> None:
         """Room for rows classes and cols column classes; the stored rows keep width values."""
@@ -307,12 +291,14 @@ class _RowClasses:
         shape = (_grown(rows, cap_rows, self.labels.shape[0]),
                  _grown(cols, cap_cols, self.cols.labels.shape[0]))
         values = np.empty(shape)
-        values[:self.stored, :width] = self.values[:self.stored, :width]
+        values[:self.count, :width] = self.values[:self.count, :width]
         self.values = values
         if shape[0] > cap_rows:
             signs = np.empty((shape[0], self.signs.shape[1]), dtype=np.uint8)
-            signs[:self.stored] = self.signs[:self.stored]
-            self.signs = signs
+            signs[:self.count] = self.signs[:self.count]
+            parents = np.empty(shape[0], dtype=np.int64)
+            parents[:self.count] = self.parents[:self.count]
+            self.signs, self.parents = signs, parents
 
     def continued(self, block: np.ndarray, c: int, parents: np.ndarray | None,
                   same: np.ndarray) -> bool:
@@ -355,18 +341,21 @@ class _RowClasses:
         return ok
 
     def assign(self, block: np.ndarray, hashes: np.ndarray, parents: np.ndarray | None,
-               same: np.ndarray) -> np.ndarray:
-        """The classes of the rows of block, given their full-width hashes, founding new ones."""
+               scratch: np.ndarray, same: np.ndarray) -> np.ndarray:
+        """The classes of the rows of block, given their full-width hashes, founding new ones.
+
+        scratch and same are block-shaped buffers.
+        """
         labels = self.first_classes(hashes)
         new = np.flatnonzero(labels < 0)
         founders = 0
         if new.shape[0]:
             # Rows whose hash no class has start classes in bulk: one per
-            # hash value, its first row, in row order (so store() need not
+            # hash value, its first row, in row order (so _add need not
             # gather a block whose rows all start classes).
             keys, first, inverse = np.unique(hashes[new], return_index=True, return_inverse=True)
             order = np.argsort(first)
-            ids = self._add(block, new[first[order]], parents)
+            ids = self._add(block, new[first[order]], parents, scratch, same)
             labels[new] = ids[np.argsort(order)][inverse.ravel()]
             self._classes.update(zip(keys[order].tolist(), [[c] for c in ids.tolist()]))
             founders = ids.shape[0]
@@ -374,17 +363,18 @@ class _RowClasses:
             # Every row is compared with the first class of its hash.
             ok = self.matches(block, labels, parents, same)
             for i in np.flatnonzero(~ok).tolist():
-                labels[i] = self._collided(block, i, parents, int(hashes[i]))
+                labels[i] = self._collided(block, i, parents, int(hashes[i]), scratch, same)
         return labels
 
-    def _collided(self, block: np.ndarray, i: int, parents: np.ndarray | None, key: int) -> int:
+    def _collided(self, block: np.ndarray, i: int, parents: np.ndarray | None, key: int,
+                  scratch: np.ndarray, same: np.ndarray) -> int:
         """The class of row i of block, which differs from the first class with its hash."""
         classes = self._classes[key]
         for c in classes[1:]:
             if (parents is None or self.parents[c] == parents[i]) and np.array_equal(
                     self._first_row(c), block[i]):
                 return c
-        classes.append(int(self._add(block, np.array([i]), parents)[0]))
+        classes.append(int(self._add(block, np.array([i]), parents, scratch, same)[0]))
         return classes[-1]
 
     def class_labels(self, parent_labels: np.ndarray | None = None) -> np.ndarray:
@@ -469,13 +459,12 @@ class _ColClasses:
 class BlockDetector:
     """The group structure of W and W*A, detected from their row blocks.
 
-    feed() takes consecutive row blocks of W and, if masked, of W*A, from
-    the first row on, each at most block_rows rows; of() feeds in-memory
-    arrays.  After the last block, row_partitions(), col_partitions() and
-    instance() give the exact equality partitions of both axes, as
-    build_instance() defines them.  Raises ValueError on a non-finite entry
-    of the last matrix fed (W*A is non-finite wherever W is), or if either
-    axis is empty.
+    read() takes W and, if masked, A a row block at a time, from the first
+    row on, and forms W*A; of() reads in-memory arrays.  Then
+    row_partitions(), col_partitions() and instance() give the exact
+    equality partitions of both axes, as build_instance() defines them.
+    Raises ValueError on a non-finite entry of the last matrix read (W*A
+    is non-finite wherever W is), or if either axis is empty.
 
     Every stored row is constant on every column class: the column pass
     runs on the first row of each new row class, and every other row
@@ -490,56 +479,59 @@ class BlockDetector:
     once per row class founded.  Stored rows are finite, so only a block
     with such a row is checked for non-finite entries.
 
-    Holds two block buffers, O(n) labels and, per row class of each
-    matrix, one value per column class and n/8 bytes of sign bits; the
-    grids are read from these values, each entry with its own sign bit.
+    Holds O(n) labels and, per row class of each matrix, one value per
+    column class and n/8 bytes of sign bits; the grids are read from these
+    values, each entry with its own sign bit.  The two block buffers live
+    only while read() runs.
     """
 
     def __init__(self, n_rows: int, n_cols: int, masked: bool = True):
         if n_rows == 0 or n_cols == 0:
             raise ValueError("cannot group an empty index set")
         self.block_rows = _block_rows(n_rows, n_cols)
-        self._buffers = (np.empty((self.block_rows, n_cols)), np.empty((self.block_rows, n_cols)))
-        self._same = np.empty((self.block_rows, n_cols), dtype=bool)
-        self._lo = 0
-        mats = 2 if masked else 1
-        self._rows = [_RowClasses(n_rows, n_cols) for _ in range(mats)]
+        self._rows = [_RowClasses(n_rows, n_cols) for _ in range(2 if masked else 1)]
 
     @classmethod
     def of(cls, W: np.ndarray, A: np.ndarray | None = None) -> "BlockDetector":
-        """The detection of a C-ordered W and, if A is given, of W*A, fed a row block at a time.
+        """The detection of a C-ordered W and, if A is given, of W*A; blocks are views."""
+        return cls.read(*W.shape, lambda lo, out: W[lo:lo + out.shape[0]],
+                        None if A is None else lambda lo, out: A[lo:lo + out.shape[0]])
 
-        The blocks of W are views; W*A is formed in a block buffer.
+    @classmethod
+    def read(cls, n_rows: int, n_cols: int, w_rows, a_rows=None) -> "BlockDetector":
+        """The detection of W and, if a_rows is given, of W*A, read a row block at a time.
+
+        w_rows(lo, out) and a_rows(lo, out) give W's and A's rows from lo
+        on, as many as out has: each fills the block buffer out and returns
+        it, or returns the caller's own view.  W*A is formed in A's buffer
+        once W's block has been grouped, so the two buffers serve as each
+        other's scratch and no third block is held.  A product that
+        overflows or is inf * 0 is rejected as non-finite, with no warning.
         """
-        det = cls(*W.shape, masked=A is not None)
-        for lo in range(0, W.shape[0], det.block_rows):
-            w = W[lo:lo + det.block_rows]
-            det.feed(w.shape[0], lambda out: w, None if A is None else
-                     lambda w_rows, out: np.multiply(w_rows, A[lo:lo + w.shape[0]], out=out))
+        det = cls(n_rows, n_cols, masked=a_rows is not None)
+        step = det.block_rows
+        first, second = np.empty((step, n_cols)), np.empty((step, n_cols))
+        same = np.empty((step, n_cols), dtype=bool)
+        with (contextlib.nullcontext() if a_rows is None
+              else np.errstate(over="ignore", invalid="ignore")):
+            for lo in range(0, n_rows, step):
+                one, two = first[:n_rows - lo], second[:n_rows - lo]  # the last block may be short
+                W = w_rows(lo, one)
+                det._group(0, W, lo, None, two, same, a_rows is None)
+                if a_rows is not None:
+                    WA = np.multiply(W, a_rows(lo, two), out=two)
+                    det._group(1, WA, lo, det._rows[0].labels[lo:lo + W.shape[0]], one, same, True)
         return det
 
-    def feed(self, rows: int, w_block, wa_block=None) -> None:
-        """Take the next `rows` rows: w_block(out) gives W's, wa_block(w, out) W*A's.
-
-        out is a (rows, n_cols) buffer of the detector's.  w_block fills and
-        returns it, or returns the caller's own block of W; wa_block fills it
-        with W*A given the block of W, and returns it.  The W*A block is
-        formed only after W's block has been grouped, so the two buffers
-        serve as each other's scratch and no third block is held.
-        """
-        lo, first, second = self._lo, self._buffers[0][:rows], self._buffers[1][:rows]
-        W = w_block(first)
-        self._group(0, W, lo, None, second, wa_block is None)
-        if wa_block is not None:
-            WA = wa_block(W, second)  # W*A is non-finite wherever W is
-            self._group(1, WA, lo, self._rows[0].labels[lo:lo + rows], first, True)
-        self._lo = lo + rows
-
     def _group(self, mat: int, block: np.ndarray, lo: int, parents, scratch: np.ndarray,
-               check: bool) -> None:
-        """Group the rows and columns of block in matrix mat; check: reject non-finite entries."""
+               same: np.ndarray, check: bool) -> None:
+        """Group the rows and columns of block in matrix mat; check: reject non-finite entries.
+
+        scratch is a block-shaped buffer and same a boolean one of at least
+        block's size.
+        """
         rows = self._rows[mat]
-        same, hi = self._same[:block.shape[0]], lo + block.shape[0]
+        same, hi = same[:block.shape[0]], lo + block.shape[0]
         # A block that continues the class of the row before it needs nothing
         # else: its rows are finite and constant on the column classes.
         if lo and rows.continued(block, int(rows.labels[lo - 1]), parents, same):
@@ -563,11 +555,10 @@ class BlockDetector:
             # The fresh rows are hashed and compared in full, founding new
             # classes.  Every row then equals the first row of a class, so
             # only the first rows of the new classes can split a column
-            # class: store() runs the column pass on them alone.
+            # class: the column pass runs on them alone, as they are stored.
             scratch, same = scratch[:fresh.shape[0]], same[:fresh.shape[0]]
             hashes = _with_parents(_row_hashes(block, scratch), parents)
-            labels[fresh] = rows.assign(block, hashes, parents, same)
-            rows.store(scratch, same)
+            labels[fresh] = rows.assign(block, hashes, parents, scratch, same)
         rows.labels[lo:hi] = labels
 
     def row_partitions(self) -> list[PatternIndex]:
@@ -759,14 +750,15 @@ class StructuredInstance:
 def build_instance(A: np.ndarray, W: np.ndarray) -> StructuredInstance:
     """Detect the full group structure of a weighted instance and take its grids.
 
-    Feeds (W, W*A) to BlockDetector.of() a row block at a time, W*A formed
-    in one of its block buffers: it groups the rows and columns of W and of W*A,
-    refines each W partition by the W*A one, and reads one W value per
-    weight block and one W*A value per refined block.  Fortran-ordered A
-    and W, as generate() returns them, are the transpose of a C-ordered
-    problem: they are built as build_instance(A.T, W.T).transposed(), whose
-    grids are views.  Any other layout that is not C-ordered is copied
-    once into C order.
+    BlockDetector.of() reads W and A a row block at a time, as views, and
+    forms W*A in one of its block buffers: it groups the rows and columns
+    of W and of W*A, refines each W partition by the W*A one, and reads one
+    W value per weight block and one W*A value per refined block.  A W*A
+    that overflows, or is inf * 0, raises ValueError with no warning, as a
+    non-finite entry.  Fortran-ordered A and W, as generate() returns them,
+    are the transpose of a C-ordered problem: they are built as
+    build_instance(A.T, W.T).transposed(), whose grids are views.  Any
+    other layout that is not C-ordered is copied once into C order.
     """
     A = np.asarray(A, dtype=np.float64)
     W = np.asarray(W, dtype=np.float64)

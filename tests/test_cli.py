@@ -297,6 +297,29 @@ def test_read_without_dense_weight_flag_gives_all_ones(tmp_path):
     assert side is None
 
 
+def test_weightless_file_solves_and_verifies_like_dense_all_ones(tmp_path, capsys, monkeypatch):
+    # solve and verify detect while reading: a clear W-present flag must read
+    # W as all ones, block by block, and give the same outputs as a file
+    # that stores those ones.
+    n = 40
+    monkeypatch.setattr(pattern_index, "_BLOCK_BYTES", 8 * n * 8)  # five blocks of 8 rows
+    A, _ = generate(GenSpec(n=n, r=1, p=5, k_true=2, noise_sigma=0.1, seed=3))
+    dense, weightless = tmp_path / "dense.wlra", tmp_path / "weightless.wlra"
+    write_instance(dense, A, np.ones((n, n)))
+    weightless.write_bytes(struct.pack("<4sHQH", b"WLRA", 1, n, 0)
+                           + np.ascontiguousarray(A, dtype="<f8").tobytes())
+    outputs = []
+    for path in (dense, weightless):
+        factors = tmp_path / f"{path.stem}.bin"
+        capsys.readouterr()
+        assert run(["solve", "--in", path, "--k", 2, "--seed", 1, "--out-factors", factors]) == 0
+        solved = capsys.readouterr().out
+        assert run(["verify", "--in", path, "--k", 2]) == 0
+        outputs.append((solved, factors.read_bytes(), capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    assert "r 1" in outputs[1][2] and "p 5" in outputs[1][2]
+
+
 def test_read_rejects_unknown_header_flags(tmp_path):
     path = _gen(tmp_path)
     data = bytearray(path.read_bytes())

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -475,6 +476,19 @@ def test_non_finite_input_rejected_like_detect_then_refine(name, entries):
     assert str(fused.value) == str(stepwise.value) == "matrix contains non-finite entries"
 
 
+@pytest.mark.parametrize("w, a", [(1e200, 1e200), (np.inf, 0.0)])  # W*A overflows; inf * 0
+def test_non_finite_product_rejected_without_a_warning(w, a):
+    # As for an instance file: one ValueError, and no RuntimeWarning beside it.
+    A, W = np.ones((6, 6)), np.ones((6, 6))
+    W[2, 3], A[2, 3] = w, a
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            with pytest.raises(ValueError, match="non-finite"):
+                build_instance(layout(A), layout(W))
+    assert [str(warning.message) for warning in caught] == []
+
+
 def test_build_instance_forms_no_n_by_n_temporary():
     # generate() returns Fortran-ordered matrices, detected as the transposed
     # problem: neither layout is copied whole, by build_instance or by
@@ -756,13 +770,14 @@ def test_only_blocks_that_leave_the_previous_class_are_hashed_or_checked(monkeyp
 def test_stored_rows_that_grow_are_freed_at_once(monkeypatch, tmp_path):
     # 160 row classes, stored as one value per column class each, cost no
     # n-wide row.  The store grows as classes are founded, and each time
-    # the old values and sign bits must be freed at once, not kept live by
-    # a view past the growth.  The peak then stays within two block
-    # buffers, the comparison mask and 80 n-wide arrays: about 70 hold the
-    # labels, the partitions being built and W*A's 128 x 128 store and
-    # grid, and a 128 x 128 store (16 arrays) left live would not fit.
-    # n-wide stored rows, which grew from 64 to 128 with both copies live,
-    # took 232.
+    # the old values, sign bits and parents must be freed at once, not kept
+    # live by a view past the growth.  The peak, reached while blocks are
+    # read, then stays within two block buffers, the comparison mask and 52
+    # n-wide arrays: about 42 hold the labels and W*A's 128 x 128 store, and
+    # a 128 x 128 store (16 arrays) left live would not fit.  Nor would the
+    # block buffers kept live while the partitions and grids are built
+    # (about 69 arrays besides them).  n-wide stored rows, which grew from
+    # 64 to 128 with both copies live, took 232.
     n, r, p = 1024, 32, 4
     A, W = generate(GenSpec(n=n, r=r, p=p, k_true=3, noise_sigma=0.1,
                             weight_style="attention_block", seed=3))
@@ -772,9 +787,9 @@ def test_stored_rows_that_grow_are_freed_at_once(monkeypatch, tmp_path):
     reserve = pattern_index._RowClasses._reserve
 
     def reserve_spy(self, *args):
-        refs = [weakref.ref(self.values), weakref.ref(self.signs)]
+        refs = [weakref.ref(self.values), weakref.ref(self.signs), weakref.ref(self.parents)]
         reserve(self, *args)
-        for ref, now in zip(refs, (self.values, self.signs)):
+        for ref, now in zip(refs, (self.values, self.signs, self.parents)):
             if ref() is not now:  # grown: the old array must be gone
                 freed.append(ref() is None)
 
@@ -790,4 +805,4 @@ def test_stored_rows_that_grow_are_freed_at_once(monkeypatch, tmp_path):
     finally:
         tracemalloc.stop()
     block = pattern_index._block_rows(n, n)
-    assert peak <= (2 * block + block / 8 + 80) * 8 * n
+    assert peak <= (2 * block + block / 8 + 52) * 8 * n
